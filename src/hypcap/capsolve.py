@@ -1,28 +1,20 @@
 """Numerical capacity cap(D, E) by charge simulation.
 
 The condenser potential (1 on the plate boundary, 0 on the unit circle)
-is represented as a sum of logarithmic point sources and fitted by
-least-squares collocation:
+is represented as a sum of reflected logarithmic point sources and
+fitted by least-squares collocation on the plate boundary:
 
-    u(z) = sum_j b_j log|z - p_j| + sum_k c_k log|z - q_k|,
+    u(z) = sum_j b_j (log|z - p_j| - log|1 - conj(p_j) z|),
 
-with sources p_j strictly inside the plate E and q_k outside the closed
-unit disk.  The capacity is the flux through any contour separating the
-plates, cap = -2 pi sum_j b_j; the annulus E = {|z| <= a} with exact
-potential log|z| / log a fixes the sign.
-
-Outer sources come in two flavors:
-
-* reflected (default, ``outer_charge_radius=None``): every inner source
-  p is paired with its inversion 1/conj(p) at opposite strength, so each
-  basis function log|z - p| - log|1 - conj(p) z| vanishes identically on
-  the unit circle.  The outer condition is then exact, which matters for
-  plates reaching near the unit circle whose reflected singularities a
-  fixed outer ring cannot resolve.
-* free ring (``outer_charge_radius=R > 1``): independent sources on
-  |z| = R collocated against nodes on the unit circle.  The circle gets
-  at least twice as many nodes as the ring has sources, and more when
-  the plate's inner sources need them for 2x overdetermination overall.
+with sources p_j strictly inside the plate E.  Each basis function is
+the Green's function of the unit disk with pole p_j: the source p_j is
+paired with its inversion 1/conj(p_j) at opposite strength, so the
+function vanishes identically on the unit circle.  The outer condition
+is therefore exact, nothing is collocated or checked on |z| = 1, and
+plates reaching near the unit circle need no outer sources to resolve
+their reflected singularities.  The capacity is the flux through any
+contour separating the plates, cap = -2 pi sum_j b_j; the annulus
+E = {|z| <= a} with exact potential log|z| / log a fixes the sign.
 
 Inner source layout for polygons (all three groups lie inside E because
 E is starlike about 0):
@@ -83,10 +75,9 @@ _RANK_RTOL = 1e-12
 _LADDER_SIGMA = 2.0**-0.5
 # plate boundary scale factor for the deep source ring
 _RING_SCALE = 0.65
-# corner regimes by interior angle: needle corners get only the bisector
-# ladder (a wall-hugging layer would sit shallower than any affordable
-# collocation spacing and the least squares could not see its spikes);
-# sharp corners get a dense hugging layer; mild corners a light one
+# corner regimes by interior angle: needle and sharp corners get a dense
+# hugging layer, mild corners a light one; needle corners also get a
+# bisector ladder 16 rungs longer than the others
 _NEEDLE_SIN = 0.12
 _SHARP_SIN = 0.7
 # sources per octave in a hugging layer
@@ -94,19 +85,21 @@ _HUG_SHARP = 2
 _HUG_MILD = 1
 
 
-def _corner_cps(angle: float, hug_offset: float) -> int:
-    """Collocation nodes per depth octave near a corner.
+def _corner_cps(angle: float, hug_offset: float, hug: int) -> int:
+    """Collocation nodes per depth octave on each side of a corner.
 
     Hugging sources sit hug_offset*sin(angle) of their arc distance away
     from the wall and ladder rungs sin(angle/2) of their depth; the wall
     node spacing must stay below the smaller clearance or the least
-    squares cannot see spikes between nodes.
+    squares cannot see spikes between nodes.  An octave places one
+    ladder rung and hug hugging sources on each of the two sides, so at
+    least 2 * hug + 1 nodes per side keep it twice overdetermined.
     """
     c_hug = hug_offset * math.sin(min(angle, 0.5 * math.pi))
     c_lad = math.sin(0.5 * min(angle, math.pi))
     c = min(c_hug, c_lad, 0.9)
     need = math.log(_LADDER_SIGMA) / math.log(1.0 - c)
-    return min(28, max(3, int(math.ceil(need)) + 2))
+    return min(28, max(2 * hug + 1, int(math.ceil(need)) + 2))
 
 
 class SolverError(RuntimeError):
@@ -123,8 +116,6 @@ class _CirclePiece:
 
     center: complex
     radius: float
-
-    kind = "circle"
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -209,37 +200,32 @@ class SolverParams:
     nodes_per_side sizes the graded bulk collocation grid per polygon
     side (or the floor for a circle plate).  corner_ladder is the number
     of geometric source depths per corner (0 disables corner treatment,
-    leaving only the graded grid and the deep ring).  charge_counts =
-    (ring_per_side, outer_ring) sizes the deep inner ring and, in
-    free-ring mode, the outer source ring; the unit-circle node count is
-    derived, not set: max(2 * outer_ring, 2 * total charges - plate
-    nodes) in free-ring mode, max(32, plate nodes // 4) with reflected
-    sources.  inner_charge_offset scales the depth of the sharp-corner
-    hugging layers as a fraction of the local wedge width.
-    corner_grading_strength is the number of
-    compositions of the endpoint-clustering map for the bulk grid
-    (0 = uniform).  outer_charge_radius = None selects reflected
-    sources, which satisfy the unit-circle condition exactly.
+    leaving only the graded grid and the deep ring).  ring_charges caps
+    the deep source ring per polygon side (or sets the floor of the
+    concentric ring for a circle plate).  inner_charge_offset scales the
+    depth of the corner hugging layers as a fraction of the local wedge
+    width.  corner_grading_strength is the number of compositions of the
+    endpoint-clustering map for the bulk grid (0 = uniform).
+    check_grid_factor is how many plate check points there are per
+    collocation node of the bulk grid.  There are no unit-circle nodes:
+    the reflected sources satisfy that condition exactly.
     """
 
     nodes_per_side: int = 128
     corner_grading_strength: int = 1
     inner_charge_offset: float = 0.35
-    outer_charge_radius: float | None = None
-    charge_counts: tuple[int, int] = (32, 96)
+    ring_charges: int = 32
     corner_ladder: int = 40
     check_grid_factor: int = 2
     max_refine: int = 3
 
     def __post_init__(self):
-        if self.nodes_per_side < 8 or min(self.charge_counts) < 8:
+        if self.nodes_per_side < 8 or self.ring_charges < 8:
             raise ConfigurationError("all node/charge counts must be at least 8")
         if self.corner_grading_strength < 0:
             raise ConfigurationError("grading strength must be nonnegative")
         if not 0.0 < self.inner_charge_offset < 1.0:
             raise ConfigurationError("inner_charge_offset must lie in (0, 1)")
-        if self.outer_charge_radius is not None and self.outer_charge_radius <= 1.0:
-            raise ConfigurationError("outer_charge_radius must exceed 1")
         if self.corner_ladder < 0:
             raise ConfigurationError("corner_ladder must be nonnegative")
         if self.check_grid_factor < 2:
@@ -251,7 +237,7 @@ class SolverParams:
         return replace(
             self,
             nodes_per_side=2 * self.nodes_per_side,
-            charge_counts=(2 * self.charge_counts[0], 2 * self.charge_counts[1]),
+            ring_charges=2 * self.ring_charges,
             corner_ladder=min(self.corner_ladder + 8, 64) if self.corner_ladder else 0,
         )
 
@@ -261,19 +247,16 @@ class Discretization:
     """Node and source layout for one solve."""
 
     colloc_plate: np.ndarray
-    colloc_circle: np.ndarray
     charges_inner: np.ndarray
-    charges_outer: np.ndarray
     check_plate: np.ndarray
-    check_circle: np.ndarray
 
     @property
     def n_collocation(self) -> int:
-        return len(self.colloc_plate) + len(self.colloc_circle)
+        return len(self.colloc_plate)
 
     @property
     def n_charges(self) -> int:
-        return len(self.charges_inner) + len(self.charges_outer)
+        return len(self.charges_inner)
 
 
 def _graded_map(t: np.ndarray, strength: int) -> np.ndarray:
@@ -316,6 +299,7 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
     m = len(pieces)
     lengths = [piece.euclid_length() for piece in pieces]
     regimes = [_corner_regime(angle) for angle in b.corner_angles]
+    hugs = [_HUG_MILD if regime == "mild" else _HUG_SHARP for regime in regimes]
     K = p.corner_ladder
     tops, ladders = [], []
     for k, piece in enumerate(pieces):
@@ -336,7 +320,7 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
             ladders.append((v + bis * depths, clearance))
     s_col = _side_params(p.nodes_per_side, p.corner_grading_strength)
     s_chk = _side_params(f * p.nodes_per_side, p.corner_grading_strength)
-    n_ring = min(p.charge_counts[0], max(8, p.nodes_per_side // 4))
+    n_ring = min(p.ring_charges, max(8, p.nodes_per_side // 4))
     u_ring = (np.arange(n_ring) + 0.5) / n_ring
 
     colloc, rings, corner_poles, checks = [], [], list(ladders), []
@@ -346,7 +330,7 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
         extras = []
         if K:
             for top, kc, at_end in ((tops[k], k, False), (tops[k1], k1, True)):
-                c = _corner_cps(b.corner_angles[kc], p.inner_charge_offset)
+                c = _corner_cps(b.corner_angles[kc], p.inner_charge_offset, hugs[kc])
                 d = (top / length) * _LADDER_SIGMA ** (np.arange(c * K + c) / c)
                 d = np.clip(d, 1e-13, 0.495)
                 extras.append(1.0 - d if at_end else d)
@@ -355,11 +339,10 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
         checks.append(np.asarray(piece.point(s_chk), dtype=complex))
         rings.append(_RING_SCALE * np.asarray(piece.point(u_ring), dtype=complex))
         if K:
-            for top, angle, regime, at_end in (
-                (tops[k], b.corner_angles[k], regimes[k], False),
-                (tops[k1], b.corner_angles[k1], regimes[k1], True),
+            for top, angle, per_octave, at_end in (
+                (tops[k], b.corner_angles[k], hugs[k], False),
+                (tops[k1], b.corner_angles[k1], hugs[k1], True),
             ):
-                per_octave = _HUG_MILD if regime == "mild" else _HUG_SHARP
                 width = math.sin(min(angle, 0.5 * math.pi))
                 ell = (top / length) * _LADDER_SIGMA ** (
                     np.arange(per_octave * K) / per_octave
@@ -390,18 +373,16 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
 
 
 def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
-    """Collocation nodes, source points, and check grids for a boundary.
+    """Collocation nodes, source points, and check grid on the plate.
 
     Polygon sides get the graded bulk grid (uniform when the grading
     strength is 0) plus geometric corner scales whenever corner_ladder
     is positive; sources are the deep ring, the corner ladders, and the
-    sharp-corner hugging layers.  Circle plates get uniform nodes with a
+    corner hugging layers.  Circle plates get uniform nodes with a
     concentric source ring plus one source at the hyperbolic center.
-    The unit circle gets uniform nodes at angles 2 pi k / n.  With
-    reflected sources n = max(32, plate nodes // 4), since the circle
-    condition already holds exactly; in free-ring mode n is at least
-    twice the outer ring and large enough that the whole system has
-    twice as many nodes as charges.
+    Nothing is placed on the unit circle, where every reflected basis
+    function vanishes.  Raises ConfigurationError unless the plate has
+    at least twice as many nodes as sources.
     """
     f = p.check_grid_factor
     if b.is_smooth:
@@ -412,7 +393,7 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
         check_plate = np.asarray(
             piece.point((np.arange(f * n) + 0.5) / (f * n)), dtype=complex
         )
-        n_in = max(p.charge_counts[0], 32)
+        n_in = max(p.ring_charges, 32)
         ring = piece.center + _RING_SCALE * piece.radius * np.exp(
             2j * math.pi * np.arange(n_in) / n_in
         )
@@ -420,28 +401,8 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     else:
         colloc_plate, charges_inner, check_plate = _polygon_layout(b, p, f)
 
-    if p.outer_charge_radius is None:
-        charges_outer = np.empty(0, dtype=complex)
-        n_circ = max(32, len(colloc_plate) // 4)
-    else:
-        n_out = p.charge_counts[1]
-        charges_outer = p.outer_charge_radius * np.exp(
-            2j * math.pi * np.arange(n_out) / n_out
-        )
-        # at least 2x the outer ring, and enough that the whole system
-        # is 2x overdetermined however many inner sources the plate has
-        n_charges = len(charges_inner) + n_out
-        n_circ = max(2 * n_out, 2 * n_charges - len(colloc_plate))
-    colloc_circle = np.exp(2j * math.pi * np.arange(n_circ) / n_circ)
-    check_circle = np.exp(2j * math.pi * (np.arange(f * n_circ) + 0.5) / (f * n_circ))
-
     d = Discretization(
-        colloc_plate=colloc_plate,
-        colloc_circle=colloc_circle,
-        charges_inner=charges_inner,
-        charges_outer=charges_outer,
-        check_plate=check_plate,
-        check_circle=check_circle,
+        colloc_plate=colloc_plate, charges_inner=charges_inner, check_plate=check_plate
     )
     if d.n_collocation < 2 * d.n_charges:
         raise ConfigurationError(
@@ -463,48 +424,33 @@ class SolveReport:
     converged: bool
 
 
-def _kernel(z: np.ndarray, d: Discretization, reflected: bool) -> np.ndarray:
-    """Potential basis evaluated at points z (rows) for all sources (cols)."""
+def _kernel(z: np.ndarray, d: Discretization) -> np.ndarray:
+    """Reflected basis log|z - p| - log|1 - conj(p) z| at points z (rows)
+    for all sources p (cols); every column vanishes on |z| = 1."""
     z = z[:, None]
     p = d.charges_inner[None, :]
-    inner = np.log(np.abs(z - p))
-    if reflected:
-        inner = inner - np.log(np.abs(1.0 - np.conj(p) * z))
-    cols = [inner]
-    if len(d.charges_outer):
-        cols.append(np.log(np.abs(z - d.charges_outer[None, :])))
-    return np.concatenate(cols, axis=1)
+    return np.log(np.abs(z - p)) - np.log(np.abs(1.0 - np.conj(p) * z))
 
 
 def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     d = discretize(b, p)
-    reflected = p.outer_charge_radius is None
-    nodes = np.concatenate([d.colloc_plate, d.colloc_circle])
-    target = np.concatenate(
-        [np.ones(len(d.colloc_plate)), np.zeros(len(d.colloc_circle))]
-    )
-    A = _kernel(nodes, d, reflected)
+    A = _kernel(d.colloc_plate, d)
     if not np.all(np.isfinite(A)):
         raise SolverError("non-finite entries in the collocation matrix")
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0.0] = 1.0
     coef_scaled, _, rank, _ = scipy.linalg.lstsq(
-        A / scale, target, cond=_RANK_RTOL, lapack_driver="gelsy"
+        A / scale, np.ones(len(d.colloc_plate)), cond=_RANK_RTOL, lapack_driver="gelsy"
     )
     if rank == 0:
         raise SolverError("collocation matrix is numerically rank zero")
     coef = coef_scaled / scale
 
-    n_inner = len(d.charges_inner)
-    capacity = -2.0 * math.pi * float(np.sum(coef[:n_inner]))
+    capacity = -2.0 * math.pi * float(np.sum(coef))
     if not math.isfinite(capacity) or capacity <= 0.0:
         raise SolverError(f"solver produced nonpositive capacity {capacity}")
 
-    u_plate = _kernel(d.check_plate, d, reflected) @ coef
-    u_circle = _kernel(d.check_circle, d, reflected) @ coef
-    residual = max(
-        float(np.max(np.abs(u_plate - 1.0))), float(np.max(np.abs(u_circle)))
-    )
+    residual = float(np.max(np.abs(_kernel(d.check_plate, d) @ coef - 1.0)))
     return SolveReport(
         capacity=capacity,
         modulus_q=math.exp(-2.0 * math.pi / capacity),

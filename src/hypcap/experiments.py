@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capsolve import SolveReport, SolverParams, cap_polygon
+from .capsolve import DEFAULT_TOL_POLYGON, SolveReport, SolverParams, cap_polygon
 from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     HypPolygon,
@@ -130,7 +130,7 @@ def _perimeter_bound_entries(report: SolveReport, perimeter: float, values, verd
     )
 
 
-def _boundary_clearance(poly: HypPolygon, z: complex, samples) -> float:
+def _boundary_clearance(z: complex, samples) -> float:
     return float(np.min(np.abs(samples - z)))
 
 
@@ -142,7 +142,7 @@ def _best_interior_point(poly: HypPolygon) -> complex:
     the recentring below aims 0 at the fattest part of the plate."""
     t = np.linspace(0.0, 1.0, 400)
     samples = np.concatenate([np.asarray(s.point(t), complex) for s in poly.sides])
-    best, best_c = 0.0 + 0.0j, _boundary_clearance(poly, 0.0, samples)
+    best, best_c = 0.0 + 0.0j, _boundary_clearance(0.0, samples)
     ang = np.angle(samples)
     rad = np.abs(samples)
     for phi in np.linspace(-math.pi, math.pi, 48, endpoint=False):
@@ -152,7 +152,7 @@ def _best_interior_point(poly: HypPolygon) -> complex:
         rho = float(np.min(sector))
         for frac in (0.2, 0.4, 0.6):
             cand = frac * rho * complex(math.cos(phi), math.sin(phi))
-            c = _boundary_clearance(poly, cand, samples)
+            c = _boundary_clearance(cand, samples)
             if c > best_c:
                 best, best_c = cand, c
     return best
@@ -183,7 +183,7 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
 
 
 def run_triangle_conjecture(
-    rows=None, tol: float = 2e-3, params: SolverParams | None = None
+    rows=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
 ) -> list[ExperimentRow]:
     """Compare cap(D, T) against the equilateral triangle of equal area.
 
@@ -235,7 +235,7 @@ def run_triangle_conjecture(
 
 
 def run_polygon_conjecture(
-    polygons=None, tol: float = 2e-3, params: SolverParams | None = None
+    polygons=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
 ) -> list[ExperimentRow]:
     """Compare cap(D, P) against the regular polygon of equal perimeter."""
     polygons = DEFAULT_POLYGON_ROWS if polygons is None else polygons
@@ -279,7 +279,8 @@ def run_polygon_conjecture(
 
 
 def run_regular_table(
-    m_list=None, r_list=None, tol: float = 2e-3, params: SolverParams | None = None
+    m_list=None, r_list=None, tol: float = DEFAULT_TOL_POLYGON,
+    params: SolverParams | None = None,
 ) -> list[ExperimentRow]:
     """Capacity grid over regular polygons (rows r, columns m)."""
     m_list = DEFAULT_TABLE_M if m_list is None else list(m_list)
@@ -289,12 +290,12 @@ def run_regular_table(
     for r in r_list:
         for m in m_list:
             rid = f"table_r{r:g}_m{m}"
-            rep = cap_polygon(regular_polygon(m, r), tol, params)
+            poly = regular_polygon(m, r)
+            rep = cap_polygon(poly, tol, params)
             grid[(r, m)] = rep.capacity
             values = {"capacity": rep.capacity, "r": float(r), "m": float(m)}
             verdicts = {"converged": bool(rep.converged)}
-            poly_perim = polygon_perimeter(regular_polygon(m, r))
-            _perimeter_bound_entries(rep, poly_perim, values, verdicts)
+            _perimeter_bound_entries(rep, polygon_perimeter(poly), values, verdicts)
             out.append(
                 ExperimentRow(
                     id=rid,
@@ -342,7 +343,8 @@ def _run_sequence(
         else:
             r = regular_radius_from_perimeter(m, c)
             bound = ref_cap_perim(c)
-        rep = cap_polygon(regular_polygon(m, r), tol, params)
+        poly = regular_polygon(m, r)
+        rep = cap_polygon(poly, tol, params)
         slack = 2.0 * rep.boundary_residual
         values = {
             "capacity": rep.capacity,
@@ -364,8 +366,7 @@ def _run_sequence(
                 verdicts[key] = _ordered_verdict(prev[0], rep.capacity, pair_slack)
             else:
                 verdicts[key] = _ordered_verdict(rep.capacity, prev[0], pair_slack)
-        poly_perim = polygon_perimeter(regular_polygon(m, r))
-        _perimeter_bound_entries(rep, poly_perim, values, verdicts)
+        _perimeter_bound_entries(rep, polygon_perimeter(poly), values, verdicts)
         out.append(
             ExperimentRow(
                 id=rid,
@@ -421,7 +422,7 @@ def run_f1f2(c_grid=None) -> list[ExperimentRow]:
 
 
 def run_triangle_bounds(
-    s_grid=None, tol: float = 2e-3, params: SolverParams | None = None
+    s_grid=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
 ) -> list[ExperimentRow]:
     """Sandwich check: solved equilateral-triangle capacity between the
     spoke lower bound and the single-side upper bound."""
@@ -429,7 +430,8 @@ def run_triangle_bounds(
     out = []
     for s in s_grid:
         b = triangle_bounds_from_s(s)
-        rep = cap_polygon(regular_polygon(3, s), tol, params)
+        poly = regular_polygon(3, s)
+        rep = cap_polygon(poly, tol, params)
         values = {
             "s": float(s),
             "lower": b.lower,
@@ -446,8 +448,7 @@ def run_triangle_bounds(
             ),
             "converged": bool(rep.converged),
         }
-        poly_perim = polygon_perimeter(regular_polygon(3, s))
-        _perimeter_bound_entries(rep, poly_perim, values, verdicts)
+        _perimeter_bound_entries(rep, polygon_perimeter(poly), values, verdicts)
         out.append(
             ExperimentRow(
                 id=f"bounds_s{s:g}",

@@ -277,14 +277,13 @@ class HypPolygon:
 
     vertices: tuple[complex, ...]
     sides: tuple[GeodesicArc, ...]
-    starlike_checked: bool = True
 
     @property
     def m(self) -> int:
         return len(self.vertices)
 
     @staticmethod
-    def from_vertices(vertices, samples_per_side: int | None = None) -> "HypPolygon":
+    def from_vertices(vertices) -> "HypPolygon":
         vs = [_check_in_disk(v, f"vertex {k}") for k, v in enumerate(vertices)]
         m = len(vs)
         if m < 3:
@@ -304,14 +303,14 @@ class HypPolygon:
             vs = vs[::-1]
         sides = tuple(geodesic_arc(vs[k], vs[(k + 1) % m]) for k in range(m))
         poly = HypPolygon(vertices=tuple(vs), sides=sides)
-        poly._verify_starlike(samples_per_side)
+        poly._verify_starlike()
         return poly
 
-    def _verify_starlike(self, samples_per_side: int | None = None) -> None:
+    def _verify_starlike(self) -> None:
         """Each ray from 0 must cross the boundary exactly once, i.e. the
         boundary angle is strictly monotone with total increase 2 pi;
         sampled on a dense angular grid (>= 720 points total)."""
-        k = samples_per_side or max(16, -(-720 // self.m))
+        k = max(16, -(-720 // self.m))
         # a segment side is collinear with 0, so some ray meets the
         # boundary in a whole segment or the origin is on the boundary
         if any(side.kind == "segment" for side in self.sides):
@@ -352,8 +351,6 @@ def polygon_measures(p: HypPolygon) -> PolygonMeasures:
     about 0; each fan triangle is measured by the law of cosines and the
     vertex angles are assembled from the two adjacent fan triangles.
     """
-    if not p.starlike_checked:
-        raise GeometryError("polygon_measures requires a starlike polygon")
     m = p.m
     vs = p.vertices
     if any(v == 0 for v in vs):

@@ -14,6 +14,7 @@ from hypcap.capsolve import (
     BoundarySet,
     ConfigurationError,
     SolverParams,
+    _kernel,
     cap_disk,
     cap_euclid_disk,
     cap_polygon,
@@ -55,13 +56,6 @@ class TestSmoothPlates:
             2 * math.pi / math.log(1 / rep.modulus_q), rel=1e-14
         )
 
-    def test_free_ring_mode(self):
-        # independent outer sources on |z| = 1.25 instead of reflections
-        params = SolverParams(outer_charge_radius=1.25)
-        rep = cap_disk(HypDisk(0.3, 1.0), params=params)
-        exact = cap_hyp_disk(1.0)
-        assert abs(rep.capacity - exact) / exact < 1e-7
-
 
 class TestPolygonPlates:
     def test_regular_triangle_anchor(self):
@@ -94,12 +88,6 @@ class TestPolygonPlates:
             slack = 3 * max(rep0.boundary_residual, rep1.boundary_residual)
             assert abs(rep1.capacity - rep0.capacity) <= slack
 
-    def test_ring_mode_polygon(self):
-        params = SolverParams(outer_charge_radius=1.25)
-        rep = cap_polygon(regular_polygon(3, 0.5), params=params)
-        assert rep.converged
-        assert abs(rep.capacity - 5.9799062371) / 5.9799062371 < 5e-4
-
 
 class TestDiscretize:
     def test_zero_grading_uniform(self):
@@ -124,30 +112,43 @@ class TestDiscretize:
         h_graded = np.min(np.abs(np.diff(graded.colloc_plate[:per_side])))
         assert h_graded < h_uniform / 4
 
-    def test_circle_nodes_at_uniform_angles(self):
-        b = BoundarySet.from_euclid_disk(0.0, 0.4)
-        d = discretize(b, SolverParams())
-        n = len(d.colloc_circle)
-        expect = np.exp(2j * np.pi * np.arange(n) / n)
-        assert np.allclose(d.colloc_circle, expect, atol=1e-15)
-
     def test_overdetermination_enforced(self):
         b = BoundarySet.from_euclid_disk(0.0, 0.4)
         with pytest.raises(ConfigurationError):
-            discretize(b, SolverParams(nodes_per_side=8, charge_counts=(512, 96)))
+            discretize(b, SolverParams(nodes_per_side=8, ring_charges=512))
 
-    @pytest.mark.parametrize("m, r", [(3, 0.5), (8, 0.9)])
-    def test_free_ring_overdetermined_at_every_level(self, m, r):
-        # polygon corner treatment adds about one inner source per two
-        # plate nodes, so circle nodes sized from the outer ring alone
-        # leave the system short of 2x overdetermined
-        b = BoundarySet.from_polygon(regular_polygon(m, r))
-        p = SolverParams(outer_charge_radius=1.25)
+    @pytest.mark.parametrize(
+        "b",
+        [
+            BoundarySet.from_polygon(regular_polygon(3, 0.5)),
+            BoundarySet.from_polygon(regular_polygon(8, 0.9)),
+            BoundarySet.from_euclid_disk(0.3, 0.5),
+        ],
+        ids=["3-0.5", "8-0.9", "disk"],
+    )
+    def test_plate_overdetermined_at_every_level(self, b):
+        # nothing is collocated on the unit circle, so the plate nodes
+        # alone must outnumber the sources twice at every refinement
+        p = SolverParams()
         for _ in range(p.max_refine + 1):
             d = discretize(b, p)
-            assert d.n_collocation >= 2 * d.n_charges
-            assert len(d.colloc_circle) >= 2 * len(d.charges_outer)
+            assert len(d.colloc_plate) >= 2 * d.n_charges
             p = p.doubled()
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            BoundarySet.from_polygon(regular_polygon(3, 0.9)),
+            BoundarySet.from_hyp_disk(HypDisk(0.3, 1.0)),
+        ],
+        ids=["3-0.9", "disk"],
+    )
+    def test_reflected_kernel_vanishes_on_unit_circle(self, b):
+        # the outer condition holds by construction, so the solver
+        # neither collocates nor checks there
+        d = discretize(b, SolverParams())
+        circle = np.exp(2j * np.pi * np.arange(512) / 512)
+        assert np.max(np.abs(_kernel(circle, d))) <= 1e-14
 
     def test_charges_inside_plate(self):
         poly = regular_polygon(3, 0.9)
@@ -167,8 +168,6 @@ class TestValidation:
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):
             SolverParams(nodes_per_side=4)
-        with pytest.raises(ConfigurationError):
-            SolverParams(outer_charge_radius=0.9)
         with pytest.raises(ConfigurationError):
             SolverParams(inner_charge_offset=1.5)
         with pytest.raises(ConfigurationError):
