@@ -34,6 +34,21 @@ Disk-shaped plates use a concentric source ring plus one source at the
 hyperbolic center, where a single reflected kernel is the exact
 solution.
 
+A polygon plate with n-fold rotational symmetry about 0 (a regular
+m-gon has n = m) has a rotation-invariant potential, because its
+boundary data are constant, so sources that the rotation by 2 pi / n
+permutes can share one coefficient.  The solver then lays out one
+sector only (sides and corners 0 .. m/n - 1), keeps one representative
+per orbit of the full layout's sources, and fits with the orbit-summed
+kernel
+
+    G_n(z, p) = sum_{j<n} (log|z - w^j p| - log|1 - conj(w^j p) z|),
+    w = exp(2 pi i / n),
+
+on the sector's nodes; the capacity is -2 pi n sum_j b_j.  The system
+shrinks n-fold in rows and in columns.  Symmetry 1 (generic plates and
+disks) is the full layout with the plain kernel.
+
 Collocation nodes per side combine an endpoint-graded bulk grid (the
 composed map w(t) = t - sin(2 pi t)/(2 pi)) with geometric scale sets
 matching the corner ladders.
@@ -83,6 +98,8 @@ _SHARP_SIN = 0.7
 # sources per octave in a hugging layer
 _HUG_SHARP = 2
 _HUG_MILD = 1
+# relative tolerance of the rotational-symmetry test on polygon vertices
+_SYMMETRY_RTOL = 1e-12
 
 
 def _corner_cps(angle: float, hug_offset: float, hug: int) -> int:
@@ -100,6 +117,22 @@ def _corner_cps(angle: float, hug_offset: float, hug: int) -> int:
     c = min(c_hug, c_lad, 0.9)
     need = math.log(_LADDER_SIGMA) / math.log(1.0 - c)
     return min(28, max(2 * hug + 1, int(math.ceil(need)) + 2))
+
+
+def _rotates_onto_itself(vertices, n: int) -> bool:
+    """Whether n divides m and rotation by 2 pi / n about 0 maps vertex k
+    onto vertex k + m/n, to 1e-12 of the largest vertex radius."""
+    v = np.asarray(vertices, dtype=complex)
+    if len(v) % n:
+        return False
+    moved = cmath.exp(2j * math.pi / n) * v
+    err = np.max(np.abs(np.roll(v, -(len(v) // n)) - moved))
+    return bool(err <= _SYMMETRY_RTOL * np.max(np.abs(v)))
+
+
+def _orbit(z: np.ndarray, n: int) -> np.ndarray:
+    """z followed by its rotations by 2 pi j / n, j = 1 .. n-1."""
+    return np.concatenate([z] + [z * cmath.exp(2j * math.pi * j / n) for j in range(1, n)])
 
 
 class SolverError(RuntimeError):
@@ -140,11 +173,17 @@ class BoundarySet:
     disk plate it is the hyperbolic center, where one reflected source
     solves the problem exactly.  Polygon plates contain the origin by
     construction (starlike); disk plates need not.
+
+    symmetry is the order n of the rotation group about 0 that maps the
+    piece list onto itself, piece k onto piece k + m/n; the solver fits
+    one sector of m/n pieces with the orbit-summed kernel.  from_polygon
+    derives it from the vertices; it is 1 for disks and generic plates.
     """
 
     pieces: tuple
     corner_angles: tuple[float, ...]
     hyp_center: complex
+    symmetry: int = 1
 
     def __post_init__(self):
         t = np.linspace(0.0, 1.0, 64)
@@ -153,6 +192,13 @@ class BoundarySet:
             raise GeometryError(
                 f"plate boundary reaches |z| = {top:.8f}; must stay below 1 - 1e-6"
             )
+        # geodesic sides are fixed by their endpoints, so the corners
+        # decide the symmetry; a single circle piece admits only n = 1
+        m, n = len(self.pieces), self.symmetry
+        if n != 1 and (
+            n < 1 or m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)
+        ):
+            raise GeometryError(f"plate does not have {n}-fold rotational symmetry about 0")
 
     @property
     def is_smooth(self) -> bool:
@@ -168,7 +214,10 @@ class BoundarySet:
             turn = cmath.phase(t_out * t_in.conjugate())
             corners.append(math.pi - turn)
         return BoundarySet(
-            pieces=tuple(p.sides), corner_angles=tuple(corners), hyp_center=0.0
+            pieces=tuple(p.sides),
+            corner_angles=tuple(corners),
+            hyp_center=0.0,
+            symmetry=max(n for n in range(1, m + 1) if _rotates_onto_itself(p.vertices, n)),
         )
 
     @staticmethod
@@ -244,11 +293,15 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Node and source layout for one solve."""
+    """Node and source layout for one solve.
+
+    With symmetry n > 1 the nodes and check points cover one sector of
+    the plate and each source stands for its orbit of n rotations."""
 
     colloc_plate: np.ndarray
     charges_inner: np.ndarray
     check_plate: np.ndarray
+    symmetry: int
 
     @property
     def n_collocation(self) -> int:
@@ -295,17 +348,22 @@ def _radial_profile(pts: np.ndarray):
 
 
 def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
+    """Sector layout: sides and corners 0 .. m/n - 1 for symmetry n."""
     pieces = b.pieces
     m = len(pieces)
+    sector = m // b.symmetry
     lengths = [piece.euclid_length() for piece in pieces]
     regimes = [_corner_regime(angle) for angle in b.corner_angles]
     hugs = [_HUG_MILD if regime == "mild" else _HUG_SHARP for regime in regimes]
     K = p.corner_ladder
-    tops, ladders = [], []
-    for k, piece in enumerate(pieces):
+    tops = [
+        min(0.25 * min(lengths[k - 1], lengths[k]), 0.5 * abs(complex(piece.z1)))
+        for k, piece in enumerate(pieces)
+    ]
+    ladders = []
+    for k, piece in enumerate(pieces[:sector]):
         v = complex(piece.z1)
-        top = min(0.25 * min(lengths[k - 1], lengths[k]), 0.5 * abs(v))
-        tops.append(top)
+        top = tops[k]
         if K:
             # march along the interior angle bisector; the toward-origin
             # ray can hug one wall of an asymmetric needle wedge
@@ -324,7 +382,7 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
     u_ring = (np.arange(n_ring) + 0.5) / n_ring
 
     colloc, rings, corner_poles, checks = [], [], list(ladders), []
-    for k, piece in enumerate(pieces):
+    for k, piece in enumerate(pieces[:sector]):
         length = lengths[k]
         k1 = (k + 1) % m
         extras = []
@@ -358,15 +416,18 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
     # drop corner-treatment sources that crossed a (curved) far wall:
     # each must stay inside the starlike plate and keep a clearance to
     # the boundary comparable to its design value; the radial profile is
-    # built from the graded check grid so it is corner-accurate
+    # built from the graded check grid so it is corner-accurate.  Both
+    # tests see the whole plate (the sector grid and its rotations),
+    # since sources near a sector edge face the neighbouring sector
+    check_full = _orbit(check_plate, b.symmetry)
     prof_ang, prof_rad = _radial_profile(
-        np.concatenate([check_plate, [complex(piece.z1) for piece in pieces]])
+        np.concatenate([check_full, [complex(piece.z1) for piece in pieces]])
     )
     kept = []
     for poles, clearance in corner_poles:
         clearance = np.broadcast_to(np.asarray(clearance, dtype=float), poles.shape)
         inside = np.abs(poles) <= np.interp(np.angle(poles), prof_ang, prof_rad)
-        dist = np.min(np.abs(poles[:, None] - check_plate[None, :]), axis=1)
+        dist = np.min(np.abs(poles[:, None] - check_full[None, :]), axis=1)
         kept.append(poles[inside & (dist >= 0.3 * clearance)])
     charges_inner = np.concatenate(rings + kept)
     return colloc_plate, charges_inner, check_plate
@@ -381,8 +442,9 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     corner hugging layers.  Circle plates get uniform nodes with a
     concentric source ring plus one source at the hyperbolic center.
     Nothing is placed on the unit circle, where every reflected basis
-    function vanishes.  Raises ConfigurationError unless the plate has
-    at least twice as many nodes as sources.
+    function vanishes.  A plate with symmetry n gets the layout of one
+    sector, with one source per orbit.  Raises ConfigurationError unless
+    the plate (or sector) has at least twice as many nodes as sources.
     """
     f = p.check_grid_factor
     if b.is_smooth:
@@ -402,7 +464,10 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
         colloc_plate, charges_inner, check_plate = _polygon_layout(b, p, f)
 
     d = Discretization(
-        colloc_plate=colloc_plate, charges_inner=charges_inner, check_plate=check_plate
+        colloc_plate=colloc_plate,
+        charges_inner=charges_inner,
+        check_plate=check_plate,
+        symmetry=b.symmetry,
     )
     if d.n_collocation < 2 * d.n_charges:
         raise ConfigurationError(
@@ -414,7 +479,13 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one capacity solve."""
+    """Outcome of one capacity solve.
+
+    n_collocation and n_charges count the fitted system, which for a
+    plate of symmetry n is one sector: 1/n of the plate's nodes and one
+    source per orbit.  rank is the numerical rank gelsy found for that
+    system (at most n_charges).
+    """
 
     capacity: float
     modulus_q: float
@@ -422,14 +493,22 @@ class SolveReport:
     n_collocation: int
     n_charges: int
     converged: bool
+    rank: int
+    symmetry: int
 
 
 def _kernel(z: np.ndarray, d: Discretization) -> np.ndarray:
     """Reflected basis log|z - p| - log|1 - conj(p) z| at points z (rows)
-    for all sources p (cols); every column vanishes on |z| = 1."""
+    for all sources p (cols), summed over the d.symmetry rotations of
+    each source; every column vanishes on |z| = 1."""
     z = z[:, None]
     p = d.charges_inner[None, :]
-    return np.log(np.abs(z - p)) - np.log(np.abs(1.0 - np.conj(p) * z))
+    A = np.log(np.abs(z - p)) - np.log(np.abs(1.0 - np.conj(p) * z))
+    for j in range(1, d.symmetry):
+        q = p * cmath.exp(2j * math.pi * j / d.symmetry)
+        A += np.log(np.abs(z - q))
+        A -= np.log(np.abs(1.0 - np.conj(q) * z))
+    return A
 
 
 def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
@@ -446,7 +525,7 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
         raise SolverError("collocation matrix is numerically rank zero")
     coef = coef_scaled / scale
 
-    capacity = -2.0 * math.pi * float(np.sum(coef))
+    capacity = -2.0 * math.pi * d.symmetry * float(np.sum(coef))
     if not math.isfinite(capacity) or capacity <= 0.0:
         raise SolverError(f"solver produced nonpositive capacity {capacity}")
 
@@ -458,6 +537,8 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
         n_collocation=d.n_collocation,
         n_charges=d.n_charges,
         converged=residual < tol,
+        rank=int(rank),
+        symmetry=d.symmetry,
     )
 
 

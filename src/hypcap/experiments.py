@@ -18,9 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capsolve import DEFAULT_TOL_POLYGON, SolveReport, SolverParams, cap_polygon
+from .capsolve import (
+    DEFAULT_TOL_POLYGON,
+    ConfigurationError,
+    SolveReport,
+    SolverError,
+    SolverParams,
+    cap_polygon,
+)
 from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
+    GeometryError,
     HypPolygon,
     equilateral_triangle_radius,
     hyp_midpoint,
@@ -83,6 +91,9 @@ DEFAULT_TABLE_M = [3, 4, 5, 6, 7]
 
 # slack for the Gehring perimeter upper bound (absolute)
 PERIMETER_BOUND_SLACK = 1e-6
+
+# what a bad input row can raise; anything else is a bug and propagates
+_ROW_ERRORS = (GeometryError, SolverError, ConfigurationError)
 
 
 @dataclass
@@ -204,7 +215,7 @@ def run_triangle_conjecture(
             area0 = polygon_measures(t0_poly).area
             rep_t = cap_polygon(recenter_triangle(v1, v2, v3), tol, params)
             rep_0 = cap_polygon(t0_poly, tol, params)
-        except Exception as exc:  # degenerate input rows keep the run going
+        except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
         residual = max(rep_t.boundary_residual, rep_0.boundary_residual)
@@ -251,7 +262,7 @@ def run_polygon_conjecture(
             p0 = regular_polygon(m, r0)
             rep_p = cap_polygon(poly, tol, params)
             rep_0 = cap_polygon(p0, tol, params)
-        except Exception as exc:
+        except _ROW_ERRORS as exc:
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
         residual = max(rep_p.boundary_residual, rep_0.boundary_residual)

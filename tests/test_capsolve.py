@@ -6,9 +6,12 @@ for smooth plates; published table digits anchor the polygon path.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcap.capsolve import (
     BoundarySet,
@@ -25,6 +28,16 @@ from hypcap.condenser import cap_hyp_disk
 from hypcap.hypgeom import GeometryError, HypDisk, HypPolygon, mobius, regular_polygon
 
 SEED = 73301
+
+# published polygon row with no rotational symmetry; plates with 2-fold
+# and 3-fold symmetry that are not regular
+NEAR_SQUARE = [0.601, -0.6j, -0.599, 0.6j]
+RHOMBUS = [0.6, 0.3j, -0.6, -0.3j]
+STAR3 = [
+    rho * cmath.exp(2j * math.pi * (k + shift) / 3)
+    for k in range(3)
+    for rho, shift in ((0.7, 0.0), (0.3, 0.5))
+]
 
 
 class TestSmoothPlates:
@@ -87,6 +100,86 @@ class TestPolygonPlates:
             rep1 = cap_polygon(moved)
             slack = 3 * max(rep0.boundary_residual, rep1.boundary_residual)
             assert abs(rep1.capacity - rep0.capacity) <= slack
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [3, 4, 6, 8])
+    def test_sector_solve_matches_full_solve(self, m, r):
+        b = BoundarySet.from_polygon(regular_polygon(m, r))
+        sym = solve_capacity(b)
+        full = solve_capacity(replace(b, symmetry=1))
+        assert (sym.symmetry, full.symmetry) == (m, 1)
+        assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
+        assert sym.converged == full.converged
+        # one sector of the nodes, one source per orbit
+        assert full.n_collocation == m * sym.n_collocation
+        assert full.n_charges == m * sym.n_charges
+
+    @pytest.mark.parametrize(
+        "vertices, n",
+        [
+            (regular_polygon(3, 0.5).vertices, 3),
+            (regular_polygon(8, 0.9).vertices, 8),
+            ([v * cmath.exp(0.37j) for v in regular_polygon(6, 0.4).vertices], 6),
+            (RHOMBUS, 2),
+            (STAR3, 3),
+            (NEAR_SQUARE, 1),
+            ([mobius(0.1 + 0.05j, v) for v in regular_polygon(3, 0.5).vertices], 1),
+        ],
+        ids=["regular-3", "regular-8", "rotated-6", "rhombus", "star-3", "near-square", "moved-3"],
+    )
+    def test_detected_symmetry(self, vertices, n):
+        b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
+        assert b.symmetry == n
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [regular_polygon(3, 0.9).vertices, regular_polygon(8, 0.5).vertices, RHOMBUS, STAR3],
+        ids=["regular-3", "regular-8", "rhombus", "star-3"],
+    )
+    def test_sector_layout_rotates_onto_full_layout(self, vertices):
+        # the sector's nodes and sources, rotated n times, are the full
+        # layout's: one source per orbit, none lost or added by the filter
+        b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
+        n = b.symmetry
+        sector = discretize(b, SolverParams())
+        full = discretize(replace(b, symmetry=1), SolverParams())
+        for part, whole in (
+            (sector.colloc_plate, full.colloc_plate),
+            (sector.charges_inner, full.charges_inner),
+        ):
+            turned = np.concatenate([part * cmath.exp(2j * math.pi * j / n) for j in range(n)])
+            assert len(turned) == len(whole)
+            assert np.max(np.min(np.abs(turned[:, None] - whole[None, :]), axis=1)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "b, n",
+        [
+            (BoundarySet.from_polygon(HypPolygon.from_vertices(RHOMBUS)), 4),
+            (BoundarySet.from_polygon(HypPolygon.from_vertices(NEAR_SQUARE)), 2),
+            (BoundarySet.from_polygon(regular_polygon(6, 0.5)), 4),
+            (BoundarySet.from_polygon(regular_polygon(3, 0.5)), 0),
+            (BoundarySet.from_euclid_disk(0.0, 0.4), 2),
+        ],
+        ids=["rhombus-4", "near-square-2", "hexagon-4", "triangle-0", "disk-2"],
+    )
+    def test_false_symmetry_rejected(self, b, n):
+        with pytest.raises(GeometryError):
+            replace(b, symmetry=n)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(3, 8),
+        r=st.floats(0.05, 0.9),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_rotation_invariance(self, m, r, angle):
+        base = regular_polygon(m, r)
+        turned = HypPolygon.from_vertices([v * cmath.exp(1j * angle) for v in base.vertices])
+        rep0, rep1 = cap_polygon(base), cap_polygon(turned)
+        assert rep1.symmetry == m
+        assert abs(rep1.capacity - rep0.capacity) <= 1e-9 * rep0.capacity
 
 
 class TestDiscretize:
@@ -180,3 +273,5 @@ class TestValidation:
     def test_report_counts(self):
         rep = cap_euclid_disk(0.0, 0.5)
         assert rep.n_collocation >= 2 * rep.n_charges
+        assert rep.symmetry == 1
+        assert 0 < rep.rank <= rep.n_charges

@@ -1,0 +1,65 @@
+"""Smoke tests of the experiment drivers on reduced grids.
+
+Each driver runs on a few cheap published inputs; no row may carry an
+error or a False verdict.  Bad input rows are recorded as row errors,
+while any other exception is a bug and must propagate.
+"""
+
+import pytest
+
+from hypcap import experiments
+from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS
+
+# first-level solves only: the needle triangles 2, 6 and 10 are left out
+REDUCED_RUNS = {
+    "triangle_conjecture": lambda: experiments.run_triangle_conjecture(
+        rows=[DEFAULT_TRIANGLE_ROWS[0], DEFAULT_TRIANGLE_ROWS[3]]
+    ),
+    "polygon_conjecture": lambda: experiments.run_polygon_conjecture(
+        polygons=DEFAULT_POLYGON_ROWS[:2]
+    ),
+    "regular_table": lambda: experiments.run_regular_table(
+        m_list=[3, 4], r_list=[0.3, 0.6]
+    ),
+    "sequence_area": lambda: experiments.run_sequence_area(m_range=range(3, 6)),
+    "sequence_perim": lambda: experiments.run_sequence_perim(m_range=range(3, 6)),
+    "triangle_bounds": lambda: experiments.run_triangle_bounds(s_grid=[0.3, 0.7]),
+    "f1f2": lambda: experiments.run_f1f2(c_grid=[0.1, 1.0, 10.0]),
+}
+
+DEGENERATE_RUNS = {
+    # three points on a diameter: zero angle defect
+    "triangle_conjecture": lambda: experiments.run_triangle_conjecture(
+        rows=[(0.1, 0.2, 0.3), DEFAULT_TRIANGLE_ROWS[3]]
+    ),
+    # consecutive vertices coincide
+    "polygon_conjecture": lambda: experiments.run_polygon_conjecture(
+        polygons=[[0.5, 0.5, 0.3j, -0.5], DEFAULT_POLYGON_ROWS[0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REDUCED_RUNS))
+def test_driver_rows_pass(name):
+    rows = REDUCED_RUNS[name]()
+    assert rows
+    for row in rows:
+        assert row.error is None, (row.id, row.error)
+        assert all(v is not False for v in row.verdicts.values()), (row.id, row.verdicts)
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
+def test_degenerate_row_recorded_as_error(name):
+    bad, good = DEGENERATE_RUNS[name]()
+    assert bad.error and not bad.passed()
+    assert good.error is None and good.passed()
+
+
+@pytest.mark.parametrize("name", ["triangle_conjecture", "polygon_conjecture"])
+def test_unexpected_exception_propagates(name, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the solver")
+
+    monkeypatch.setattr(experiments, "cap_polygon", broken)
+    with pytest.raises(TypeError, match="bug in the solver"):
+        REDUCED_RUNS[name]()
