@@ -42,12 +42,22 @@ sector only (sides and corners 0 .. m/n - 1), keeps one representative
 per orbit of the full layout's sources, and fits with the orbit-summed
 kernel
 
-    G_n(z, p) = sum_{j<n} (log|z - w^j p| - log|1 - conj(w^j p) z|),
-    w = exp(2 pi i / n),
+    G_n(z, p) = sum_{j<n} (log|z - w^j p| - log|1 - conj(w^j p) z|)
+              = log(|z^n - p^n| / |1 - conj(p^n) z^n|),   w = exp(2 pi i / n),
 
-on the sector's nodes; the capacity is -2 pi n sum_j b_j.  The system
-shrinks n-fold in rows and in columns.  Symmetry 1 (generic plates and
-disks) is the full layout with the plain kernel.
+which the products over the rotations put in closed form, one log per
+entry.  When the vertices form one rotation orbit (n = m: every
+regular polygon) the plate is also symmetric under the reflection
+sigma(z) = (v_0 / |v_0|)^2 conj(z) through 0 and vertex 0.  Modulo
+rotations sigma maps side 0 onto itself by t -> 1 - t, so the solver
+keeps the half of the sector's layout with side parameter t <= 1/2
+(the corner-0 ladder lies on the mirror axis and is kept whole) and
+fits with the columns G_n(z, p) + G_n(z, sigma p); an on-axis source
+just doubles its column.  The capacity is -2 pi k sum_j b_j with k = n
+plate images per source, or 2n with the mirror.  The system shrinks
+n-fold (2n-fold with the mirror, less the axis ladder) in rows and in
+columns.  Symmetry 1 (generic plates and disks) is the full layout
+with the plain kernel.
 
 Collocation nodes per side combine an endpoint-graded bulk grid (the
 composed map w(t) = t - sin(2 pi t)/(2 pi)) with geometric scale sets
@@ -100,6 +110,8 @@ _HUG_SHARP = 2
 _HUG_MILD = 1
 # relative tolerance of the rotational-symmetry test on polygon vertices
 _SYMMETRY_RTOL = 1e-12
+# rows per block of the kernel build; bounds its complex temporaries
+_KERNEL_ROWS = 512
 
 
 def _corner_cps(angle: float, hug_offset: float, hug: int) -> int:
@@ -296,12 +308,23 @@ class Discretization:
     """Node and source layout for one solve.
 
     With symmetry n > 1 the nodes and check points cover one sector of
-    the plate and each source stands for its orbit of n rotations."""
+    the plate and each source stands for its orbit of n rotations.  With
+    a mirror (the unit factor of sigma(z) = mirror * conj(z), set when
+    the plate's vertices form one rotation orbit) they cover half of
+    that sector, and each source also stands for the orbit of its
+    mirror image; a source on the mirror axis is its own image.
+    """
 
     colloc_plate: np.ndarray
     charges_inner: np.ndarray
     check_plate: np.ndarray
     symmetry: int
+    mirror: complex | None = None
+
+    @property
+    def order(self) -> int:
+        """Plate images per source: n rotations, twice that with the mirror."""
+        return self.symmetry if self.mirror is None else 2 * self.symmetry
 
     @property
     def n_collocation(self) -> int:
@@ -348,7 +371,12 @@ def _radial_profile(pts: np.ndarray):
 
 
 def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
-    """Sector layout: sides and corners 0 .. m/n - 1 for symmetry n."""
+    """Sector layout: sides and corners 0 .. m/n - 1 for symmetry n.
+
+    Returns (points, t) pairs for the collocation nodes, the sources and
+    the check points, where t is the side parameter each point was laid
+    out at; ladder rungs start at their corner and get t = 0.
+    """
     pieces = b.pieces
     m = len(pieces)
     sector = m // b.symmetry
@@ -375,7 +403,7 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
             # design clearance of a rung is its distance to the wedge
             # walls, not its distance to the vertex
             clearance = depths * math.sin(0.5 * min(angle, math.pi))
-            ladders.append((v + bis * depths, clearance))
+            ladders.append((v + bis * depths, clearance, np.zeros(depth_count)))
     s_col = _side_params(p.nodes_per_side, p.corner_grading_strength)
     s_chk = _side_params(f * p.nodes_per_side, p.corner_grading_strength)
     n_ring = min(p.ring_charges, max(8, p.nodes_per_side // 4))
@@ -393,9 +421,9 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
                 d = np.clip(d, 1e-13, 0.495)
                 extras.append(1.0 - d if at_end else d)
         s_all = np.unique(np.concatenate([s_col] + extras)) if extras else s_col
-        colloc.append(np.asarray(piece.point(s_all), dtype=complex))
-        checks.append(np.asarray(piece.point(s_chk), dtype=complex))
-        rings.append(_RING_SCALE * np.asarray(piece.point(u_ring), dtype=complex))
+        colloc.append((np.asarray(piece.point(s_all), dtype=complex), s_all))
+        checks.append((np.asarray(piece.point(s_chk), dtype=complex), s_chk))
+        rings.append((_RING_SCALE * np.asarray(piece.point(u_ring), dtype=complex), u_ring))
         if K:
             for top, angle, per_octave, at_end in (
                 (tops[k], b.corner_angles[k], hugs[k], False),
@@ -410,9 +438,8 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
                 z = np.asarray(piece.point(t_h), dtype=complex)
                 tang = np.asarray(piece.tangent(t_h), dtype=complex)
                 depth = p.inner_charge_offset * width * ell * length
-                corner_poles.append((z + 1j * tang * depth, depth))
-    colloc_plate = np.concatenate(colloc)
-    check_plate = np.concatenate(checks)
+                corner_poles.append((z + 1j * tang * depth, depth, t_h))
+    check_plate = np.concatenate([z for z, _ in checks])
     # drop corner-treatment sources that crossed a (curved) far wall:
     # each must stay inside the starlike plate and keep a clearance to
     # the boundary comparable to its design value; the radial profile is
@@ -424,13 +451,16 @@ def _polygon_layout(b: BoundarySet, p: SolverParams, f: int):
         np.concatenate([check_full, [complex(piece.z1) for piece in pieces]])
     )
     kept = []
-    for poles, clearance in corner_poles:
+    for poles, clearance, t in corner_poles:
         clearance = np.broadcast_to(np.asarray(clearance, dtype=float), poles.shape)
         inside = np.abs(poles) <= np.interp(np.angle(poles), prof_ang, prof_rad)
         dist = np.min(np.abs(poles[:, None] - check_full[None, :]), axis=1)
-        kept.append(poles[inside & (dist >= 0.3 * clearance)])
-    charges_inner = np.concatenate(rings + kept)
-    return colloc_plate, charges_inner, check_plate
+        keep = inside & (dist >= 0.3 * clearance)
+        kept.append((poles[keep], t[keep]))
+    return tuple(
+        (np.concatenate([z for z, _ in parts]), np.concatenate([t for _, t in parts]))
+        for parts in (colloc, rings + kept, checks)
+    )
 
 
 def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
@@ -443,8 +473,15 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     concentric source ring plus one source at the hyperbolic center.
     Nothing is placed on the unit circle, where every reflected basis
     function vanishes.  A plate with symmetry n gets the layout of one
-    sector, with one source per orbit.  Raises ConfigurationError unless
-    the plate (or sector) has at least twice as many nodes as sources.
+    sector, with one source per orbit; when n is its vertex count it
+    gets the half of that layout with side parameter t <= 1/2 and a
+    mirror, and each source also stands for its mirror image.  Raises
+    ConfigurationError unless the plate (or sector) has at least twice
+    as many nodes as sources.  A mirror half is checked as the sector
+    layout it stands for: each half node and source counts for itself
+    and its mirror image, which give the same equation and column.  The
+    half keeps the on-axis ladder whole, so its own rows need not be
+    twice its columns.
     """
     f = p.check_grid_factor
     if b.is_smooth:
@@ -461,30 +498,42 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
         )
         charges_inner = np.concatenate([[complex(b.hyp_center)], ring])
     else:
-        colloc_plate, charges_inner, check_plate = _polygon_layout(b, p, f)
+        layout = _polygon_layout(b, p, f)
+        (colloc_plate, _), (charges_inner, _), (check_plate, _) = layout
 
-    d = Discretization(
+    if len(colloc_plate) < 2 * len(charges_inner):
+        raise ConfigurationError(
+            f"{len(colloc_plate)} collocation nodes cannot overdetermine "
+            f"{len(charges_inner)} charges (need at least 2x)"
+        )
+    mirror = None
+    if not b.is_smooth and b.symmetry == len(b.pieces):
+        # the vertices form one rotation orbit, so the plate is also
+        # symmetric under the reflection through 0 and vertex 0; modulo
+        # rotations that maps side 0 onto itself by t -> 1 - t
+        v0 = complex(b.pieces[0].z1)
+        mirror = (v0 / abs(v0)) ** 2
+        colloc_plate, charges_inner, check_plate = (z[t <= 0.5] for z, t in layout)
+    return Discretization(
         colloc_plate=colloc_plate,
         charges_inner=charges_inner,
         check_plate=check_plate,
         symmetry=b.symmetry,
+        mirror=mirror,
     )
-    if d.n_collocation < 2 * d.n_charges:
-        raise ConfigurationError(
-            f"{d.n_collocation} collocation nodes cannot overdetermine "
-            f"{d.n_charges} charges (need at least 2x)"
-        )
-    return d
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one capacity solve.
 
-    n_collocation and n_charges count the fitted system, which for a
-    plate of symmetry n is one sector: 1/n of the plate's nodes and one
-    source per orbit.  rank is the numerical rank gelsy found for that
-    system (at most n_charges).
+    n_collocation and n_charges count the fitted system.  For a plate
+    of symmetry n that is one sector: 1/n of the plate's nodes and one
+    source per orbit.  When n is the vertex count (a regular polygon)
+    it is half a sector: 1/(2n) of the plate's nodes, and one source
+    per orbit of the rotations and the mirror, so a source on a mirror
+    axis stands for n plate sources and any other for 2n.  rank is the
+    numerical rank gelsy found for that system (at most n_charges).
     """
 
     capacity: float
@@ -498,16 +547,30 @@ class SolveReport:
 
 
 def _kernel(z: np.ndarray, d: Discretization) -> np.ndarray:
-    """Reflected basis log|z - p| - log|1 - conj(p) z| at points z (rows)
-    for all sources p (cols), summed over the d.symmetry rotations of
-    each source; every column vanishes on |z| = 1."""
-    z = z[:, None]
-    p = d.charges_inner[None, :]
-    A = np.log(np.abs(z - p)) - np.log(np.abs(1.0 - np.conj(p) * z))
-    for j in range(1, d.symmetry):
-        q = p * cmath.exp(2j * math.pi * j / d.symmetry)
-        A += np.log(np.abs(z - q))
-        A -= np.log(np.abs(1.0 - np.conj(q) * z))
+    """Orbit-summed reflected basis G_n(z, p) at points z (rows) for all
+    sources p (cols), plus G_n(z, sigma p) when d.mirror is set.
+
+    The products over the rotations w^j p, w = exp(2 pi i / n), are
+    prod_j (z - w^j p) = z^n - p^n and prod_j (1 - conj(w^j p) z) =
+    1 - conj(p^n) z^n, so each column costs one log per entry:
+
+        G_n(z, p) = log(|z^n - p^n| / |1 - conj(p^n) z^n|),
+
+    the plain reflected kernel of z^n and p^n (n = 1 is the plain
+    kernel of z and p).  Every column vanishes on |z| = 1.  The matrix
+    is built in row blocks, which bounds the complex temporaries.
+    """
+    n = d.symmetry
+    sources = [d.charges_inner ** n]
+    if d.mirror is not None:
+        sources.append((d.mirror * np.conj(d.charges_inner)) ** n)
+    A = np.empty((len(z), d.n_charges))
+    for start in range(0, len(z), _KERNEL_ROWS):
+        zn = z[start : start + _KERNEL_ROWS, None] ** n
+        ratio = 1.0
+        for pn in sources:
+            ratio = ratio * (np.abs(zn - pn) / np.abs(1.0 - np.conj(pn) * zn))
+        np.log(ratio, out=A[start : start + _KERNEL_ROWS])
     return A
 
 
@@ -518,14 +581,15 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
         raise SolverError("non-finite entries in the collocation matrix")
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0.0] = 1.0
+    A /= scale
     coef_scaled, _, rank, _ = scipy.linalg.lstsq(
-        A / scale, np.ones(len(d.colloc_plate)), cond=_RANK_RTOL, lapack_driver="gelsy"
+        A, np.ones(len(d.colloc_plate)), cond=_RANK_RTOL, lapack_driver="gelsy"
     )
     if rank == 0:
         raise SolverError("collocation matrix is numerically rank zero")
     coef = coef_scaled / scale
 
-    capacity = -2.0 * math.pi * d.symmetry * float(np.sum(coef))
+    capacity = -2.0 * math.pi * d.order * float(np.sum(coef))
     if not math.isfinite(capacity) or capacity <= 0.0:
         raise SolverError(f"solver produced nonpositive capacity {capacity}")
 

@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypcap.capsolve import (
     BoundarySet,
     ConfigurationError,
+    Discretization,
     SolverParams,
     _kernel,
     cap_disk,
@@ -38,6 +39,28 @@ STAR3 = [
     for k in range(3)
     for rho, shift in ((0.7, 0.0), (0.3, 0.5))
 ]
+
+
+def _unfold(points, d):
+    """points and their mirror images under d.mirror, each point on the
+    mirror axis once: the sector layout that a mirror half stands for."""
+    if d.mirror is None:
+        return points
+    images = d.mirror * np.conj(points)
+    return np.concatenate([points, images[np.abs(images - points) > 1e-12]])
+
+
+def _random_points(rng, k):
+    """k points of the annulus 0.05 < |z| < 0.95 at random angles."""
+    return rng.uniform(0.05, 0.95, k) * np.exp(2j * np.pi * rng.random(k))
+
+
+def _reflected_sum(z, sources):
+    """Plain reflected kernel log|z - q| - log|1 - conj(q) z| summed
+    over each row of sources (one row per column of the result)."""
+    z = z[:, None, None]
+    q = sources[None, :, :]
+    return np.sum(np.log(np.abs(z - q)) - np.log(np.abs(1.0 - np.conj(q) * z)), axis=2)
 
 
 class TestSmoothPlates:
@@ -112,9 +135,19 @@ class TestSymmetry:
         assert (sym.symmetry, full.symmetry) == (m, 1)
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
-        # one sector of the nodes, one source per orbit
-        assert full.n_collocation == m * sym.n_collocation
-        assert full.n_charges == m * sym.n_charges
+        # half a sector of the nodes, none on a mirror axis; one source
+        # per orbit of rotations and the mirror, where a source on the
+        # mirror axis is its own image
+        p = SolverParams()
+        for _ in range(p.max_refine):
+            if discretize(b, p).n_collocation == sym.n_collocation:
+                break
+            p = p.doubled()
+        half = discretize(b, p)
+        assert (half.n_collocation, half.n_charges) == (sym.n_collocation, sym.n_charges)
+        assert len(_unfold(half.colloc_plate, half)) == 2 * sym.n_collocation
+        assert full.n_collocation == 2 * m * sym.n_collocation
+        assert full.n_charges == m * len(_unfold(half.charges_inner, half))
 
     @pytest.mark.parametrize(
         "vertices, n",
@@ -139,15 +172,17 @@ class TestSymmetry:
         ids=["regular-3", "regular-8", "rhombus", "star-3"],
     )
     def test_sector_layout_rotates_onto_full_layout(self, vertices):
-        # the sector's nodes and sources, rotated n times, are the full
-        # layout's: one source per orbit, none lost or added by the filter
+        # the sector's nodes and sources (for a regular polygon the mirror
+        # half's, mirrored), rotated n times, are the full layout's: one
+        # source per orbit, none lost or added by the filter
         b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
         n = b.symmetry
         sector = discretize(b, SolverParams())
         full = discretize(replace(b, symmetry=1), SolverParams())
+        assert (sector.mirror is not None) == (n == len(vertices))
         for part, whole in (
-            (sector.colloc_plate, full.colloc_plate),
-            (sector.charges_inner, full.charges_inner),
+            (_unfold(sector.colloc_plate, sector), full.colloc_plate),
+            (_unfold(sector.charges_inner, sector), full.charges_inner),
         ):
             turned = np.concatenate([part * cmath.exp(2j * math.pi * j / n) for j in range(n)])
             assert len(turned) == len(whole)
@@ -180,6 +215,62 @@ class TestSymmetry:
         rep0, rep1 = cap_polygon(base), cap_polygon(turned)
         assert rep1.symmetry == m
         assert abs(rep1.capacity - rep0.capacity) <= 1e-9 * rep0.capacity
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(3, 8),
+        r=st.floats(0.05, 0.9),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_conjugation_invariance_regular(self, m, r, angle):
+        # conjugation moves the mirror axis from angle to -angle
+        turned = [v * cmath.exp(1j * angle) for v in regular_polygon(m, r).vertices]
+        rep0 = cap_polygon(HypPolygon.from_vertices(turned))
+        rep1 = cap_polygon(HypPolygon.from_vertices([v.conjugate() for v in turned]))
+        assert rep1.symmetry == m
+        assert abs(rep1.capacity - rep0.capacity) <= 1e-9 * rep0.capacity
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(
+        radii=st.tuples(*[st.floats(0.3, 0.7)] * 3),
+        jitter=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    )
+    def test_conjugation_invariance_triangles(self, radii, jitter):
+        vertices = [
+            rho * cmath.exp(1j * (2.0 * math.pi * k / 3 + dt))
+            for k, (rho, dt) in enumerate(zip(radii, jitter))
+        ]
+        tri = HypPolygon.from_vertices(vertices)
+        assume(BoundarySet.from_polygon(tri).symmetry == 1)
+        rep0 = cap_polygon(tri)
+        rep1 = cap_polygon(HypPolygon.from_vertices([v.conjugate() for v in vertices]))
+        slack = 3 * max(rep0.boundary_residual, rep1.boundary_residual)
+        assert abs(rep1.capacity - rep0.capacity) <= slack
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        mirror_angle=st.one_of(st.none(), st.floats(0.0, 2.0 * math.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_explicit_image_sum(self, n, mirror_angle, seed):
+        # the closed-form orbit kernel equals the plain reflected kernel
+        # summed over the n rotations (and n mirrored rotations) of each
+        # source, at points kept clear of every image
+        rng = np.random.default_rng(seed)
+        sources = _random_points(rng, 12)
+        turns = np.exp(2j * np.pi * np.arange(n) / n)
+        images = sources[:, None] * turns[None, :]
+        mirror = None
+        if mirror_angle is not None:
+            mirror = cmath.exp(2j * mirror_angle)
+            images = np.hstack([images, (mirror * np.conj(sources))[:, None] * turns[None, :]])
+        z = _random_points(rng, 200)
+        z = z[np.min(np.abs(z[:, None] - images.ravel()[None, :]), axis=1) > 0.02]
+        assume(len(z) > 0)
+        empty = np.zeros(0, dtype=complex)
+        d = Discretization(empty, sources, empty, symmetry=n, mirror=mirror)
+        np.testing.assert_allclose(_kernel(z, d), _reflected_sum(z, images), rtol=1e-12, atol=1e-12)
 
 
 class TestDiscretize:
@@ -221,20 +312,24 @@ class TestDiscretize:
     )
     def test_plate_overdetermined_at_every_level(self, b):
         # nothing is collocated on the unit circle, so the plate nodes
-        # alone must outnumber the sources twice at every refinement
+        # alone must outnumber the sources twice at every refinement, in
+        # the sector layout that a mirror half stands for; the half keeps
+        # the on-axis ladder whole, so it only has more rows than columns
         p = SolverParams()
         for _ in range(p.max_refine + 1):
             d = discretize(b, p)
-            assert len(d.colloc_plate) >= 2 * d.n_charges
+            assert len(_unfold(d.colloc_plate, d)) >= 2 * len(_unfold(d.charges_inner, d))
+            assert d.n_collocation > d.n_charges
             p = p.doubled()
 
     @pytest.mark.parametrize(
         "b",
         [
             BoundarySet.from_polygon(regular_polygon(3, 0.9)),
+            BoundarySet.from_polygon(regular_polygon(8, 0.9)),
             BoundarySet.from_hyp_disk(HypDisk(0.3, 1.0)),
         ],
-        ids=["3-0.9", "disk"],
+        ids=["3-0.9", "8-0.9", "disk"],
     )
     def test_reflected_kernel_vanishes_on_unit_circle(self, b):
         # the outer condition holds by construction, so the solver
