@@ -5,7 +5,7 @@ plates, the radii of the area- and perimeter-equivalent single disks for
 a family of disks, the reference disk/circle constants M1 and M2, and
 the two-sided capacity bounds for the centered equilateral triangle with
 vertices s, s e^{2 pi i/3}, s e^{4 pi i/3}.  No numerics beyond scalar
-special functions; the collocation solver lives in capsolve.
+special functions; the Nystrom solver lives in capsolve.
 """
 
 from __future__ import annotations

@@ -176,9 +176,8 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     triangle inputs need not surround 0.  A first map sends an interior
     point (the hyperbolic midpoint of a side midpoint and the opposite
     vertex, interior by convexity) to 0; follow-up maps re-aim 0 at the
-    point of maximal boundary clearance, because thin triangles would
-    otherwise leave the origin within a whisker of a side and starve the
-    solver's interior source ring of depth.
+    point of maximal boundary clearance.  HypPolygon needs the plate
+    starlike about 0; the Nystrom solver itself does not need 0 inside.
     """
     p = hyp_midpoint(v1, v2)
     a = hyp_midpoint(p, v3)
