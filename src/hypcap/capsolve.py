@@ -389,7 +389,9 @@ def _kernel(z: np.ndarray, pos: np.ndarray, d: Discretization) -> np.ndarray:
     """
     period = 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
-    weights = _kress_weights(d.n_grid)
+    # the log-sine terms depend only on the half-step offset: one table
+    offset = 0.5 * _kress_weights(d.n_grid)
+    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
     images = [(d.nodes, d.pos)]
     if d.mirror is not None:
         images.append((d.mirror * np.conj(d.nodes), -d.pos))
@@ -398,11 +400,9 @@ def _kernel(z: np.ndarray, pos: np.ndarray, d: Discretization) -> np.ndarray:
         rows = slice(start, start + _KERNEL_ROWS)
         for zeta, at in images:
             delta = (pos[rows, None] - at[None, :]) % period
-            with np.errstate(divide="ignore", invalid="ignore"):
-                smooth = _green(z[rows], zeta, d.symmetry) - np.log(
-                    2.0 * np.sin(math.pi / period * delta)
-                )
-            A[rows] += h * np.where(delta == 0, d.diagonal, smooth) + 0.5 * weights[delta]
+            with np.errstate(divide="ignore"):
+                green = _green(z[rows], zeta, d.symmetry)
+            A[rows] += h * np.where(delta == 0, d.diagonal, green) + offset[delta]
     return A
 
 

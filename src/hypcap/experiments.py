@@ -1,10 +1,13 @@
 """Experiment drivers: capacity comparisons, tables, and sequences.
 
 Each driver returns a list of ExperimentRow records.  A row stores every
-number its verdicts compare, so any verdict can be recomputed from the
-row alone; verdicts are True/False or the string
-"inconclusive-within-residual" when the compared values differ by less
-than the solver slack (twice the larger boundary residual).
+number its verdicts compare.  Every verdict on a solved capacity follows
+one rule: it is True or False when the compared values differ by more
+than the slack, twice the largest boundary residual of the solves
+compared, and the string "inconclusive-within-residual" otherwise.  A
+verdict over several comparisons is False if any of them is, else
+inconclusive if any of them is, else True.  Checks between closed forms
+keep their own rounding tolerances.
 
 Default inputs mirror the published experiments: ten triangle vertex
 triples, seven irregular polygons, the 9 x 5 regular-polygon grid, and
@@ -23,7 +26,6 @@ from .capsolve import (
     ConfigurationError,
     SolveReport,
     SolverError,
-    SolverParams,
     cap_polygon,
 )
 from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
@@ -89,8 +91,8 @@ DEFAULT_POLYGON_ROWS = [
 DEFAULT_TABLE_R = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 DEFAULT_TABLE_M = [3, 4, 5, 6, 7]
 
-# slack for the Gehring perimeter upper bound (absolute)
-PERIMETER_BOUND_SLACK = 1e-6
+# residual tolerance of the sequence solves
+TOL_SEQUENCE = 1e-2
 
 # what a bad input row can raise; anything else is a bug and propagates
 _ROW_ERRORS = (GeometryError, SolverError, ConfigurationError)
@@ -126,6 +128,11 @@ class ExperimentRow:
         return all(v is not False for v in self.verdicts.values())
 
 
+def _slack(*reports: SolveReport) -> float:
+    """Verdict slack: twice the largest boundary residual of the solves."""
+    return 2.0 * max(r.boundary_residual for r in reports)
+
+
 def _ordered_verdict(larger: float, smaller: float, slack: float):
     """Three-valued check of larger >= smaller with residual slack."""
     if abs(larger - smaller) <= slack:
@@ -133,11 +140,19 @@ def _ordered_verdict(larger: float, smaller: float, slack: float):
     return bool(larger > smaller)
 
 
+def _all_hold(verdicts):
+    """False if any verdict is False, else inconclusive if any is, else True."""
+    verdicts = list(verdicts)
+    if any(v is False for v in verdicts):
+        return False
+    return INCONCLUSIVE if INCONCLUSIVE in verdicts else True
+
+
 def _perimeter_bound_entries(report: SolveReport, perimeter: float, values, verdicts):
     bound = ref_cap_perim(perimeter)
     values["perimeter_bound"] = bound
-    verdicts["within_perimeter_bound"] = bool(
-        report.capacity <= bound + PERIMETER_BOUND_SLACK
+    verdicts["within_perimeter_bound"] = _ordered_verdict(
+        bound, report.capacity, _slack(report)
     )
 
 
@@ -148,9 +163,10 @@ def _boundary_clearance(z: complex, samples) -> float:
 def _best_interior_point(poly: HypPolygon) -> complex:
     """Interior point with roughly maximal Euclidean boundary clearance.
 
-    Coarse ray search using the starlike structure; the solver behaves
-    badly when the plate boundary passes very close to the origin, so
-    the recentring below aims 0 at the fattest part of the plate."""
+    Coarse ray search using the starlike structure.  The capacity does
+    not depend on where 0 sits, but a solve's error does: with 0 here
+    triangle_5 T refines by less than its residual, with 0 at the
+    hyperbolic centroid or the incenter by more."""
     t = np.linspace(0.0, 1.0, 400)
     samples = np.concatenate([np.asarray(s.point(t), complex) for s in poly.sides])
     best, best_c = 0.0 + 0.0j, _boundary_clearance(0.0, samples)
@@ -192,9 +208,7 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     return poly
 
 
-def run_triangle_conjecture(
-    rows=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
-) -> list[ExperimentRow]:
+def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
     """Compare cap(D, T) against the equilateral triangle of equal area.
 
     For each vertex triple: measure the triangle, build the equilateral
@@ -212,13 +226,13 @@ def run_triangle_conjecture(
             r0 = equilateral_triangle_radius(omega)
             t0_poly = regular_polygon(3, r0)
             area0 = polygon_measures(t0_poly).area
-            rep_t = cap_polygon(recenter_triangle(v1, v2, v3), tol, params)
-            rep_0 = cap_polygon(t0_poly, tol, params)
+            rep_t = cap_polygon(recenter_triangle(v1, v2, v3), DEFAULT_TOL_POLYGON)
+            rep_0 = cap_polygon(t0_poly, DEFAULT_TOL_POLYGON)
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
         residual = max(rep_t.boundary_residual, rep_0.boundary_residual)
-        slack = 2.0 * residual
+        slack = _slack(rep_t, rep_0)
         values = {
             "cap_T": rep_t.capacity,
             "cap_T0": rep_0.capacity,
@@ -244,9 +258,7 @@ def run_triangle_conjecture(
     return out
 
 
-def run_polygon_conjecture(
-    polygons=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
-) -> list[ExperimentRow]:
+def run_polygon_conjecture(polygons=None) -> list[ExperimentRow]:
     """Compare cap(D, P) against the regular polygon of equal perimeter."""
     polygons = DEFAULT_POLYGON_ROWS if polygons is None else polygons
     out = []
@@ -259,13 +271,13 @@ def run_polygon_conjecture(
             L = polygon_perimeter(poly)
             r0 = regular_radius_from_perimeter(m, L)
             p0 = regular_polygon(m, r0)
-            rep_p = cap_polygon(poly, tol, params)
-            rep_0 = cap_polygon(p0, tol, params)
+            rep_p = cap_polygon(poly, DEFAULT_TOL_POLYGON)
+            rep_0 = cap_polygon(p0, DEFAULT_TOL_POLYGON)
         except _ROW_ERRORS as exc:
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
         residual = max(rep_p.boundary_residual, rep_0.boundary_residual)
-        slack = 2.0 * residual
+        slack = _slack(rep_p, rep_0)
         values = {
             "cap_P": rep_p.capacity,
             "cap_P0": rep_0.capacity,
@@ -288,10 +300,7 @@ def run_polygon_conjecture(
     return out
 
 
-def run_regular_table(
-    m_list=None, r_list=None, tol: float = DEFAULT_TOL_POLYGON,
-    params: SolverParams | None = None,
-) -> list[ExperimentRow]:
+def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
     """Capacity grid over regular polygons (rows r, columns m)."""
     m_list = DEFAULT_TABLE_M if m_list is None else list(m_list)
     r_list = DEFAULT_TABLE_R if r_list is None else list(r_list)
@@ -301,8 +310,8 @@ def run_regular_table(
         for m in m_list:
             rid = f"table_r{r:g}_m{m}"
             poly = regular_polygon(m, r)
-            rep = cap_polygon(poly, tol, params)
-            grid[(r, m)] = rep.capacity
+            rep = cap_polygon(poly, DEFAULT_TOL_POLYGON)
+            grid[(r, m)] = rep
             values = {"capacity": rep.capacity, "r": float(r), "m": float(m)}
             verdicts = {"converged": bool(rep.converged)}
             _perimeter_bound_entries(rep, polygon_perimeter(poly), values, verdicts)
@@ -315,33 +324,29 @@ def run_regular_table(
                     verdicts=verdicts,
                 )
             )
-    mono_m = all(
-        grid[(r, m1)] < grid[(r, m2)]
-        for r in r_list
-        for m1, m2 in zip(m_list, m_list[1:])
+    def increasing(pairs):
+        return _all_hold(
+            _ordered_verdict(b.capacity, a.capacity, _slack(a, b)) for a, b in pairs
+        )
+
+    mono_m = increasing(
+        (grid[(r, m1)], grid[(r, m2)]) for r in r_list for m1, m2 in zip(m_list, m_list[1:])
     )
-    mono_r = all(
-        grid[(r1, m)] < grid[(r2, m)]
-        for m in m_list
-        for r1, r2 in zip(r_list, r_list[1:])
+    mono_r = increasing(
+        (grid[(r1, m)], grid[(r2, m)]) for m in m_list for r1, r2 in zip(r_list, r_list[1:])
     )
     out.append(
         ExperimentRow(
             id="table_monotonicity",
             inputs={"m": m_list, "r": [float(r) for r in r_list]},
-            values={f"r{r:g}_m{m}": grid[(r, m)] for r in r_list for m in m_list},
-            verdicts={
-                "increasing_in_m": bool(mono_m),
-                "increasing_in_r": bool(mono_r),
-            },
+            values={f"r{r:g}_m{m}": grid[(r, m)].capacity for r in r_list for m in m_list},
+            verdicts={"increasing_in_m": mono_m, "increasing_in_r": mono_r},
         )
     )
     return out
 
 
-def _run_sequence(
-    kind: str, c: float, m_range, tol: float, params: SolverParams | None
-) -> list[ExperimentRow]:
+def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
     decreasing = kind == "area"
     out = []
     prev = None
@@ -354,8 +359,8 @@ def _run_sequence(
             r = regular_radius_from_perimeter(m, c)
             bound = ref_cap_perim(c)
         poly = regular_polygon(m, r)
-        rep = cap_polygon(poly, tol, params)
-        slack = 2.0 * rep.boundary_residual
+        rep = cap_polygon(poly, TOL_SEQUENCE)
+        slack = _slack(rep)
         values = {
             "capacity": rep.capacity,
             "r": r,
@@ -365,17 +370,14 @@ def _run_sequence(
         }
         verdicts = {"converged": bool(rep.converged)}
         if decreasing:
-            verdicts["above_area_bound"] = bool(rep.capacity >= bound - slack)
+            verdicts["above_area_bound"] = _ordered_verdict(rep.capacity, bound, slack)
         else:
-            verdicts["below_perimeter_bound"] = bool(rep.capacity <= bound + slack)
+            verdicts["below_perimeter_bound"] = _ordered_verdict(bound, rep.capacity, slack)
         if prev is not None:
-            values["previous_capacity"] = prev[0]
-            pair_slack = 2.0 * max(rep.boundary_residual, prev[1])
+            values["previous_capacity"] = prev.capacity
             key = "decreasing_in_m" if decreasing else "increasing_in_m"
-            if decreasing:
-                verdicts[key] = _ordered_verdict(prev[0], rep.capacity, pair_slack)
-            else:
-                verdicts[key] = _ordered_verdict(rep.capacity, prev[0], pair_slack)
+            larger, smaller = (prev, rep) if decreasing else (rep, prev)
+            verdicts[key] = _ordered_verdict(larger.capacity, smaller.capacity, _slack(rep, prev))
         _perimeter_bound_entries(rep, polygon_perimeter(poly), values, verdicts)
         out.append(
             ExperimentRow(
@@ -386,30 +388,24 @@ def _run_sequence(
                 verdicts=verdicts,
             )
         )
-        prev = (rep.capacity, rep.boundary_residual)
+        prev = rep
     return out
 
 
-def run_sequence_area(
-    c: float = 3.0, m_range=range(3, 9), tol: float = 1e-2,
-    params: SolverParams | None = None,
-) -> list[ExperimentRow]:
+def run_sequence_area(c: float = 3.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic area c: capacities should
     decrease with m toward the equal-area disk reference from above."""
     if not 0.0 < c < math.pi:
         raise ValueError(f"area sequences need 0 < c < pi, got {c}")
-    return _run_sequence("area", c, m_range, tol, params)
+    return _run_sequence("area", c, m_range)
 
 
-def run_sequence_perim(
-    c: float = 20.0, m_range=range(3, 9), tol: float = 1e-2,
-    params: SolverParams | None = None,
-) -> list[ExperimentRow]:
+def run_sequence_perim(c: float = 20.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic perimeter c: capacities should
     increase with m toward the equal-perimeter circle reference."""
     if c <= 0.0:
         raise ValueError(f"perimeter sequences need c > 0, got {c}")
-    return _run_sequence("perim", c, m_range, tol, params)
+    return _run_sequence("perim", c, m_range)
 
 
 def run_f1f2(c_grid=None) -> list[ExperimentRow]:
@@ -431,9 +427,7 @@ def run_f1f2(c_grid=None) -> list[ExperimentRow]:
     return out
 
 
-def run_triangle_bounds(
-    s_grid=None, tol: float = DEFAULT_TOL_POLYGON, params: SolverParams | None = None
-) -> list[ExperimentRow]:
+def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
     """Sandwich check: solved equilateral-triangle capacity between the
     spoke lower bound and the single-side upper bound."""
     s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] if s_grid is None else s_grid
@@ -441,7 +435,8 @@ def run_triangle_bounds(
     for s in s_grid:
         b = triangle_bounds_from_s(s)
         poly = regular_polygon(3, s)
-        rep = cap_polygon(poly, tol, params)
+        rep = cap_polygon(poly, DEFAULT_TOL_POLYGON)
+        slack = _slack(rep)
         values = {
             "s": float(s),
             "lower": b.lower,
@@ -451,7 +446,10 @@ def run_triangle_bounds(
             "upper_area_form": b.upper_area,
         }
         verdicts = {
-            "sandwich": bool(b.lower <= rep.capacity <= b.upper_s),
+            "sandwich": _all_hold([
+                _ordered_verdict(rep.capacity, b.lower, slack),
+                _ordered_verdict(b.upper_s, rep.capacity, slack),
+            ]),
             "rewrites_agree": bool(
                 abs(b.upper_perim - b.upper_s) <= 1e-12 * b.upper_s
                 and abs(b.upper_area - b.upper_s) <= 1e-10 * max(1.0, b.upper_s)
