@@ -63,6 +63,20 @@ half-step offsets.  A level converges when it is below tol; refinement
 doubles the nodes per side.  A plate without symmetry starts at
 SolverParams.nodes_per_side per side, a symmetry-reduced one at twice
 that (see solve_capacity).
+
+Evaluation.  The matrix and the potential at the midpoints are the two
+O(n^2) steps of a level.  Both work in row blocks of about 2^16
+entries, so that their temporaries stay in cache.  G_n is evaluated in
+real arithmetic: with a = z^n and b = zeta^n,
+|1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2), so
+G_n = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2).  The matrix is
+symmetric, because G_n is, the Kress weights and the log-sine term are
+even in the offset, and the mirror sigma is an isometry of the disk
+with sigma^2 = id, so that G_n(z, sigma zeta) = G_n(sigma z, zeta).
+Only the blocks on and right of the diagonal are evaluated.  At the
+midpoints, the terms that depend only on the offset form one circular
+convolution of a table over the offsets with the density spread on the
+grid, done by FFT; only the G_n sums are evaluated block by block.
 """
 
 from __future__ import annotations
@@ -98,9 +112,9 @@ _GRADING_ORDER = 6
 _VERTEX_GAP = 1e-9
 # relative tolerance of the rotational-symmetry test on polygon vertices
 _SYMMETRY_RTOL = 1e-12
-# rows per block of the kernel build and the residual check; bounds
-# their complex temporaries
-_KERNEL_ROWS = 512
+# entries per block of the kernel build and the residual check: their
+# float temporaries (512 KB each) stay in a core's L2 cache
+_BLOCK_ENTRIES = 2**16
 
 
 def _rotates_onto_itself(vertices, n: int) -> bool:
@@ -362,20 +376,67 @@ def _green(z: np.ndarray, zeta: np.ndarray, n: int) -> np.ndarray:
 
     The products over the rotations w^j zeta, w = exp(2 pi i / n), are
     prod_j (z - w^j zeta) = z^n - zeta^n and prod_j (1 - conj(w^j zeta) z)
-    = 1 - conj(zeta^n) z^n, so each entry costs one log:
+    = 1 - conj(zeta^n) z^n, so G_n is the plain disk Green's function of
+    a = z^n and b = zeta^n (n = 1 is that of z and zeta).  With the
+    identity |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2),
 
-        G_n(z, zeta) = log(|z^n - zeta^n| / |1 - conj(zeta^n) z^n|),
+        G_n(z, zeta) = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2),
 
-    the plain disk Green's function of z^n and zeta^n (n = 1 is that of
-    z and zeta).  It vanishes on |z| = 1.
+    in real arithmetic and without the cancellation in 1 - conj(b) a
+    near the unit circle.  It is symmetric in z and zeta, vanishes on
+    |z| = 1, and is -inf (after a divide-by-zero) where a = b.
     """
-    zn, pn = z[:, None] ** n, zeta[None, :] ** n
-    return np.log(np.abs(zn - pn) / np.abs(1.0 - np.conj(pn) * zn))
+    # contiguous real and imaginary parts: the outer loops over them vectorize
+    (ar, ai), (br, bi) = (
+        (np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)) for w in (z**n, zeta**n)
+    )
+    dist = np.subtract.outer(ar, br)
+    np.square(dist, out=dist)
+    gap = np.subtract.outer(ai, bi)
+    np.square(gap, out=gap)
+    dist += gap
+    ratio = np.multiply.outer(1.0 - (ar * ar + ai * ai), 1.0 - (br * br + bi * bi))
+    ratio /= dist
+    np.log1p(ratio, out=ratio)
+    ratio *= -0.5
+    return ratio
 
 
-def _kernel(z: np.ndarray, pos: np.ndarray, d: Discretization) -> np.ndarray:
-    """Nystrom matrix: the potential at points z (rows, at half-step
-    positions pos) of unit density at each node (cols).
+@functools.lru_cache(maxsize=None)
+def _offset_table(n_grid: int) -> np.ndarray:
+    """The kernel's terms that depend only on the half-step offset k
+    between a point and a node image, 1/2 R(pi k / n_grid) -
+    h log|2 sin(pi k / 2 n_grid)| (the log-sine term left out at k = 0,
+    where the diagonal limit replaces it), at index k + 2 n_grid for
+    -2 n_grid <= k <= 2 n_grid, so that no index needs a modulus.  It
+    is even in k; read-only and shared like _kress_weights."""
+    period = 2 * n_grid
+    h = 2.0 * math.pi / n_grid
+    offset = 0.5 * _kress_weights(n_grid)
+    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
+    table = np.concatenate([offset, offset, offset[:1]])
+    table.setflags(write=False)
+    return table
+
+
+def _images(d: Discretization):
+    """Each node's plate images as (points, half-step positions): the
+    nodes themselves and, with a mirror, their mirror images at -pos."""
+    images = [(d.nodes, d.pos)]
+    if d.mirror is not None:
+        images.append((d.mirror * np.conj(d.nodes), -d.pos))
+    return images
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows per block of an O(n^2) evaluation over n_cols columns, so
+    that each temporary holds about _BLOCK_ENTRIES entries."""
+    return max(1, _BLOCK_ENTRIES // n_cols)
+
+
+def _kernel(d: Discretization) -> np.ndarray:
+    """Nystrom matrix: the potential at each node (rows) of unit density
+    at each node (cols).
 
     Entry (i, j) sums over the node's images (itself, and its mirror
     image at position -pos_j when d.mirror is set):
@@ -384,31 +445,80 @@ def _kernel(z: np.ndarray, pos: np.ndarray, d: Discretization) -> np.ndarray:
 
     with trapezoid weight h = 2 pi / n_grid and the Kress weights R.
     Where a row is the image itself, the bracket takes its limit
-    log|d(z^n)/du| - log(1 - |z|^2n).  Built in row blocks, which bounds
-    the complex temporaries.
+    log|d(z^n)/du| - log(1 - |z|^2n).
+
+    The matrix is symmetric: G_n(z, zeta) = G_n(zeta, z); the Kress
+    weights and the log-sine term are even in the offset u_i - v; and
+    the mirror sigma(z) = mirror * conj(z) is an isometry of the disk
+    with sigma^2 = id, so G_n(z_i, sigma zeta_j) = G_n(sigma z_i, zeta_j)
+    = G_n(zeta_j, sigma z_i), at offset pos_i + pos_j either way.  So
+    only the row blocks from the diagonal rightwards are evaluated, and
+    their transposes copied below.  Each block holds about
+    _BLOCK_ENTRIES entries, so that its temporaries stay in cache.
+    """
+    size, period = d.n_collocation, 2 * d.n_grid
+    h = 2.0 * math.pi / d.n_grid
+    table = _offset_table(d.n_grid)
+    images = _images(d)
+    A = np.empty((size, size))
+    step = _block_rows(size)
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        rows = slice(start, stop)
+        own = np.arange(stop - start)
+        for k, (zeta, at) in enumerate(images):
+            with np.errstate(divide="ignore"):
+                part = _green(d.nodes[rows], zeta[start:], d.symmetry)
+            part *= h
+            part += table[np.subtract.outer(d.pos[rows] + period, at[start:])]
+            # the node's own image: the singular diagonal takes its limit
+            hit = (d.pos[rows] - at[rows]) % period == 0
+            part[own[hit], own[hit]] = h * d.diagonal[rows][hit] + table[period]
+            if k:
+                A[rows, start:] += part
+            else:
+                A[rows, start:] = part
+        # the diagonal block is symmetric to rounding: averaging it with
+        # its transpose makes it exactly so; the blocks below it are the
+        # transposes of the blocks to its right
+        square = A[rows, rows]
+        square += square.T
+        square *= 0.5
+        A[stop:, rows] = A[rows, stop:].T
+    return A
+
+
+def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
+    """Potential of the density psi at the check points (the midpoints).
+
+    The terms of _kernel's entries that depend only on the half-step
+    offset are a circular convolution of the offset table with psi
+    spread on the grid, each image of a node at its own position; one
+    rfft and irfft give them at every position.  A check point never
+    meets a node image (they sit at odd and even positions), so only
+    h * sum_images G_n(check, zeta) psi is left, which is summed block
+    by block without building a check matrix.
     """
     period = 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
-    # the log-sine terms depend only on the half-step offset: one table
-    offset = 0.5 * _kress_weights(d.n_grid)
-    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
-    images = [(d.nodes, d.pos)]
-    if d.mirror is not None:
-        images.append((d.mirror * np.conj(d.nodes), -d.pos))
-    A = np.zeros((len(z), d.n_collocation))
-    for start in range(0, len(z), _KERNEL_ROWS):
-        rows = slice(start, start + _KERNEL_ROWS)
-        for zeta, at in images:
-            delta = (pos[rows, None] - at[None, :]) % period
-            with np.errstate(divide="ignore"):
-                green = _green(z[rows], zeta, d.symmetry)
-            A[rows] += h * np.where(delta == 0, d.diagonal, green) + offset[delta]
-    return A
+    images = _images(d)
+    spread = np.zeros(period)
+    for _, at in images:
+        spread += np.bincount(at % period, weights=psi, minlength=period)
+    spectrum = np.fft.rfft(_offset_table(d.n_grid)[:period])
+    u = np.fft.irfft(spectrum * np.fft.rfft(spread), n=period)[d.check_pos]
+    sources = np.concatenate([zeta for zeta, _ in images])
+    weights = np.tile(h * psi, len(images))
+    step = _block_rows(len(weights))
+    for start in range(0, len(d.check), step):
+        rows = slice(start, start + step)
+        u[rows] += _green(d.check[rows], sources, d.symmetry) @ weights
+    return u
 
 
 def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     d = discretize(b, p)
-    A = _kernel(d.nodes, d.pos, d)
+    A = _kernel(d)
     if not np.all(np.isfinite(A)):
         raise SolverError("non-finite entries in the Nystrom matrix")
     psi, _, rank, _ = scipy.linalg.lstsq(
@@ -423,12 +533,7 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     if not math.isfinite(capacity) or capacity <= 0.0:
         raise SolverError(f"solver produced nonpositive capacity {capacity}")
 
-    # one block of check rows at a time: the full check matrix never exists
-    residual = 0.0
-    for start in range(0, len(d.check), _KERNEL_ROWS):
-        rows = slice(start, start + _KERNEL_ROWS)
-        u = _kernel(d.check[rows], d.check_pos[rows], d) @ psi
-        residual = max(residual, float(np.max(np.abs(u - 1.0))))
+    residual = float(np.max(np.abs(_check_potential(d, psi) - 1.0)))
     return SolveReport(
         capacity=capacity,
         modulus_q=math.exp(-2.0 * math.pi / capacity),

@@ -1,7 +1,9 @@
 """Experiment drivers: capacity comparisons, tables, and sequences.
 
 Each driver returns a list of ExperimentRow records.  A row stores every
-number its verdicts compare.  Every verdict on a solved capacity follows
+number its verdicts compare, each compared solve's boundary residual
+included (a sequence's previous row and the table's cell rows hold the
+rest).  Every verdict on a solved capacity follows
 one rule: it is True or False when the compared values differ by more
 than the slack, twice the largest boundary residual of the solves
 compared, and the string "inconclusive-within-residual" otherwise.  A
@@ -240,6 +242,8 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
             "area_T0": area0,
             "equilateral_radius": r0,
             "mean_angle": omega,
+            "residual_T": rep_t.boundary_residual,
+            "residual_T0": rep_0.boundary_residual,
             "slack": slack,
         }
         verdicts = {
@@ -283,6 +287,8 @@ def run_polygon_conjecture(polygons=None) -> list[ExperimentRow]:
             "cap_P0": rep_0.capacity,
             "perimeter": L,
             "regular_radius": r0,
+            "residual_P": rep_p.boundary_residual,
+            "residual_P0": rep_0.boundary_residual,
             "slack": slack,
         }
         verdicts = {
@@ -369,10 +375,9 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
             "slack": slack,
         }
         verdicts = {"converged": bool(rep.converged)}
+        # a perimeter row's bound check is within_perimeter_bound below
         if decreasing:
             verdicts["above_area_bound"] = _ordered_verdict(rep.capacity, bound, slack)
-        else:
-            verdicts["below_perimeter_bound"] = _ordered_verdict(bound, rep.capacity, slack)
         if prev is not None:
             values["previous_capacity"] = prev.capacity
             key = "decreasing_in_m" if decreasing else "increasing_in_m"

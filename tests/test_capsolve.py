@@ -19,6 +19,7 @@ from hypcap.capsolve import (
     BoundarySet,
     ConfigurationError,
     SolverParams,
+    _check_potential,
     _green,
     _kernel,
     _kress_weights,
@@ -75,6 +76,43 @@ def _reflected_sum(z, sources):
     z = z[:, None, None]
     q = sources[None, :, :]
     return np.sum(np.log(np.abs(z - q)) - np.log(np.abs(1.0 - np.conj(q) * z)), axis=2)
+
+
+def _reference_kernel(z, pos, d):
+    """Nystrom matrix of the points z at half-step positions pos, entry
+    by entry: over each node image, h G_n (or its diagonal limit where
+    the offset is 0) plus the offset terms 1/2 R - h log|2 sin|, with G_n
+    in complex arithmetic."""
+    period = 2 * d.n_grid
+    h = 2.0 * math.pi / d.n_grid
+    offset = 0.5 * _kress_weights(d.n_grid)
+    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
+    images = [(d.nodes, d.pos)]
+    if d.mirror is not None:
+        images.append((d.mirror * np.conj(d.nodes), -d.pos))
+    A = np.zeros((len(z), d.n_collocation))
+    for zeta, at in images:
+        delta = (pos[:, None] - at[None, :]) % period
+        zn, pn = z[:, None] ** d.symmetry, zeta[None, :] ** d.symmetry
+        with np.errstate(divide="ignore"):
+            green = np.log(np.abs(zn - pn) / np.abs(1.0 - np.conj(pn) * zn))
+        A += h * np.where(delta == 0, d.diagonal, green) + offset[delta]
+    return A
+
+
+# plates of the kernel tests: no symmetry, two sectors without a mirror,
+# a mirror half whose t = 1/2 node is its own image, and a circle
+KERNEL_PLATES = pytest.mark.parametrize(
+    "b",
+    [
+        BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1])),
+        BoundarySet.from_polygon(HypPolygon.from_vertices(RHOMBUS)),
+        BoundarySet.from_polygon(HypPolygon.from_vertices(STAR3)),
+        BoundarySet.from_polygon(regular_polygon(3, 0.9)),
+        BoundarySet.from_euclid_disk(0.2 + 0.1j, 0.3),
+    ],
+    ids=["triangle_2-T", "rhombus", "star-3", "3-0.9", "disk"],
+)
 
 
 class TestSmoothPlates:
@@ -226,16 +264,14 @@ class TestSymmetry:
         b = BoundarySet.from_polygon(regular_polygon(m, r))
         p = SolverParams(nodes_per_side=32)
         half, full = discretize(b, p), discretize(replace(b, symmetry=1), p)
-        big = _kernel(full.nodes, full.pos, full)
+        big = _kernel(full)
         side = 2 * p.nodes_per_side  # half steps per side
         local = full.pos % side
         image_of = np.minimum(local, side - local)
         rows = [np.flatnonzero(full.pos == k)[0] for k in half.pos]
         folded = m * np.stack([big[rows][:, image_of == k].sum(axis=1) for k in half.pos], axis=1)
         folded[:, half.pos == p.nodes_per_side] *= 2
-        np.testing.assert_allclose(
-            _kernel(half.nodes, half.pos, half), folded, rtol=1e-10, atol=1e-10
-        )
+        np.testing.assert_allclose(_kernel(half), folded, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize(
         "b, n",
@@ -355,9 +391,29 @@ class TestNystrom:
             p = p.doubled()
         for _ in range(p.max_refine + 1):
             d = discretize(b, p)
-            assert np.all(np.isfinite(_kernel(d.nodes, d.pos, d)))
-            assert np.all(np.isfinite(_kernel(d.check, d.check_pos, d)))
+            assert np.all(np.isfinite(_kernel(d)))
+            assert np.all(np.isfinite(_check_potential(d, np.ones(d.n_collocation))))
             p = p.doubled()
+
+    @KERNEL_PLATES
+    def test_kernel_matches_reference_and_is_symmetric(self, b):
+        d = discretize(b, SolverParams())
+        A, ref = _kernel(d), _reference_kernel(d.nodes, d.pos, d)
+        assert np.array_equal(A, A.T)
+        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @KERNEL_PLATES
+    def test_check_potential_matches_reference(self, b):
+        # the convolved offset terms plus the blocked Green's sums give
+        # the potential of the check rows' matrix, for the level's density
+        d = discretize(b, SolverParams())
+        psi = np.linalg.solve(_kernel(d), np.ones(d.n_collocation))
+        np.testing.assert_allclose(
+            _check_potential(d, psi),
+            _reference_kernel(d.check, d.check_pos, d) @ psi,
+            rtol=0,
+            atol=1e-13,
+        )
 
     @pytest.mark.parametrize("n_grid", [8, 64])
     def test_kress_weights_integrate_log_sine_exactly(self, n_grid):

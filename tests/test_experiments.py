@@ -3,11 +3,13 @@
 Each driver runs on a few cheap published inputs; no row may carry an
 error or a False verdict.  Bad input rows are recorded as row errors,
 while any other exception is a bug and must propagate.  The full
-published sweep runs once, and every verdict on a solved capacity must
-follow the residual-slack rule.
+published sweep runs once; every verdict on a solved capacity must
+follow the residual-slack rule and be recomputable from the values and
+residuals the rows store.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,10 +90,81 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
         assert all(v == INCONCLUSIVE for v in compared.values()), (row.id, compared)
 
 
-def test_published_sweep():
-    rows = [row for name in SOLVING_DRIVERS for row in getattr(experiments, f"run_{name}")()]
+@pytest.fixture(scope="module")
+def published_rows():
+    return [row for name in SOLVING_DRIVERS for row in getattr(experiments, f"run_{name}")()]
+
+
+def _slack(*residuals):
+    """The drivers' slack rule applied to stored residuals."""
+    return experiments._slack(*(SimpleNamespace(boundary_residual=r) for r in residuals))
+
+
+def _capacity_verdicts(row, rows_by_id, previous):
+    """Every capacity verdict of a published row, recomputed from the
+    values and residuals stored in the rows alone."""
+    v, verdict = row.values, experiments._ordered_verdict
+    if row.id.startswith("triangle_"):
+        cap, res = v["cap_T"], v["residual_T"]
+        out = {
+            "capacity_not_below_equilateral": verdict(
+                cap, v["cap_T0"], _slack(res, v["residual_T0"])
+            )
+        }
+    elif row.id.startswith("polygon_"):
+        cap, res = v["cap_P"], v["residual_P"]
+        out = {
+            "capacity_not_above_regular": verdict(
+                v["cap_P0"], cap, _slack(res, v["residual_P0"])
+            )
+        }
+    elif row.id == "table_monotonicity":
+        ms, rs = row.inputs["m"], row.inputs["r"]
+        cell = {(r, m): rows_by_id[f"table_r{r:g}_m{m}"] for r in rs for m in ms}
+
+        def increasing(pairs):
+            return experiments._all_hold(
+                verdict(b.values["capacity"], a.values["capacity"], _slack(a.residual, b.residual))
+                for a, b in pairs
+            )
+
+        return {
+            "increasing_in_m": increasing(
+                (cell[r, m1], cell[r, m2]) for r in rs for m1, m2 in zip(ms, ms[1:])
+            ),
+            "increasing_in_r": increasing(
+                (cell[r1, m], cell[r2, m]) for m in ms for r1, r2 in zip(rs, rs[1:])
+            ),
+        }
+    else:
+        cap, res = v["capacity"], row.residual
+        out = {}
+        if row.id.startswith("bounds_"):
+            out["sandwich"] = experiments._all_hold(
+                [verdict(cap, v["lower"], _slack(res)), verdict(v["upper"], cap, _slack(res))]
+            )
+        if row.id.startswith("seq_area_"):
+            out["above_area_bound"] = verdict(cap, v["reference_bound"], _slack(res))
+        if "previous_capacity" in v:
+            pair = _slack(res, previous.residual)
+            if row.id.startswith("seq_area_"):
+                out["decreasing_in_m"] = verdict(v["previous_capacity"], cap, pair)
+            else:
+                out["increasing_in_m"] = verdict(cap, v["previous_capacity"], pair)
+    out["within_perimeter_bound"] = verdict(v["perimeter_bound"], cap, _slack(res))
+    return out
+
+
+def test_published_verdicts_recompute_from_rows(published_rows):
+    rows_by_id = {row.id: row for row in published_rows}
+    for previous, row in zip([None, *published_rows], published_rows):
+        stored = {k: v for k, v in row.verdicts.items() if k not in NON_CAPACITY_VERDICTS}
+        assert _capacity_verdicts(row, rows_by_id, previous) == stored, row.id
+
+
+def test_published_sweep(published_rows):
     inconclusive = set()
-    for row in rows:
+    for row in published_rows:
         assert row.error is None, (row.id, row.error)
         assert all(v is not False for v in row.verdicts.values()), (row.id, row.verdicts)
         for key in ("converged", "both_converged"):
