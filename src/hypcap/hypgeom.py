@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "GeometryError",
@@ -385,15 +384,13 @@ def equilateral_triangle_radius(omega: float) -> float:
     """Vertex radius r of the equilateral triangle with interior angle omega.
 
     The triangle r, r e^{2 pi i/3}, r e^{4 pi i/3} has all angles omega
-    exactly when r^2 = (2 - cos w - sqrt(3) sin w) / (2 cos w - 1), the
-    form consistent with the limits r -> 1 as w -> 0 and r -> 0 as
-    w -> pi/3.
+    exactly when its area is pi - 3 omega, so r comes from
+    regular_radius_from_area; r -> 1 as omega -> 0 and r -> 0 as
+    omega -> pi/3, with no cancellation at either end.
     """
     if not 0.0 < omega < math.pi / 3.0:
         raise GeometryError(f"equilateral angle must lie in (0, pi/3), got {omega}")
-    num = 2.0 - math.cos(omega) - math.sqrt(3.0) * math.sin(omega)
-    den = 2.0 * math.cos(omega) - 1.0
-    return math.sqrt(max(num, 0.0) / den)
+    return regular_radius_from_area(3, math.pi - 3.0 * omega)
 
 
 def regular_radius_from_perimeter(m: int, L: float) -> float:
@@ -411,27 +408,25 @@ def regular_radius_from_perimeter(m: int, L: float) -> float:
     return s / (a + math.hypot(a, s))
 
 
-def _regular_area(m: int, r: float) -> float:
-    """Area of the regular m-gon with vertex radius r (fan closed form)."""
-    rho = 2.0 * math.atanh(r)
-    side = 2.0 * math.asinh(2.0 * r * math.sin(math.pi / m) / (1.0 - r * r))
-    ang0 = _angle_from_sides(side, rho, rho)
-    base = _angle_from_sides(rho, side, rho)
-    return m * (math.pi - ang0 - 2.0 * base)
-
-
 def regular_radius_from_area(m: int, c: float) -> float:
     """Vertex radius of the regular m-gon with hyperbolic area c.
 
-    No closed form; bracketed root find on the strictly increasing map
-    r -> area(m, r), whose range is (0, (m-2) pi).
+    The centre, a vertex and the midpoint of a side span a right triangle
+    with angles pi/m at the centre and alpha/2 at the vertex, where the
+    interior angle is alpha = ((m - 2) pi - c) / m by Gauss-Bonnet.  Its
+    hypotenuse rho is the hyperbolic vertex radius, so
+    ch rho = cot(pi/m) cot(alpha/2), and r = th(rho/2) gives
+
+        r^2 = (ch rho - 1) / (ch rho + 1) = sin(c/2m) / sin((4 pi + c)/2m),
+
+    a ratio of two positive sines with no cancellation.  The attainable
+    range (0, (m-2) pi) ends at the ideal polygon, r = 1.
     """
     if m < 3:
         raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
     if not 0.0 < c < (m - 2) * math.pi:
         raise GeometryError(f"area {c} outside the attainable range (0, {(m - 2) * math.pi})")
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if _regular_area(m, hi) < c:
+    r = math.sqrt(math.sin(0.5 * c / m) / math.sin(0.5 * (4.0 * math.pi + c) / m))
+    if r > 1.0 - 1e-12:
         raise GeometryError(f"area {c} not attainable below the ideal polygon limit")
-    r = brentq(lambda x: _regular_area(m, x) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return float(r)
+    return r

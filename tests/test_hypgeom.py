@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcap.hypgeom import (
     GeometryError,
     HypDisk,
     HypPolygon,
+    _angle_from_sides,
     equilateral_triangle_radius,
     geodesic_arc,
     hyp_disk_area,
@@ -274,6 +277,28 @@ class TestPolygonMeasures:
         assert t2.perimeter == pytest.approx(t.perimeter, abs=1e-12)
 
 
+def fan_area(m, r):
+    """Area of the regular m-gon with vertex radius r, summed over its m
+    fan triangles {0, v_k, v_k+1} measured by the law of cosines."""
+    rho = 2.0 * math.atanh(r)
+    side = 2.0 * math.asinh(2.0 * r * math.sin(math.pi / m) / (1.0 - r * r))
+    ang0 = _angle_from_sides(side, rho, rho)
+    base = _angle_from_sides(rho, side, rho)
+    return m * (math.pi - ang0 - 2.0 * base)
+
+
+def area_radius_oracle(m, c, tol=1e-13):
+    """Bisection on r against the fan area; independent of the closed form."""
+    lo, hi = 1e-9, 1 - 1e-9  # area increasing in r
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if fan_area(m, mid) < c:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def equilateral_radius_oracle(omega, tol=1e-13):
     """Bisection on r against measured angles; independent of the closed form."""
     lo, hi = 1e-9, 1 - 1e-9  # angle decreasing in r
@@ -345,3 +370,24 @@ class TestRegularRadiusConstructors:
             regular_radius_from_area(3, math.pi)
         with pytest.raises(GeometryError):
             regular_radius_from_area(4, 0.0)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_area_just_below_ideal_limit(self, m):
+        # the fan area cancels near r = 1, so the area is read off the
+        # vertex angle between the tangents of two arcs (Gauss-Bonnet)
+        top = (m - 2) * math.pi
+        for gap in (1e-6, 1e-9):
+            p = regular_polygon(m, regular_radius_from_area(m, top - gap))
+            turn = cmath.phase(complex(p.sides[0].tangent(0.0) / p.sides[-1].tangent(1.0)))
+            assert top - m * (math.pi - abs(turn)) == pytest.approx(top - gap, abs=1e-12)
+        # the radius would pass 1 - 1e-12: the ideal polygon limit
+        with pytest.raises(GeometryError, match="ideal polygon limit"):
+            regular_radius_from_area(m, top - 1e-13)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 12), frac=st.floats(0.01, 0.999))
+    def test_area_closed_form_property(self, m, frac):
+        c = frac * (m - 2) * math.pi
+        r = regular_radius_from_area(m, c)
+        assert polygon_measures(regular_polygon(m, r)).area == pytest.approx(c, rel=1e-10)
+        assert r == pytest.approx(area_radius_oracle(m, c), abs=1e-11)
