@@ -99,7 +99,6 @@ __all__ = [
     "SolverError",
     "SolverParams",
     "cap_disk",
-    "cap_euclid_disk",
     "cap_polygon",
     "discretize",
     "solve_capacity",
@@ -362,7 +361,6 @@ class SolveReport:
     """
 
     capacity: float
-    modulus_q: float
     boundary_residual: float
     n_collocation: int
     converged: bool
@@ -536,7 +534,6 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     residual = float(np.max(np.abs(_check_potential(d, psi) - 1.0)))
     return SolveReport(
         capacity=capacity,
-        modulus_q=math.exp(-2.0 * math.pi / capacity),
         boundary_residual=residual,
         n_collocation=d.n_collocation,
         converged=residual < tol,
@@ -593,13 +590,3 @@ def cap_disk(
 ) -> SolveReport:
     """Capacity of (unit disk, closed hyperbolic disk), numerically."""
     return solve_capacity(BoundarySet.from_hyp_disk(d), params, tol)
-
-
-def cap_euclid_disk(
-    center: complex,
-    radius: float,
-    tol: float = DEFAULT_TOL_SMOOTH,
-    params: SolverParams | None = None,
-) -> SolveReport:
-    """Capacity of (unit disk, Euclidean disk plate), numerically."""
-    return solve_capacity(BoundarySet.from_euclid_disk(center, radius), params, tol)

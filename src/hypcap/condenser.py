@@ -154,7 +154,7 @@ def triangle_bounds_from_s(s: float) -> TriangleBoundSet:
     rewrites evaluated from their own closed forms."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"triangle_bounds_from_s requires 0 < s < 1, got {s}")
-    lower = 6.0 * math.pi / mu_extended(s**3)
+    lower = hat_triangle_cap(s)
     th_u6 = math.sqrt(3.0) * s / math.sqrt(s**4 + s**2 + 1.0)
     upper_s = 3.0 * math.pi / mu_extended(th_u6)
     u = 6.0 * math.atanh(th_u6)

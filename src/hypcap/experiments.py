@@ -111,18 +111,6 @@ class ExperimentRow:
     verdicts: dict = field(default_factory=dict)
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "inputs": self.inputs,
-            "values": self.values,
-            "residual": self.residual,
-            "verdicts": self.verdicts,
-        }
-        if self.error is not None:
-            d["error"] = self.error
-        return d
-
     def passed(self) -> bool:
         """False verdicts fail; inconclusive counts as non-failure."""
         if self.error is not None:

@@ -6,12 +6,15 @@ distances come from the standard Poincare metric, and polygons are closed
 chains of geodesic arcs.  Everything here is exact geometry; no solver
 machinery.
 
-Polygon area is computed by fan triangulation from the origin, which is
-valid exactly for polygons starlike with respect to 0; starlikeness is
-verified numerically on a dense angular grid at construction time.
-Triangle measures are also available position-free (law of cosines on the
-three side lengths), which works for any nondegenerate triangle whether
-or not it surrounds the origin.
+Polygons and triangles are measured by one rule.  The Euclidean angle
+between the tangents of two sides meeting at a vertex is the hyperbolic
+vertex angle (the model is conformal); the tangents come from the disk
+automorphism that moves the vertex to 0, and Gauss-Bonnet turns the
+angles into the area (m - 2) pi - sum(angles).  Nothing depends on where
+the origin lies, and the small angles near the ideal boundary come out
+without cancellation.  HypPolygon still checks at construction, on a
+dense angular grid, that its plate is starlike about 0: that validates
+the vertex list as a simple, counterclockwise boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "HypDisk",
     "HypPolygon",
     "PolygonMeasures",
-    "TriangleMeasures",
     "equilateral_triangle_radius",
     "geodesic_arc",
     "hyp_disk_area",
@@ -81,12 +83,8 @@ def mobius(a: complex, z):
     scalar or a numpy array of points in the disk.
     """
     a = _check_in_disk(a, "a")
-    z = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
-    if isinstance(z, np.ndarray):
-        if np.any(np.abs(z) >= 1.0):
-            raise GeometryError("mobius input outside the unit disk")
-        return (z - a) / (1.0 - np.conj(a) * z)
-    _check_in_disk(z, "z")
+    if np.any(np.abs(z) >= 1.0):
+        raise GeometryError(f"z {z} is not inside the unit disk")
     return (z - a) / (1.0 - a.conjugate() * z)
 
 
@@ -218,52 +216,50 @@ def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:
     )
 
 
-@dataclass(frozen=True)
-class TriangleMeasures:
-    """Side lengths, angles, area, and perimeter of a hyperbolic triangle.
-
-    sides[i] is opposite vertices[i]; angles[i] sits at vertices[i];
-    area is the angle defect pi - sum(angles)."""
-
-    sides: tuple[float, float, float]
-    angles: tuple[float, float, float]
-    area: float
-    perimeter: float
-
-
-def _angle_from_sides(a: float, b: float, c: float) -> float:
-    """Angle opposite side a by the hyperbolic law of cosines."""
-    num = math.cosh(b) * math.cosh(c) - math.cosh(a)
-    den = math.sinh(b) * math.sinh(c)
-    if den == 0.0:
-        raise GeometryError("degenerate triangle: zero side length")
-    return math.acos(min(1.0, max(-1.0, num / den)))
-
-
-def triangle_measures(v1: complex, v2: complex, v3: complex) -> TriangleMeasures:
-    """Measures of the geodesic triangle with the given vertices.
-
-    Position-free: everything is derived from the three pairwise
-    distances, so the triangle need not contain the origin.
-    """
-    A = hyp_dist(v2, v3)
-    B = hyp_dist(v1, v3)
-    C = hyp_dist(v1, v2)
-    s1 = _angle_from_sides(A, B, C)
-    s2 = _angle_from_sides(B, C, A)
-    s3 = _angle_from_sides(C, A, B)
-    area = math.pi - (s1 + s2 + s3)
-    if area <= 0.0:
-        raise GeometryError("degenerate triangle: nonpositive angle defect")
-    return TriangleMeasures(
-        sides=(A, B, C), angles=(s1, s2, s3), area=area, perimeter=A + B + C
-    )
+def _perimeter(vertices) -> float:
+    m = len(vertices)
+    return sum(hyp_dist(vertices[k], vertices[(k + 1) % m]) for k in range(m))
 
 
 class PolygonMeasures(NamedTuple):
+    """Area, perimeter, and interior angles; angles[k] sits at vertex k."""
+
     area: float
     perimeter: float
     angles: list[float]
+
+
+def _measures(vertices) -> PolygonMeasures:
+    """Measures of the closed chain of geodesic sides through the
+    vertices, in either orientation.
+
+    T_v = mobius(v, .) has a positive derivative at v, so T_v(w) points
+    the way the geodesic from v to w leaves v.  The turn at v is the
+    phase of t_out / t_in for the side tangents t_out ~ T_v(next) and
+    t_in ~ -T_v(prev).  A simple chain turns by 2 pi + area in total at
+    its vertices, so the sign of the turn sum is the orientation and each
+    interior angle is pi - sign * turn.
+    """
+    m = len(vertices)
+    turns = []
+    for k in range(m):
+        v, nxt = vertices[k], vertices[(k + 1) % m]
+        if v == nxt:
+            raise GeometryError(f"consecutive vertices {k} and {(k + 1) % m} coincide")
+        turns.append(cmath.phase(-mobius(v, nxt) / mobius(v, vertices[k - 1])))
+    sign = math.copysign(1.0, sum(turns))
+    angles = [math.pi - sign * turn for turn in turns]
+    area = (m - 2) * math.pi - sum(angles)
+    if area <= 0.0:
+        raise GeometryError("degenerate polygon: nonpositive angle defect")
+    return PolygonMeasures(area=area, perimeter=_perimeter(vertices), angles=angles)
+
+
+def triangle_measures(v1: complex, v2: complex, v3: complex) -> PolygonMeasures:
+    """Measures of the geodesic triangle with the given vertices, in any
+    order; angles[i] sits at the i-th vertex.  The triangle need not
+    contain the origin."""
+    return _measures([v1, v2, v3])
 
 
 @dataclass(frozen=True)
@@ -271,7 +267,8 @@ class HypPolygon:
     """Closed hyperbolic polygon, counterclockwise, starlike about 0.
 
     Construct through from_vertices (which normalizes orientation and
-    runs the starlike check) or regular_polygon.
+    runs the starlike check) or regular_polygon.  polygon_measures does
+    not need 0 inside; the starlike check is input validation.
     """
 
     vertices: tuple[complex, ...]
@@ -289,7 +286,7 @@ class HypPolygon:
             raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
         for v in vs:
             if v == 0:
-                raise GeometryError("vertex at the origin breaks the fan triangulation")
+                raise GeometryError("vertex at the origin; the polygon must be starlike about 0")
         for k in range(m):
             if vs[k] == vs[(k + 1) % m]:
                 raise GeometryError(f"consecutive vertices {k} and {(k + 1) % m} coincide")
@@ -339,45 +336,12 @@ def regular_polygon(m: int, r: float) -> HypPolygon:
 
 def polygon_perimeter(p: HypPolygon) -> float:
     """Sum of the hyperbolic side lengths."""
-    m = p.m
-    return sum(hyp_dist(p.vertices[k], p.vertices[(k + 1) % m]) for k in range(m))
+    return _perimeter(p.vertices)
 
 
 def polygon_measures(p: HypPolygon) -> PolygonMeasures:
-    """Area, perimeter, and interior vertex angles by fan triangulation.
-
-    The fan {0, v_k, v_{k+1}} tiles the polygon because it is starlike
-    about 0; each fan triangle is measured by the law of cosines and the
-    vertex angles are assembled from the two adjacent fan triangles.
-    """
-    m = p.m
-    vs = p.vertices
-    if any(v == 0 for v in vs):
-        raise GeometryError("vertex at the origin breaks the fan triangulation")
-    radial = [hyp_dist(0.0, v) for v in vs]
-    area = 0.0
-    perimeter = 0.0
-    # angle contributions at v_k: [k][0] from fan triangle k (at its first
-    # vertex), [k][1] from fan triangle k-1 (at its second vertex)
-    at_first = [0.0] * m
-    at_second = [0.0] * m
-    for k in range(m):
-        k1 = (k + 1) % m
-        side = hyp_dist(vs[k], vs[k1])
-        a, b = radial[k], radial[k1]
-        # fan triangle (0, v_k, v_k1): sides opposite are side, b, a
-        ang0 = _angle_from_sides(side, a, b)
-        angk = _angle_from_sides(b, side, a)
-        angk1 = _angle_from_sides(a, b, side)
-        defect = math.pi - (ang0 + angk + angk1)
-        if defect <= 0.0:
-            raise GeometryError("degenerate fan triangle in polygon_measures")
-        area += defect
-        perimeter += side
-        at_first[k] = angk
-        at_second[k1] = angk1
-    angles = [at_first[k] + at_second[k] for k in range(m)]
-    return PolygonMeasures(area=area, perimeter=perimeter, angles=angles)
+    """Area, perimeter, and interior vertex angles of a polygon."""
+    return _measures(p.vertices)
 
 
 def equilateral_triangle_radius(omega: float) -> float:

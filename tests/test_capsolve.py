@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hypcap.capsolve import (
     DEFAULT_TOL_POLYGON,
+    DEFAULT_TOL_SMOOTH,
     BoundarySet,
     ConfigurationError,
     SolverParams,
@@ -25,7 +26,6 @@ from hypcap.capsolve import (
     _kress_weights,
     _solve_once,
     cap_disk,
-    cap_euclid_disk,
     cap_polygon,
     discretize,
     solve_capacity,
@@ -117,7 +117,7 @@ KERNEL_PLATES = pytest.mark.parametrize(
 
 class TestSmoothPlates:
     def test_centered_annulus(self):
-        rep = cap_euclid_disk(0.0, 0.5)
+        rep = solve_capacity(BoundarySet.from_euclid_disk(0.0, 0.5), tol=DEFAULT_TOL_SMOOTH)
         exact = 2 * math.pi / math.log(2)
         assert rep.converged
         assert abs(rep.capacity - exact) / exact < 1e-10
@@ -137,12 +137,6 @@ class TestSmoothPlates:
             rep = cap_disk(HypDisk(center, M))
             exact = cap_hyp_disk(M)
             assert abs(rep.capacity - exact) / exact < 1e-7
-
-    def test_modulus_capacity_identity(self):
-        rep = cap_euclid_disk(0.1, 0.4)
-        assert rep.capacity == pytest.approx(
-            2 * math.pi / math.log(1 / rep.modulus_q), rel=1e-14
-        )
 
 
 class TestPolygonPlates:
@@ -553,7 +547,7 @@ class TestValidation:
 
     def test_report_counts(self):
         # the system is square: one unknown per circle node, full rank
-        rep = cap_euclid_disk(0.0, 0.5)
+        rep = solve_capacity(BoundarySet.from_euclid_disk(0.0, 0.5), tol=DEFAULT_TOL_SMOOTH)
         assert rep.n_collocation == SolverParams().nodes_per_side
         assert rep.symmetry == 1
         assert rep.rank == rep.n_collocation

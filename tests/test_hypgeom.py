@@ -5,14 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypcap.hypgeom import (
     GeometryError,
     HypDisk,
     HypPolygon,
-    _angle_from_sides,
     equilateral_triangle_radius,
     geodesic_arc,
     hyp_disk_area,
@@ -36,6 +35,17 @@ def random_disk_points(rng, n, rmax=0.95):
     r = rmax * np.sqrt(rng.random(n))
     th = 2 * np.pi * rng.random(n)
     return r * np.exp(1j * th)
+
+
+def law_of_cosines_angle(a, b, c):
+    """Angle opposite side a of the hyperbolic triangle with sides a, b, c."""
+    num = math.cosh(b) * math.cosh(c) - math.cosh(a)
+    return math.acos(min(1.0, max(-1.0, num / (math.sinh(b) * math.sinh(c)))))
+
+
+disk_points = st.builds(
+    lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)
+)
 
 
 class TestHypDist:
@@ -76,6 +86,15 @@ class TestMobius:
     def test_identity_at_zero(self):
         z = 0.5 + 0.2j
         assert mobius(0, z) == z
+
+    def test_array_matches_scalar(self):
+        a = 0.3 - 0.4j
+        z = random_disk_points(np.random.default_rng(RNG_SEED), 20)
+        np.testing.assert_allclose(mobius(a, z), [mobius(a, w) for w in z], rtol=0, atol=1e-15)
+        with pytest.raises(GeometryError):
+            mobius(a, np.array([0.2, 1.0j]))
+        with pytest.raises(GeometryError):
+            mobius(a, -1.0)
 
     def test_isometry(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -277,13 +296,48 @@ class TestPolygonMeasures:
         assert t2.perimeter == pytest.approx(t.perimeter, abs=1e-12)
 
 
+def assert_same_measures(got, want, order=(0, 1, 2)):
+    assert got.angles == pytest.approx([want.angles[k] for k in order], abs=1e-12)
+    assert got.area == pytest.approx(want.area, abs=1e-12)
+    assert got.perimeter == pytest.approx(want.perimeter, abs=1e-12)
+
+
+class TestTriangleMeasuresProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(vs=st.tuples(disk_points, disk_points, disk_points), a=disk_points)
+    @example(vs=(0.6, 0.2 - 0.5j, -0.3 - 0.5j), a=0.2 - 0.3j)  # misses 0
+    @example(vs=(0.5, -0.3, 0.4j), a=-0.4 + 0.1j)  # diametral side through 0
+    # vertex near 0: an arc through it has its centre near 5e19
+    @example(vs=(0.5, 0.5 * cmath.exp(1j), 1e-20 * cmath.exp(0.3j)), a=0j)
+    def test_invariances_and_oracle(self, vs, a):
+        # the law of cosines cancels at short sides and near-flat angles
+        opposite = [hyp_dist(vs[(k + 1) % 3], vs[(k + 2) % 3]) for k in range(3)]
+        assume(min(opposite) > 0.1)
+        oracle = [law_of_cosines_angle(*(opposite[k:] + opposite[:k])) for k in range(3)]
+        assume(0.01 < min(oracle) and max(oracle) < math.pi - 0.01)
+        tm = triangle_measures(*vs)
+        assert tm.angles == pytest.approx(oracle, abs=1e-12)
+        assert tm.area == pytest.approx(math.pi - sum(oracle), abs=1e-12)
+        assert tm.perimeter == pytest.approx(sum(opposite), abs=1e-12)
+        assert_same_measures(triangle_measures(vs[1], vs[2], vs[0]), tm, (1, 2, 0))
+        assert_same_measures(triangle_measures(*vs[::-1]), tm, (2, 1, 0))
+        assert_same_measures(triangle_measures(*(mobius(a, v) for v in vs)), tm)
+        # an interior point moved to 0 (interior by convexity): the image
+        # surrounds 0, so HypPolygon takes it
+        inner = hyp_midpoint(hyp_midpoint(vs[0], vs[1]), vs[2])
+        image = [mobius(inner, v) for v in vs]
+        poly = HypPolygon.from_vertices(image)
+        order = [image.index(v) for v in poly.vertices]
+        assert_same_measures(polygon_measures(poly), triangle_measures(*image), order)
+
+
 def fan_area(m, r):
     """Area of the regular m-gon with vertex radius r, summed over its m
     fan triangles {0, v_k, v_k+1} measured by the law of cosines."""
     rho = 2.0 * math.atanh(r)
     side = 2.0 * math.asinh(2.0 * r * math.sin(math.pi / m) / (1.0 - r * r))
-    ang0 = _angle_from_sides(side, rho, rho)
-    base = _angle_from_sides(rho, side, rho)
+    ang0 = law_of_cosines_angle(side, rho, rho)
+    base = law_of_cosines_angle(rho, side, rho)
     return m * (math.pi - ang0 - 2.0 * base)
 
 
@@ -373,13 +427,12 @@ class TestRegularRadiusConstructors:
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_area_just_below_ideal_limit(self, m):
-        # the fan area cancels near r = 1, so the area is read off the
-        # vertex angle between the tangents of two arcs (Gauss-Bonnet)
+        # vertex angles near 0 come straight from the side tangents; a
+        # fan of law-of-cosines triangles cancels here (4.4e-9 off at m = 3)
         top = (m - 2) * math.pi
         for gap in (1e-6, 1e-9):
             p = regular_polygon(m, regular_radius_from_area(m, top - gap))
-            turn = cmath.phase(complex(p.sides[0].tangent(0.0) / p.sides[-1].tangent(1.0)))
-            assert top - m * (math.pi - abs(turn)) == pytest.approx(top - gap, abs=1e-12)
+            assert polygon_measures(p).area == pytest.approx(top - gap, abs=1e-12)
         # the radius would pass 1 - 1e-12: the ideal polygon limit
         with pytest.raises(GeometryError, match="ideal polygon limit"):
             regular_radius_from_area(m, top - 1e-13)
