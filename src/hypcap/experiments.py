@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .capsolve import (
     DEFAULT_TOL_POLYGON,
     ConfigurationError,
@@ -146,56 +144,23 @@ def _perimeter_bound_entries(report: SolveReport, perimeter: float, values, verd
     )
 
 
-def _boundary_clearance(z: complex, samples) -> float:
-    return float(np.min(np.abs(samples - z)))
-
-
-def _best_interior_point(poly: HypPolygon) -> complex:
-    """Interior point with roughly maximal Euclidean boundary clearance.
-
-    Coarse ray search using the starlike structure.  The capacity does
-    not depend on where 0 sits, but a solve's error does: with 0 here
-    triangle_5 T refines by less than its residual, with 0 at the
-    hyperbolic centroid or the incenter by more."""
-    t = np.linspace(0.0, 1.0, 400)
-    samples = np.concatenate([np.asarray(s.point(t), complex) for s in poly.sides])
-    best, best_c = 0.0 + 0.0j, _boundary_clearance(0.0, samples)
-    ang = np.angle(samples)
-    rad = np.abs(samples)
-    for phi in np.linspace(-math.pi, math.pi, 48, endpoint=False):
-        sector = rad[np.abs(np.remainder(ang - phi + math.pi, 2 * math.pi) - math.pi) < 0.25]
-        if not len(sector):
-            continue
-        rho = float(np.min(sector))
-        for frac in (0.2, 0.4, 0.6):
-            cand = frac * rho * complex(math.cos(phi), math.sin(phi))
-            c = _boundary_clearance(cand, samples)
-            if c > best_c:
-                best, best_c = cand, c
-    return best
-
-
 def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
-    """Mobius-move a triangle so that it contains the origin comfortably.
+    """The triangle moved by the disk automorphism that sends
+    a = hyp_midpoint(hyp_midpoint(v1, v2), v3) to 0.
 
     The capacity is invariant under disk automorphisms, and published
-    triangle inputs need not surround 0.  A first map sends an interior
-    point (the hyperbolic midpoint of a side midpoint and the opposite
-    vertex, interior by convexity) to 0; follow-up maps re-aim 0 at the
-    point of maximal boundary clearance.  HypPolygon needs the plate
-    starlike about 0; the Nystrom solver itself does not need 0 inside.
+    triangle inputs need not surround 0, which HypPolygon needs (the
+    plate starlike about 0).  A geodesic triangle is geodesically convex,
+    so the midpoint of v1 and v2 lies on a side and a, the midpoint of
+    the geodesic from it to v3, lies strictly inside: the moved triangle
+    is starlike about 0.  hyp_midpoint commutes with isometries, so
+    moving the input by an isometry first moves a with it, and the
+    result differs only by a rotation (or reflection) about 0: where
+    the input triangle sits does not change the recentred plate's
+    vertex moduli.
     """
-    p = hyp_midpoint(v1, v2)
-    a = hyp_midpoint(p, v3)
-    vs = [mobius(a, v1), mobius(a, v2), mobius(a, v3)]
-    poly = HypPolygon.from_vertices(vs)
-    for _ in range(3):
-        z_star = _best_interior_point(poly)
-        if abs(z_star) < 1e-9:
-            break
-        vs = [mobius(z_star, v) for v in poly.vertices]
-        poly = HypPolygon.from_vertices(vs)
-    return poly
+    a = hyp_midpoint(hyp_midpoint(v1, v2), v3)
+    return HypPolygon.from_vertices([mobius(a, v) for v in (v1, v2, v3)])
 
 
 def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:

@@ -48,8 +48,11 @@ __all__ = [
     "triangle_measures",
 ]
 
-# normalized-cross-product threshold separating diametral segments from
-# genuine circular arcs; below double-precision geometry noise
+# a side is drawn as a straight segment when its geodesic's sagitta is
+# below this fraction of its chord: below double-precision geometry noise
+_SAGITTA_TOL = 1e-14
+# normalized cross product below which a side's endpoints count as
+# collinear with 0 (a radial side)
 _COLLINEAR_TOL = 1e-14
 
 
@@ -153,15 +156,19 @@ class GeodesicArc:
     z2: complex
     center: complex | None = None
     radius: float | None = None
-    theta1: float | None = None
     dtheta: float | None = None
 
     def point(self, t):
-        """Point(s) on the arc at parameter t in [0, 1] (scalar or array)."""
+        """Point(s) on the arc at parameter t in [0, 1] (scalar or array).
+
+        z1 turned about the centre by t dtheta, written as z1 plus the
+        chord (z1 - c)(e^{i t dtheta} - 1): the rounding is relative to
+        the chord, however far away the centre lies."""
         t = np.asarray(t, dtype=float)
         if self.kind == "segment":
             return self.z1 + t * (self.z2 - self.z1)
-        return self.center + self.radius * np.exp(1j * (self.theta1 + t * self.dtheta))
+        half = 0.5 * self.dtheta * t
+        return self.z1 + (self.z1 - self.center) * (2j * np.sin(half) * np.exp(1j * half))
 
     def tangent(self, t):
         """Unit tangent(s) in the direction of traversal."""
@@ -170,8 +177,8 @@ class GeodesicArc:
             d = self.z2 - self.z1
             d /= abs(d)
             return np.broadcast_to(d, t.shape).copy() if t.shape else d
-        ang = self.theta1 + t * self.dtheta
-        return 1j * math.copysign(1.0, self.dtheta) * np.exp(1j * ang)
+        u1 = (self.z1 - self.center) / self.radius
+        return 1j * math.copysign(1.0, self.dtheta) * u1 * np.exp(1j * self.dtheta * t)
 
     def euclid_length(self) -> float:
         if self.kind == "segment":
@@ -188,32 +195,34 @@ class GeodesicArc:
 def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:
     """Geodesic segment between two distinct points of the disk.
 
-    Collinear-with-origin pairs give a straight segment; otherwise the
-    unique circle through z1, z2 with |c|^2 = R^2 + 1 is found from the
-    2x2 linear system 2 Re(conj(z) c) = |z|^2 + 1 and the sub-arc inside
-    the disk is returned.
+    The geodesic lies on the circle through z1, z2 with |c|^2 = R^2 + 1,
+    from the 2x2 linear system 2 Re(conj(z) c) = |z|^2 + 1, and the
+    sub-arc inside the disk is returned.  A side whose arc is within
+    rounding of its chord is a straight segment instead: a diameter, or
+    a side with an endpoint so near 0 that its centre would swamp (or
+    overflow past) the endpoints.
     """
     z1 = _check_in_disk(z1, "z1")
     z2 = _check_in_disk(z2, "z2")
     if z1 == z2:
         raise GeometryError(f"degenerate arc: equal endpoints {z1}")
-    cross = abs((z1.conjugate() * z2).imag)
-    if cross <= _COLLINEAR_TOL * max(abs(z1) * abs(z2), 1e-300):
-        return GeodesicArc(kind="segment", z1=z1, z2=z2)
-    # solve 2(x_k a + y_k b) = |z_k|^2 + 1 for c = a + i b
+    # solve 2(x_k a + y_k b) = |z_k|^2 + 1 for c = a + i b:
+    # c det = i (r2 z1 - r1 z2)
     r1 = abs(z1) ** 2 + 1.0
     r2 = abs(z2) ** 2 + 1.0
     det = 2.0 * (z1.real * z2.imag - z1.imag * z2.real)
-    a = (r1 * z2.imag - r2 * z1.imag) / det
-    b = (r2 * z1.real - r1 * z2.real) / det
-    c = complex(a, b)
-    radius = abs(z1 - c)
-    th1 = cmath.phase(z1 - c)
-    th2 = cmath.phase(z2 - c)
-    dth = math.remainder(th2 - th1, 2.0 * math.pi)  # short way, |dth| < pi
-    return GeodesicArc(
-        kind="circular", z1=z1, z2=z2, center=c, radius=radius, theta1=th1, dtheta=dth
-    )
+    cdet = 1j * (r2 * z1 - r1 * z2)
+    # sagitta chord^2 / (8 |c|) against _SAGITTA_TOL * chord, free of
+    # the division that overflows c for an endpoint near 0
+    if abs(z1 - z2) * abs(det) <= 8.0 * _SAGITTA_TOL * abs(cdet):
+        return GeodesicArc(kind="segment", z1=z1, z2=z2)
+    c = cdet / det
+    u1 = z1 - c
+    radius = abs(u1)
+    # the turn from z1 - c to z2 - c = u1 + (z2 - z1), as the phase of
+    # conj(u1)(z2 - c), whose imaginary part has no cancellation
+    dth = cmath.phase(radius**2 + u1.conjugate() * (z2 - z1))
+    return GeodesicArc(kind="circular", z1=z1, z2=z2, center=c, radius=radius, dtheta=dth)
 
 
 def _perimeter(vertices) -> float:
@@ -307,10 +316,12 @@ class HypPolygon:
         boundary angle is strictly monotone with total increase 2 pi;
         sampled on a dense angular grid (>= 720 points total)."""
         k = max(16, -(-720 // self.m))
-        # a segment side is collinear with 0, so some ray meets the
-        # boundary in a whole segment or the origin is on the boundary
-        if any(side.kind == "segment" for side in self.sides):
-            raise GeometryError("polygon has a radial side; not starlike about 0")
+        # a side whose endpoints are collinear with 0 is radial: some ray
+        # meets the boundary in a whole segment, or 0 is on the boundary
+        for side in self.sides:
+            cross = (side.z1.conjugate() * side.z2).imag
+            if abs(cross) <= _COLLINEAR_TOL * abs(side.z1) * abs(side.z2):
+                raise GeometryError("polygon has a radial side; not starlike about 0")
         t = np.arange(1, k + 1) / k
         pts = np.concatenate(
             [np.array([complex(self.vertices[0])])] + [side.point(t) for side in self.sides]

@@ -359,7 +359,8 @@ class TestNystrom:
     def test_needle_rows_converge(self, row, bie):
         # independent boundary-integral values of the published needle
         # rows.  triangle_10 converges at 128 per side with residual
-        # 1.5e-3 and error 1.7e-6; at tol 5e-4 it takes 256 per side
+        # 1.8e-3 and relative error 2.4e-6; at tol 5e-4 it takes 256 per
+        # side
         poly = recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1])
         rep = cap_polygon(poly)
         assert rep.converged
@@ -426,10 +427,8 @@ class TestNystrom:
 
     @pytest.mark.parametrize(
         "poly",
-        [
-            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]),
-            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[4]),
-            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[5]),
+        [recenter_triangle(*row) for row in DEFAULT_TRIANGLE_ROWS]
+        + [
             regular_polygon(
                 3,
                 equilateral_triangle_radius(
@@ -437,24 +436,16 @@ class TestNystrom:
                 ),
             ),
             HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[6]),
-            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[7]),
             HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]),
             regular_polygon(4, 0.6),
         ],
-        ids=[
-            "triangle_2-T",
-            "triangle_5-T",
-            "triangle_6-T",
-            "triangle_5-T0",
-            "polygon_7-P",
-            "triangle_8-T",
-            "polygon_4-P",
-            "4-0.6",
-        ],
+        ids=[f"triangle_{i + 1}-T" for i in range(len(DEFAULT_TRIANGLE_ROWS))]
+        + ["triangle_5-T0", "polygon_7-P", "polygon_4-P", "4-0.6"],
     )
     def test_level_change_within_residual(self, poly):
         # the error model behind the drivers' verdict slack: the capacity
-        # moves by less than the start level's residual when refined
+        # moves by less than the start level's residual when refined.  On
+        # the ten published T plates the largest ratio is 0.11 (triangle_5)
         b = BoundarySet.from_polygon(poly)
         p = SolverParams(max_refine=0)
         start, finer = solve_capacity(b, p), solve_capacity(b, p.doubled())

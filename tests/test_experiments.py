@@ -8,13 +8,20 @@ follow the residual-slack rule and be recomputable from the values and
 residuals the rows store.
 """
 
+import cmath
 import dataclasses
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcap import experiments
+from hypcap.capsolve import cap_polygon
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
+from hypcap.hypgeom import mobius
 
 # first-level solves only: the needle triangles 2, 6 and 10 are left out
 REDUCED_RUNS = {
@@ -88,6 +95,32 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
         compared = {k: v for k, v in row.verdicts.items() if k not in NON_CAPACITY_VERDICTS}
         assert compared, row.id
         assert all(v == INCONCLUSIVE for v in compared.values()), (row.id, compared)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    radii=st.tuples(*[st.floats(0.3, 0.7)] * 3),
+    jitter=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    shift=st.floats(0.0, 0.6),
+    shift_angle=st.floats(0.0, 2.0 * math.pi),
+    turn=st.floats(0.0, 2.0 * math.pi),
+)
+def test_recentring_ignores_where_the_triangle_sits(radii, jitter, shift, shift_angle, turn):
+    # a disk automorphism and a rotation of the input move the recentred
+    # triangle only by a rotation about 0: same vertex moduli, same solve
+    vertices = [
+        rho * cmath.exp(1j * (2.0 * math.pi * k / 3 + dt))
+        for k, (rho, dt) in enumerate(zip(radii, jitter))
+    ]
+    a = cmath.rect(shift, shift_angle)
+    moved = [cmath.exp(1j * turn) * mobius(a, v) for v in vertices]
+    here = experiments.recenter_triangle(*vertices)
+    there = experiments.recenter_triangle(*moved)
+    np.testing.assert_allclose(
+        sorted(map(abs, here.vertices)), sorted(map(abs, there.vertices)), rtol=0, atol=1e-12
+    )
+    cap_here, cap_there = cap_polygon(here).capacity, cap_polygon(there).capacity
+    assert abs(cap_there - cap_here) <= 1e-12 * cap_here
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,33 @@ class TestGeodesicArc:
         with pytest.raises(GeometryError):
             geodesic_arc(0.5, 0.5)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        far=st.builds(cmath.rect, st.floats(0.05, 0.95), st.floats(-math.pi, math.pi)),
+        exponent=st.floats(-320.0, -12.0),
+        angle=st.floats(-math.pi, math.pi),
+        reverse=st.booleans(),
+    )
+    # centres far beyond the endpoints: drawn about the centre, these
+    # sides put point(0.5) 1.0e4 away, at inf + nan, and 2.7e-5 off the
+    # chord
+    @example(far=0.5, exponent=-20.0, angle=0.3, reverse=False)
+    @example(far=0.5, exponent=-310.0, angle=0.3, reverse=False)
+    @example(far=0.5, exponent=-12.0, angle=1.3, reverse=False)
+    def test_endpoint_near_origin(self, far, exponent, angle, reverse):
+        # with one endpoint within 1e-12 of 0 the geodesic's sagitta is
+        # below 1e-12 / 4: the side stays in the disk and on its chord,
+        # and leaves its first endpoint toward the second
+        near = cmath.rect(10.0**exponent, angle)
+        z1, z2 = (near, far) if reverse else (far, near)
+        arc = geodesic_arc(z1, z2)
+        p = arc.point(np.linspace(0.0, 1.0, 101))
+        d = z2 - z1
+        s = np.clip(np.real(np.conj(d) * (p - z1)) / abs(d) ** 2, 0.0, 1.0)
+        assert np.all(np.abs(p) < 1.0)
+        assert np.max(np.abs(p - (z1 + s * d))) <= 1e-12
+        assert abs(complex(arc.tangent(0.0)) - d / abs(d)) <= 1e-11
+
 
 class TestPolygonBasics:
     def test_regular_polygon_starlike(self):
