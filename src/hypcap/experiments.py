@@ -367,7 +367,9 @@ def run_sequence_perim(c: float = 20.0, m_range=range(3, 9)) -> list[ExperimentR
 
 
 def run_f1f2(c_grid=None) -> list[ExperimentRow]:
-    """Disk-versus-slit capacity gap f1(c) - f2(c) over a perimeter grid."""
+    """Disk-versus-slit capacity gap f1(c) - f2(c) over a perimeter grid,
+    and the two-sided bound f2(c) < f1(c) < (pi/2) f2(c).  With t =
+    th(c/4) it reads 1 < mu(t) / arsh(pi / (2 arth t)) < pi/2."""
     if c_grid is None:
         n = 200
         c_grid = [0.05 + (100.0 - 0.05) * i / (n - 1) for i in range(n)]
@@ -379,7 +381,10 @@ def run_f1f2(c_grid=None) -> list[ExperimentRow]:
                 id=f"f1f2_c{c:.6g}",
                 inputs={"c": float(c)},
                 values={"f1": a, "f2": b, "difference": a - b},
-                verdicts={"disk_beats_slit": bool(a > b)},
+                verdicts={
+                    "disk_beats_slit": bool(a > b),
+                    "disk_within_half_pi_of_slit": bool(a < 0.5 * math.pi * b),
+                },
             )
         )
     return out

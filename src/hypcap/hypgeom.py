@@ -34,8 +34,6 @@ __all__ = [
     "PolygonMeasures",
     "equilateral_triangle_radius",
     "geodesic_arc",
-    "hyp_disk_area",
-    "hyp_disk_perimeter",
     "hyp_disk_to_euclid",
     "hyp_dist",
     "hyp_midpoint",
@@ -131,20 +129,6 @@ def hyp_disk_to_euclid(d: HypDisk) -> tuple[complex, float]:
     return y, r_e
 
 
-def hyp_disk_area(L: float) -> float:
-    """Hyperbolic area 4 pi sh^2(L/2) of a disk of hyperbolic radius L."""
-    if L <= 0.0:
-        raise GeometryError(f"hyperbolic radius must be positive, got {L}")
-    return 4.0 * math.pi * math.sinh(0.5 * L) ** 2
-
-
-def hyp_disk_perimeter(L: float) -> float:
-    """Hyperbolic perimeter 2 pi sh(L) of a circle of hyperbolic radius L."""
-    if L <= 0.0:
-        raise GeometryError(f"hyperbolic radius must be positive, got {L}")
-    return 2.0 * math.pi * math.sinh(L)
-
-
 @dataclass(frozen=True)
 class GeodesicArc:
     """One geodesic side: a circular arc orthogonal to the unit circle,
@@ -184,12 +168,6 @@ class GeodesicArc:
         if self.kind == "segment":
             return abs(self.z2 - self.z1)
         return abs(self.dtheta) * self.radius
-
-    def orthogonality_residual(self) -> float:
-        """| |c|^2 - R^2 - 1 | for circular arcs, 0 for segments."""
-        if self.kind == "segment":
-            return 0.0
-        return abs(abs(self.center) ** 2 - self.radius**2 - 1.0)
 
 
 def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:

@@ -1,15 +1,16 @@
-"""Complete elliptic integrals, the Grotzsch modulus mu, and capacity
-functions built on them.
+"""The Grotzsch modulus mu and the capacity functions built on it.
 
-All functions are pure and operate on Python floats.  The complete
-elliptic integral K is computed with the arithmetic-geometric-mean
-iteration, which converges quadratically and gives close to full double
-precision for every admissible argument.  The decreasing homeomorphism
+All functions are pure and operate on Python floats.  The decreasing
+homeomorphism
 
     mu(r) = (pi/2) * K(sqrt(1 - r^2)) / K(r),   r in (0, 1],
 
-is the modulus of the Grotzsch ring (D, [0, r]); its reciprocal scales
-several closed-form condenser capacities used elsewhere in the package.
+is the modulus of the Grotzsch ring (D, [0, r]); K is the complete
+elliptic integral of the first kind, and both of its values come from
+the arithmetic-geometric-mean iteration, K(r) = pi / (2 AGM(1, sqrt(1 -
+r^2))), which converges quadratically and gives close to full double
+precision.  The reciprocal of mu scales several closed-form condenser
+capacities used elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "ellint_K",
     "mu",
     "mu_extended",
-    "mu_inverse",
-    "annulus_cap",
-    "grotzsch_cap",
     "f1",
     "f2",
-    "check_mu_bound",
     "MU_MIN_R",
 ]
 
@@ -46,18 +42,6 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def ellint_K(r: float) -> float:
-    """Complete elliptic integral of the first kind K(r), 0 <= r < 1.
-
-    K(r) = integral_0^{pi/2} dt / sqrt(1 - r^2 sin^2 t), evaluated as
-    pi / (2 * AGM(1, sqrt(1 - r^2))).  Strictly increasing in r.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"ellint_K requires 0 <= r < 1, got {r}")
-    rc = math.sqrt((1.0 - r) * (1.0 + r))
-    return math.pi / (2.0 * _agm(1.0, rc))
-
-
 def mu(r: float) -> float:
     """Modulus of the Grotzsch ring (D, [0, r]) for r in (0, 1].
 
@@ -74,35 +58,6 @@ def mu(r: float) -> float:
     return 0.5 * math.pi * _agm(1.0, rc) / _agm(1.0, r)
 
 
-def _mu_inverse_core(y: float) -> float:
-    """Solve mu(r) = y for y >= pi/2, where r lies in [1e-8, 1/sqrt 2].
-
-    Bracketed bisection down to width 1e-13 followed by one Newton
-    polish with a relative-step finite-difference derivative.
-    """
-    if y > mu(MU_MIN_R):
-        raise ValueError(
-            f"mu_inverse({y}) has no preimage above the r >= {MU_MIN_R} floor"
-        )
-    lo, hi = MU_MIN_R, 0.70711
-    # mu decreasing: mu(lo) >= y >= mu(hi)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if mu(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    h = 1e-6 * r
-    if MU_MIN_R < r - h:
-        d = (mu(r + h) - mu(r - h)) / (2.0 * h)
-        if d != 0.0:
-            r_new = r - (mu(r) - y) / d
-            if MU_MIN_R <= r_new <= 1.0:
-                r = r_new
-    return r
-
-
 def mu_extended(r: float) -> float:
     """mu continued below the 1e-8 floor by mu(r) = log(4/r) + O(r^2).
 
@@ -115,42 +70,6 @@ def mu_extended(r: float) -> float:
     if r >= MU_MIN_R:
         return mu(r)
     return math.log(4.0) - math.log(r)
-
-
-def mu_inverse(y: float) -> float:
-    """Inverse of mu: the r in (0, 1] with mu(r) = y, for y >= 0.
-
-    For y >= pi/2 the root lies in [1e-8, 1/sqrt 2] and is found by
-    bisection plus one Newton polish.  For 0 < y < pi/2 the preimage
-    hugs 1 and mu is too steep there to solve directly in doubles, so
-    the reflection mu(r) mu(sqrt(1-r^2)) = pi^2/4 converts the problem
-    to the small side; the returned r is then correct to about one ulp
-    even where the residual |mu(r) - y| is limited by the spacing of
-    doubles near 1.  Targets whose preimage is not representable
-    (y below roughly 0.124, excepting y = 0) are rejected.
-    """
-    if y < 0.0:
-        raise ValueError(f"mu_inverse requires y >= 0, got {y}")
-    if y == 0.0:
-        return 1.0
-    if y >= 0.5 * math.pi:
-        return _mu_inverse_core(y)
-    s = _mu_inverse_core(math.pi**2 / (4.0 * y))
-    return math.sqrt((1.0 - s) * (1.0 + s))
-
-
-def annulus_cap(a: float, b: float) -> float:
-    """Capacity 2*pi / log(b/a) of the annulus a < |z| < b."""
-    if not 0.0 < a < b:
-        raise ValueError(f"annulus_cap requires 0 < a < b, got a={a}, b={b}")
-    return 2.0 * math.pi / math.log(b / a)
-
-
-def grotzsch_cap(r: float) -> float:
-    """Capacity 2*pi / mu(r) of the Grotzsch condenser (D, [0, r])."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"grotzsch_cap requires 0 < r < 1, got {r}")
-    return 2.0 * math.pi / mu(r)
 
 
 def f1(c: float) -> float:
@@ -176,28 +95,11 @@ def f2(c: float) -> float:
         raise ValueError(f"f2 requires c > 0, got {c}")
     x = 0.25 * c
     t = math.tanh(x)
-    if t < MU_MIN_R:
-        # mu(t) = log(4/t) + O(t^2), below double noise here
-        return 2.0 * math.pi / (math.log(4.0) - math.log(t))
     if t <= 0.9:
-        return 2.0 * math.pi / mu(t)
+        return 2.0 * math.pi / mu_extended(t)
     s = 1.0 / math.cosh(x)
     if s >= MU_MIN_R:
         return (8.0 / math.pi) * mu(s)
     # log(4 ch x) without overflow; asymptotic error below 1e-15
     log_4ch = math.log(2.0) + x + math.log1p(math.exp(-2.0 * x))
     return (8.0 / math.pi) * log_4ch
-
-
-def check_mu_bound(t: float) -> tuple[bool, bool, float]:
-    """Two-sided bound test for mu against the slit/disk comparison.
-
-    With u = pi / (2 arth t) returns (lower_ok, upper_ok, ratio) where
-    ratio = mu(t) / log(sqrt(1 + u^2) + u) and the bound asserts
-    1 < ratio < pi/2 for every t in (0, 1).
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"check_mu_bound requires 0 < t < 1, got {t}")
-    u = 0.5 * math.pi / math.atanh(t)
-    ratio = mu(t) / math.asinh(u)
-    return ratio > 1.0, ratio < 0.5 * math.pi, ratio

@@ -205,5 +205,5 @@ def test_published_sweep(published_rows):
         if INCONCLUSIVE in row.verdicts.values():
             inconclusive.add(row.id)
     # triangle_5 and polygon_m4_2 differ from their competitors by less
-    # than the slack (ROADMAP item 2)
+    # than the slack (ROADMAP item 1)
     assert inconclusive <= {"triangle_5", "polygon_m4_2"}

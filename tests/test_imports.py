@@ -1,14 +1,25 @@
 """The package's import graph stays numpy plus scipy.linalg: importing
 every module must pull in none of scipy's heavier subpackages, whose
-import time dominates a fresh process's first solve."""
+import time dominates a fresh process's first solve.  Every name a
+module exports in __all__ exists."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hypcap
 
+MODULES = (
+    "hypcap.capsolve",
+    "hypcap.condenser",
+    "hypcap.experiments",
+    "hypcap.hypgeom",
+    "hypcap.specfun",
+)
 HEAVY = ("scipy.optimize", "scipy.special", "scipy.sparse", "scipy.fft")
 
 
@@ -18,10 +29,17 @@ def test_package_imports_no_heavy_scipy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "import hypcap.capsolve, hypcap.condenser, hypcap.experiments, hypcap.hypgeom\n"
+        f"import {', '.join(MODULES)}\n"
         f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, missing

@@ -11,16 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.specfun import (
-    annulus_cap,
-    check_mu_bound,
-    ellint_K,
-    f1,
-    f2,
-    grotzsch_cap,
-    mu,
-    mu_inverse,
-)
+from hypcap.experiments import run_f1f2
+from hypcap.specfun import _agm, f1, f2, mu
 
 
 def K_quadrature(r, tol=1e-13):
@@ -60,31 +52,30 @@ MU_HALF = 2.0094593770052844
 MU_03 = 2.5668979448308216
 
 
+def K_agm(r):
+    """K(r) = pi / (2 AGM(1, sqrt(1 - r^2))), the AGM route mu takes."""
+    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - r) * (1.0 + r))))
+
+
 class TestEllintK:
     def test_zero_argument(self):
-        assert ellint_K(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert K_agm(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_against_quadrature_oracle(self):
-        assert ellint_K(1 / math.sqrt(2)) == pytest.approx(K_HALF_SQRT2, abs=1e-11)
-        assert ellint_K(0.5) == pytest.approx(K_HALF, abs=1e-11)
+        assert K_agm(1 / math.sqrt(2)) == pytest.approx(K_HALF_SQRT2, abs=1e-11)
+        assert K_agm(0.5) == pytest.approx(K_HALF, abs=1e-11)
         # re-run the oracle rather than trusting only frozen numbers
-        assert ellint_K(0.3) == pytest.approx(K_quadrature(0.3), abs=1e-11)
+        assert K_agm(0.3) == pytest.approx(K_quadrature(0.3), abs=1e-11)
 
     def test_monotone_near_one(self):
-        v = ellint_K(0.999999)
+        v = K_agm(0.999999)
         assert math.isfinite(v)
-        assert v > ellint_K(0.9)
+        assert v > K_agm(0.9)
 
     def test_monotone_on_grid(self):
         grid = np.linspace(0.0, 0.9999, 250)
-        vals = [ellint_K(r) for r in grid]
+        vals = [K_agm(r) for r in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            ellint_K(1.0)
-        with pytest.raises(ValueError):
-            ellint_K(-0.1)
 
 
 class TestMu:
@@ -98,6 +89,7 @@ class TestMu:
     def test_against_quadrature_oracle(self):
         assert mu(0.5) == pytest.approx(MU_HALF, abs=1e-12)
         assert mu(0.3) == pytest.approx(MU_03, abs=1e-12)
+        assert mu(0.3) == pytest.approx(mu_quadrature(0.3), abs=1e-12)
         assert math.log(2) < mu(0.5) < math.log(8)
 
     def test_strictly_decreasing(self):
@@ -125,68 +117,6 @@ class TestMu:
         for bad in (0.0, -0.5, 1.0 + 1e-12, 1e-9):
             with pytest.raises(ValueError):
                 mu(bad)
-
-
-class TestMuInverse:
-    def test_zero(self):
-        assert mu_inverse(0.0) == 1.0
-
-    def test_symmetry_value(self):
-        assert mu_inverse(math.pi / 2) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_roundtrip(self):
-        assert mu_inverse(mu(0.3)) == pytest.approx(0.3, abs=1e-10)
-        for r in np.linspace(0.05, 0.999, 40):
-            assert mu_inverse(mu(r)) == pytest.approx(r, abs=1e-10)
-
-    def test_residual_contract(self):
-        # below y ~ 1/3 the preimage is within an ulp of 1 and the
-        # residual is limited by double spacing, so the strict contract
-        # is asserted on the conditioning-safe range
-        for y in (0.35, 0.5, 1.0, 2.0, 5.0, 12.0, 19.0):
-            r = mu_inverse(y)
-            assert abs(mu(r) - y) <= 1e-12 * max(1.0, y)
-
-    def test_small_targets_still_bracketed(self):
-        r = mu_inverse(0.2)
-        assert 0.999 < r < 1.0
-        assert abs(mu(r) - 0.2) < 1e-7
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            mu_inverse(-1e-9)
-        with pytest.raises(ValueError):
-            mu_inverse(0.01)  # preimage not representable below 1
-        with pytest.raises(ValueError):
-            mu_inverse(25.0)  # preimage below the r >= 1e-8 floor
-
-
-class TestClosedFormCaps:
-    def test_annulus(self):
-        assert annulus_cap(1.0, math.e) == pytest.approx(2 * math.pi, rel=1e-14)
-        assert annulus_cap(0.5, 1.0) == pytest.approx(2 * math.pi / math.log(2), rel=1e-14)
-
-    def test_annulus_paper_roundtrip(self):
-        # modulus of the regular-triangle condenser at r = 0.5
-        cap = 5.9799062371
-        q = math.exp(-2 * math.pi / cap)
-        assert annulus_cap(q, 1.0) == pytest.approx(cap, rel=1e-12)
-
-    def test_annulus_domain(self):
-        with pytest.raises(ValueError):
-            annulus_cap(1.0, 1.0)
-        with pytest.raises(ValueError):
-            annulus_cap(-1.0, 2.0)
-
-    def test_grotzsch(self):
-        assert grotzsch_cap(1 / math.sqrt(2)) == pytest.approx(4.0, abs=1e-13)
-        assert grotzsch_cap(0.5) == pytest.approx(2 * math.pi / MU_HALF, rel=1e-12)
-        assert grotzsch_cap(1e-6) < 0.45  # mu ~ log(4/r) blow-up
-
-    def test_grotzsch_domain(self):
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                grotzsch_cap(bad)
 
 
 class TestF1F2:
@@ -222,18 +152,21 @@ class TestF1F2:
 
 
 class TestMuBound:
+    """1 < mu(t) / arsh(pi / (2 arth t)) < pi/2 for t in (0, 1).  With
+    c = 4 arth t the ratio is f1(c) / f2(c), which run_f1f2 bounds on
+    both sides."""
+
+    BOTH = {"disk_beats_slit": True, "disk_within_half_pi_of_slit": True}
+
     @pytest.mark.parametrize("t", [1 / math.sqrt(2), 0.01, 0.99])
     def test_two_sided(self, t):
-        lower_ok, upper_ok, ratio = check_mu_bound(t)
-        assert lower_ok and upper_ok
-        assert 1.0 < ratio < math.pi / 2
+        (row,) = run_f1f2(c_grid=[4 * math.atanh(t)])
+        assert row.verdicts == self.BOTH
+        assert 1.0 < row.values["f1"] / row.values["f2"] < math.pi / 2
 
     def test_grid(self):
-        for t in np.linspace(0.001, 0.999, 1000):
-            lower_ok, upper_ok, _ = check_mu_bound(t)
-            assert lower_ok and upper_ok
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.3):
-            with pytest.raises(ValueError):
-                check_mu_bound(bad)
+        # th(c/4) rounds to 1 from about c = 76.3 on, so mu(t) cannot be
+        # evaluated there directly; c = 100 lies past it
+        c_grid = [4 * math.atanh(t) for t in np.linspace(0.001, 0.999, 1000)] + [100.0]
+        for row in run_f1f2() + run_f1f2(c_grid=c_grid):
+            assert row.verdicts == self.BOTH, (row.id, row.values)
