@@ -32,7 +32,7 @@ Discretization (Kress, Numer. Math. 58, 1990):
   (psi = 0 there).  Kept, such nodes would round onto the vertex and
   onto each other, and the log of their zero distance is not finite.
 * Collocating at the kept nodes gives a square system, solved by
-  least squares (gelsy, which also reports the numerical rank).
+  least squares (gelsy, with a rank cutoff of 1e-12 relative).
 
 A plate with n-fold rotational symmetry about 0 has an n-periodic
 density.  The solver then discretizes one sector, parametrised by u in
@@ -172,8 +172,12 @@ class BoundarySet:
     symmetry: int = 1
 
     def __post_init__(self):
-        t = np.linspace(0.0, 1.0, 64)
-        top = max(float(np.max(np.abs(p.point(t)))) for p in self.pieces)
+        # hyperbolic distance from 0 is convex along a geodesic, so a
+        # side's largest |z| is at one of its ends
+        top = max(
+            abs(p.center) + p.radius if self.is_smooth else max(abs(p.z1), abs(p.z2))
+            for p in self.pieces
+        )
         if top >= 1.0 - 1e-6:
             raise GeometryError(
                 f"plate boundary reaches |z| = {top:.8f}; must stay below 1 - 1e-6"
@@ -202,8 +206,6 @@ class BoundarySet:
         center = complex(center)
         if radius <= 0.0:
             raise GeometryError(f"disk radius must be positive, got {radius}")
-        if abs(center) + radius >= 1.0 - 1e-6:
-            raise GeometryError("disk plate must stay strictly inside the unit disk")
         return BoundarySet(pieces=(_CirclePiece(center, radius),))
 
     @staticmethod
@@ -355,16 +357,14 @@ class SolveReport:
 
     n_collocation counts the unknowns (and rows) of the fitted square
     system: the kept nodes of one sector, of half a side for a regular
-    polygon.  rank is the numerical rank gelsy found for it.
-    boundary_residual is max|u - 1| at the midpoints between those
-    nodes, and converged says it is below the tolerance.
+    polygon.  boundary_residual is max|u - 1| at the midpoints between
+    those nodes, and converged says it is below the tolerance.
     """
 
     capacity: float
     boundary_residual: float
     n_collocation: int
     converged: bool
-    rank: int
     symmetry: int
 
 
@@ -519,12 +519,11 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     A = _kernel(d)
     if not np.all(np.isfinite(A)):
         raise SolverError("non-finite entries in the Nystrom matrix")
-    psi, _, rank, _ = scipy.linalg.lstsq(
+    # a rank-zero matrix gives psi = 0, which the capacity test rejects
+    psi = scipy.linalg.lstsq(
         A, np.ones(d.n_collocation), cond=_RANK_RTOL, lapack_driver="gelsy"
-    )
+    )[0]
     del A
-    if rank == 0:
-        raise SolverError("Nystrom matrix is numerically rank zero")
 
     h = 2.0 * math.pi / d.n_grid
     capacity = -2.0 * math.pi * d.order * h * float(np.sum(psi))
@@ -537,7 +536,6 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
         boundary_residual=residual,
         n_collocation=d.n_collocation,
         converged=residual < tol,
-        rank=int(rank),
         symmetry=d.symmetry,
     )
 

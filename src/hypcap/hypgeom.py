@@ -12,9 +12,10 @@ vertex angle (the model is conformal); the tangents come from the disk
 automorphism that moves the vertex to 0, and Gauss-Bonnet turns the
 angles into the area (m - 2) pi - sum(angles).  Nothing depends on where
 the origin lies, and the small angles near the ideal boundary come out
-without cancellation.  HypPolygon still checks at construction, on a
-dense angular grid, that its plate is starlike about 0: that validates
-the vertex list as a simple, counterclockwise boundary.
+without cancellation.  HypPolygon checks at construction, exactly and
+from the phase steps between its vertices, that its plate is starlike
+about 0: that validates the vertex list as a simple, counterclockwise
+boundary.  Every side, diameter or not, is one closed form (GeodesicArc).
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ __all__ = [
     "triangle_measures",
 ]
 
-# a side is drawn as a straight segment when its geodesic's sagitta is
-# below this fraction of its chord: below double-precision geometry noise
-_SAGITTA_TOL = 1e-14
 # normalized cross product below which a side's endpoints count as
 # collinear with 0 (a radial side)
 _COLLINEAR_TOL = 1e-14
@@ -131,76 +129,57 @@ def hyp_disk_to_euclid(d: HypDisk) -> tuple[complex, float]:
 
 @dataclass(frozen=True)
 class GeodesicArc:
-    """One geodesic side: a circular arc orthogonal to the unit circle,
-    or a diametral straight segment.  Oriented from z1 to z2; point(0) = z1
-    and point(1) = z2, with the parameter proportional to arc length."""
+    """One geodesic side from z1 to z2: an arc of a circle orthogonal to
+    the unit circle, or a diameter when dtheta = 0.  The parameter t in
+    [0, 1] is proportional to arc length; point(0) = z1, point(1) = z2.
 
-    kind: str  # "circular" or "segment"
+    dtheta is the turn of the tangent along the side, 2 arg(1 -
+    conj(z1) z2).  mobius(z1, .) has a positive derivative at z1, so the
+    side leaves z1 along mobius(z1, z2), which is z2 - z1 turned by
+    -dtheta/2, and it turns at a constant rate.  With x = dtheta / 2 pi
+    and numpy's normalised sinc, the length is |z2 - z1| / sinc(x) and
+
+        z(t) = z1 + (z2 - z1) t sinc(t x) / sinc(x) e^{i (t - 1) dtheta / 2}.
+
+    At dtheta = 0 these are the segment formulas exactly, and nothing
+    depends on the centre, which grows without bound as a side flattens.
+    """
+
     z1: complex
     z2: complex
-    center: complex | None = None
-    radius: float | None = None
-    dtheta: float | None = None
+    dtheta: float
 
     def point(self, t):
-        """Point(s) on the arc at parameter t in [0, 1] (scalar or array).
-
-        z1 turned about the centre by t dtheta, written as z1 plus the
-        chord (z1 - c)(e^{i t dtheta} - 1): the rounding is relative to
-        the chord, however far away the centre lies."""
+        """Point(s) on the side at parameter t in [0, 1] (scalar or
+        array).  Each is evaluated from the nearer endpoint, so that its
+        rounding is relative to the corner it sits next to: from z2 the
+        side runs to z1 with turn -dtheta."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "segment":
-            return self.z1 + t * (self.z2 - self.z1)
-        half = 0.5 * self.dtheta * t
-        return self.z1 + (self.z1 - self.center) * (2j * np.sin(half) * np.exp(1j * half))
+        first = t <= 0.5
+        sign = np.where(first, 1.0, -1.0)
+        s = np.where(first, t, 1.0 - t)
+        x = self.dtheta / (2.0 * math.pi)
+        scale = s * np.sinc(s * x) / np.sinc(x) * np.exp(-0.5j * self.dtheta * sign * (1.0 - s))
+        return np.where(first, self.z1, self.z2) + sign * (self.z2 - self.z1) * scale
 
     def tangent(self, t):
         """Unit tangent(s) in the direction of traversal."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "segment":
-            d = self.z2 - self.z1
-            d /= abs(d)
-            return np.broadcast_to(d, t.shape).copy() if t.shape else d
-        u1 = (self.z1 - self.center) / self.radius
-        return 1j * math.copysign(1.0, self.dtheta) * u1 * np.exp(1j * self.dtheta * t)
+        d = self.z2 - self.z1
+        return d / abs(d) * np.exp(1j * self.dtheta * (np.asarray(t, dtype=float) - 0.5))
 
     def euclid_length(self) -> float:
-        if self.kind == "segment":
-            return abs(self.z2 - self.z1)
-        return abs(self.dtheta) * self.radius
+        return float(abs(self.z2 - self.z1) / np.sinc(self.dtheta / (2.0 * math.pi)))
 
 
 def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:
-    """Geodesic segment between two distinct points of the disk.
-
-    The geodesic lies on the circle through z1, z2 with |c|^2 = R^2 + 1,
-    from the 2x2 linear system 2 Re(conj(z) c) = |z|^2 + 1, and the
-    sub-arc inside the disk is returned.  A side whose arc is within
-    rounding of its chord is a straight segment instead: a diameter, or
-    a side with an endpoint so near 0 that its centre would swamp (or
-    overflow past) the endpoints.
-    """
+    """Geodesic side between two distinct points of the disk, with its
+    turn dtheta = 2 arg(1 - conj(z1) z2) (see GeodesicArc).  The real
+    part of 1 - conj(z1) z2 exceeds 1 - |z1 z2| > 0, so |dtheta| < pi."""
     z1 = _check_in_disk(z1, "z1")
     z2 = _check_in_disk(z2, "z2")
     if z1 == z2:
         raise GeometryError(f"degenerate arc: equal endpoints {z1}")
-    # solve 2(x_k a + y_k b) = |z_k|^2 + 1 for c = a + i b:
-    # c det = i (r2 z1 - r1 z2)
-    r1 = abs(z1) ** 2 + 1.0
-    r2 = abs(z2) ** 2 + 1.0
-    det = 2.0 * (z1.real * z2.imag - z1.imag * z2.real)
-    cdet = 1j * (r2 * z1 - r1 * z2)
-    # sagitta chord^2 / (8 |c|) against _SAGITTA_TOL * chord, free of
-    # the division that overflows c for an endpoint near 0
-    if abs(z1 - z2) * abs(det) <= 8.0 * _SAGITTA_TOL * abs(cdet):
-        return GeodesicArc(kind="segment", z1=z1, z2=z2)
-    c = cdet / det
-    u1 = z1 - c
-    radius = abs(u1)
-    # the turn from z1 - c to z2 - c = u1 + (z2 - z1), as the phase of
-    # conj(u1)(z2 - c), whose imaginary part has no cancellation
-    dth = cmath.phase(radius**2 + u1.conjugate() * (z2 - z1))
-    return GeodesicArc(kind="circular", z1=z1, z2=z2, center=c, radius=radius, dtheta=dth)
+    return GeodesicArc(z1, z2, 2.0 * cmath.phase(1.0 - z1.conjugate() * z2))
 
 
 def _perimeter(vertices) -> float:
@@ -254,8 +233,9 @@ class HypPolygon:
     """Closed hyperbolic polygon, counterclockwise, starlike about 0.
 
     Construct through from_vertices (which normalizes orientation and
-    runs the starlike check) or regular_polygon.  polygon_measures does
-    not need 0 inside; the starlike check is input validation.
+    checks that the plate is starlike) or regular_polygon.
+    polygon_measures does not need 0 inside; the starlike check is input
+    validation.
     """
 
     vertices: tuple[complex, ...]
@@ -267,50 +247,36 @@ class HypPolygon:
 
     @staticmethod
     def from_vertices(vertices) -> "HypPolygon":
+        """Polygon through the vertices, in either orientation, if it is
+        starlike about 0.
+
+        A side whose endpoints are collinear with 0 is radial: some ray
+        meets the boundary in a whole segment, or 0 is on the boundary.
+        Any other side is a geodesic that misses 0 and meets each ray
+        from 0 at most once, so the phase moves monotonically along it,
+        by the principal phase step between its ends.  The boundary is
+        therefore starlike exactly when no side is radial, the steps sum
+        to +-2 pi (the sign is the orientation), and every step has the
+        sign of the sum.
+        """
         vs = [_check_in_disk(v, f"vertex {k}") for k, v in enumerate(vertices)]
         m = len(vs)
         if m < 3:
             raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
-        for v in vs:
-            if v == 0:
-                raise GeometryError("vertex at the origin; the polygon must be starlike about 0")
         for k in range(m):
-            if vs[k] == vs[(k + 1) % m]:
+            z1, z2 = vs[k], vs[(k + 1) % m]
+            if z1 == z2:
                 raise GeometryError(f"consecutive vertices {k} and {(k + 1) % m} coincide")
-        # orientation from the winding of the vertex loop about 0
-        winding = sum(
-            math.remainder(cmath.phase(vs[(k + 1) % m]) - cmath.phase(vs[k]), 2 * math.pi)
-            for k in range(m)
-        )
-        if winding < 0:
-            vs = vs[::-1]
-        sides = tuple(geodesic_arc(vs[k], vs[(k + 1) % m]) for k in range(m))
-        poly = HypPolygon(vertices=tuple(vs), sides=sides)
-        poly._verify_starlike()
-        return poly
-
-    def _verify_starlike(self) -> None:
-        """Each ray from 0 must cross the boundary exactly once, i.e. the
-        boundary angle is strictly monotone with total increase 2 pi;
-        sampled on a dense angular grid (>= 720 points total)."""
-        k = max(16, -(-720 // self.m))
-        # a side whose endpoints are collinear with 0 is radial: some ray
-        # meets the boundary in a whole segment, or 0 is on the boundary
-        for side in self.sides:
-            cross = (side.z1.conjugate() * side.z2).imag
-            if abs(cross) <= _COLLINEAR_TOL * abs(side.z1) * abs(side.z2):
+            if abs((z1.conjugate() * z2).imag) <= _COLLINEAR_TOL * abs(z1) * abs(z2):
                 raise GeometryError("polygon has a radial side; not starlike about 0")
-        t = np.arange(1, k + 1) / k
-        pts = np.concatenate(
-            [np.array([complex(self.vertices[0])])] + [side.point(t) for side in self.sides]
-        )
-        if np.max(np.abs(pts)) >= 1.0:
-            raise GeometryError("polygon boundary leaves the unit disk")
-        ang = np.unwrap(np.angle(pts))
-        if np.min(np.diff(ang)) < -1e-12:
+        steps = [cmath.phase(vs[(k + 1) % m] / vs[k]) for k in range(m)]
+        if sum(steps) < 0:
+            # clockwise: reversing the list negates every step
+            vs, steps = vs[::-1], [-step for step in steps]
+        if min(steps) <= 0.0 or abs(sum(steps) - 2.0 * math.pi) > 1e-6:
             raise GeometryError("polygon is not starlike with respect to 0")
-        if abs((ang[-1] - ang[0]) - 2.0 * math.pi) > 1e-6:
-            raise GeometryError("polygon boundary does not wind once around 0")
+        sides = tuple(geodesic_arc(vs[k], vs[(k + 1) % m]) for k in range(m))
+        return HypPolygon(vertices=tuple(vs), sides=sides)
 
 
 def regular_polygon(m: int, r: float) -> HypPolygon:

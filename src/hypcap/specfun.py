@@ -97,9 +97,11 @@ def f2(c: float) -> float:
     t = math.tanh(x)
     if t <= 0.9:
         return 2.0 * math.pi / mu_extended(t)
-    s = 1.0 / math.cosh(x)
+    # 1 / ch x without the overflow of ch x
+    e = math.exp(-x)
+    s = 2.0 * e / (1.0 + e * e)
     if s >= MU_MIN_R:
         return (8.0 / math.pi) * mu(s)
     # log(4 ch x) without overflow; asymptotic error below 1e-15
-    log_4ch = math.log(2.0) + x + math.log1p(math.exp(-2.0 * x))
+    log_4ch = math.log(2.0) + x + math.log1p(e * e)
     return (8.0 / math.pi) * log_4ch

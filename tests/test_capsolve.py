@@ -20,6 +20,7 @@ from hypcap.capsolve import (
     BoundarySet,
     ConfigurationError,
     SolverParams,
+    _CirclePiece,
     _check_potential,
     _green,
     _kernel,
@@ -536,9 +537,20 @@ class TestValidation:
         with pytest.raises(GeometryError):
             BoundarySet.from_euclid_disk(0.5, 0.4999999)
 
+    def test_corner_too_close_to_circle(self):
+        # a side's largest |z| is at a corner
+        near = [1 - 2e-6, 0.5j, -0.5, -0.5j]
+        BoundarySet.from_polygon(HypPolygon.from_vertices(near))
+        with pytest.raises(GeometryError):
+            BoundarySet.from_polygon(HypPolygon.from_vertices([1 - 1e-7] + near[1:]))
+
+    def test_circle_piece_too_close_to_circle(self):
+        BoundarySet((_CirclePiece(0.5, 0.4999989),))
+        with pytest.raises(GeometryError):
+            BoundarySet((_CirclePiece(0.5, 0.4999999),))
+
     def test_report_counts(self):
-        # the system is square: one unknown per circle node, full rank
+        # the system is square: one unknown per circle node
         rep = solve_capacity(BoundarySet.from_euclid_disk(0.0, 0.5), tol=DEFAULT_TOL_SMOOTH)
         assert rep.n_collocation == SolverParams().nodes_per_side
         assert rep.symmetry == 1
-        assert rep.rank == rep.n_collocation

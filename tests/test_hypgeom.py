@@ -35,10 +35,53 @@ def random_disk_points(rng, n, rmax=0.95):
     return r * np.exp(1j * th)
 
 
-def orthogonality_residual(arc):
-    """| |c|^2 - R^2 - 1 |: zero when the arc's circle meets the unit
-    circle at right angles."""
-    return abs(abs(arc.center) ** 2 - arc.radius**2 - 1.0)
+def geodesic_circle(z1, z2):
+    """Centre c and radius R of the circle through z1 and z2 that meets
+    the unit circle at right angles, from the 2x2 linear system
+    2 Re(conj(z) c) = |z|^2 + 1 at both points: c det = i (r2 z1 - r1 z2)
+    with r_k = |z_k|^2 + 1."""
+    det = 2.0 * (z1.real * z2.imag - z1.imag * z2.real)
+    c = 1j * ((abs(z2) ** 2 + 1.0) * z1 - (abs(z1) ** 2 + 1.0) * z2) / det
+    return c, abs(z1 - c)
+
+
+def assert_on_geodesic_circle(arc):
+    """The side lies inside the disk on the circle of geodesic_circle,
+    which is orthogonal to the unit circle (| |c|^2 - R^2 - 1 | = 0), and
+    its tangent is perpendicular to the radius."""
+    c, radius = geodesic_circle(arc.z1, arc.z2)
+    assert abs(abs(c) ** 2 - radius**2 - 1.0) < 1e-12
+    t = np.linspace(0.0, 1.0, 33)
+    p = arc.point(t)
+    assert np.all(np.abs(p) < 1.0)
+    assert np.max(np.abs(np.abs(p - c) - radius)) < 1e-12
+    assert np.max(np.abs(np.real(np.conj(p - c) * arc.tangent(t)))) < 1e-12 * radius
+
+
+def sampled_starlike(vertices):
+    """Whether the vertex list bounds a plate starlike about 0, by
+    sampling: no side is radial, and along the boundary, in the
+    orientation of the vertex loop, the phase of >= 720 points never
+    goes back and gains 2 pi in all.  Each side is sampled from its
+    first vertex on, as the image of the radial segment [0, mobius(z1,
+    z2)) under the inverse map mobius(-z1, .); the vertices themselves
+    are exact.  A reference for the exact rule of
+    HypPolygon.from_vertices."""
+    vs = [complex(v) for v in vertices]
+    sides = list(zip(vs, vs[1:] + vs[:1]))
+    if any(abs((z1.conjugate() * z2).imag) <= 1e-14 * abs(z1) * abs(z2) for z1, z2 in sides):
+        return False
+    if sum(math.remainder(cmath.phase(z2) - cmath.phase(z1), 2 * math.pi) for z1, z2 in sides) < 0:
+        sides = [(z2, z1) for z1, z2 in sides[::-1]]
+    k = max(16, -(-720 // len(sides)))
+    s = np.arange(k) / k
+    pts = np.concatenate([mobius(-z1, s * mobius(z1, z2)) for z1, z2 in sides] + [[sides[0][0]]])
+    ang = np.unwrap(np.angle(pts))
+    return bool(
+        np.max(np.abs(pts)) < 1.0
+        and np.min(np.diff(ang)) >= -1e-12
+        and abs((ang[-1] - ang[0]) - 2 * math.pi) <= 1e-6
+    )
 
 
 def law_of_cosines_angle(a, b, c):
@@ -145,23 +188,24 @@ class TestHypDisk:
 class TestGeodesicArc:
     def test_collinear_gives_segment(self):
         arc = geodesic_arc(0.3, -0.6)
-        assert arc.kind == "segment"
+        assert arc.dtheta == 0
+        t = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(arc.point(t), 0.3 - 0.9 * t, rtol=0, atol=1e-15)
+        assert arc.euclid_length() == pytest.approx(0.9, rel=1e-15)
 
     def test_orthogonality(self):
         s = 0.6
         arc = geodesic_arc(s, s * cmath.exp(2j * math.pi / 3))
-        assert arc.kind == "circular"
-        assert orthogonality_residual(arc) < 1e-12
+        assert arc.dtheta != 0
+        assert_on_geodesic_circle(arc)
 
-    def test_midpoint_additivity(self):
-        rng = np.random.default_rng(RNG_SEED + 2)
-        pts = random_disk_points(rng, 60, rmax=0.9)
-        for z1, z2 in pts.reshape(30, 2):
-            arc = geodesic_arc(z1, z2)
-            w = complex(arc.point(0.5))
-            assert hyp_dist(z1, w) + hyp_dist(w, z2) == pytest.approx(
-                hyp_dist(z1, z2), abs=1e-10
-            )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(z1=disk_points, z2=disk_points, t=st.floats(0.0, 1.0))
+    def test_point_additivity(self, z1, z2, t):
+        # every point of the side lies on the geodesic between its ends
+        assume(z1 != z2)
+        p = complex(geodesic_arc(z1, z2).point(t))
+        assert hyp_dist(z1, p) + hyp_dist(p, z2) == pytest.approx(hyp_dist(z1, z2), abs=1e-10)
 
     def test_endpoints(self):
         arc = geodesic_arc(0.2 + 0.1j, -0.5 + 0.4j)
@@ -213,8 +257,8 @@ class TestPolygonBasics:
     def test_arc_invariants_on_regular(self):
         p = regular_polygon(7, 0.8)
         for side in p.sides:
-            assert side.kind == "circular"
-            assert orthogonality_residual(side) < 1e-12
+            assert side.dtheta != 0
+            assert_on_geodesic_circle(side)
 
     def test_non_starlike_rejected(self):
         # vertex angles regress (0 -> 90 -> 17 degrees), so rays between
@@ -236,6 +280,34 @@ class TestPolygonBasics:
     def test_origin_vertex_rejected(self):
         with pytest.raises(GeometryError):
             HypPolygon.from_vertices([0.0, 0.5, 0.5j])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            # vertex phases near a regular spacing that winds once or
+            # twice, jittered far enough that some lists go back
+            st.tuples(st.integers(3, 8), st.integers(1, 2)).flatmap(
+                lambda mw: st.lists(
+                    st.tuples(st.floats(0.02, 0.95), st.floats(-1.5, 1.5)),
+                    min_size=mw[0],
+                    max_size=mw[0],
+                ).map(
+                    lambda rj: [
+                        r * cmath.exp(2j * math.pi * (mw[1] * k + j) / mw[0])
+                        for k, (r, j) in enumerate(rj)
+                    ]
+                )
+            ),
+            st.lists(disk_points, min_size=3, max_size=7),
+        )
+    )
+    def test_starlike_rule_matches_sampling(self, vertices):
+        try:
+            HypPolygon.from_vertices(vertices)
+            accepted = True
+        except GeometryError:
+            accepted = False
+        assert accepted == sampled_starlike(vertices)
 
 
 class TestPerimeter:

@@ -170,3 +170,11 @@ class TestMuBound:
         c_grid = [4 * math.atanh(t) for t in np.linspace(0.001, 0.999, 1000)] + [100.0]
         for row in run_f1f2() + run_f1f2(c_grid=c_grid):
             assert row.verdicts == self.BOTH, (row.id, row.values)
+
+    @pytest.mark.parametrize("c", [3000.0, 1e6])
+    def test_large_perimeter(self, c):
+        # ch(c/4) overflows from c = 2842 on; there log(4 ch(c/4)) is
+        # log 2 + c/4 to rounding
+        (row,) = run_f1f2(c_grid=[c])
+        assert row.verdicts == self.BOTH
+        assert row.values["f2"] == pytest.approx(8 / math.pi * (math.log(2) + c / 4), rel=1e-15)
