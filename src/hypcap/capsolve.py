@@ -204,8 +204,8 @@ class BoundarySet:
     @staticmethod
     def from_euclid_disk(center: complex, radius: float) -> "BoundarySet":
         center = complex(center)
-        if not radius > 0.0:
-            raise GeometryError(f"disk radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise GeometryError(f"disk radius must be positive and finite, got {radius}")
         return BoundarySet(pieces=(_CirclePiece(center, radius),))
 
     @staticmethod
@@ -562,8 +562,8 @@ def solve_capacity(
     r = 0.9) need it to resolve the capacity to the accuracy the
     residual promises.
     """
-    if not tol > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
     p = p or SolverParams()
     if b.symmetry > 1:
         p = p.doubled()

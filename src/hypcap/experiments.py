@@ -46,7 +46,7 @@ from .hypgeom import (
     regular_radius_from_perimeter,
     triangle_measures,
 )
-from .specfun import f1, f2
+from .specfun import f2
 
 __all__ = [
     "DEFAULT_POLYGON_ROWS",
@@ -325,21 +325,22 @@ def run_sequence_area(c: float = 3.0, m_range=range(3, 9)) -> list[ExperimentRow
 def run_sequence_perim(c: float = 20.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic perimeter c: capacities should
     increase with m toward the equal-perimeter circle reference."""
-    if not c > 0.0:
-        raise ValueError(f"perimeter sequences need c > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"perimeter sequences need 0 < c < inf, got {c}")
     return _run_sequence("perim", c, m_range)
 
 
 def run_f1f2(c_grid=None) -> list[ExperimentRow]:
     """Disk-versus-slit capacity gap f1(c) - f2(c) over a perimeter grid,
-    and the two-sided bound f2(c) < f1(c) < (pi/2) f2(c).  With t =
-    th(c/4) it reads 1 < mu(t) / arsh(pi / (2 arth t)) < pi/2."""
+    and the two-sided bound f2(c) < f1(c) < (pi/2) f2(c), where f1 is
+    ref_cap_perim.  With t = th(c/4) it reads 1 < mu(t) / arsh(pi / (2
+    arth t)) < pi/2."""
     if c_grid is None:
         n = 200
         c_grid = [0.05 + (100.0 - 0.05) * i / (n - 1) for i in range(n)]
     out = []
     for c in c_grid:
-        a, b = f1(c), f2(c)
+        a, b = ref_cap_perim(c), f2(c)
         out.append(
             ExperimentRow(
                 id=f"f1f2_c{c:.6g}",

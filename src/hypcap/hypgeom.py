@@ -109,8 +109,8 @@ class HypDisk:
 
     def __post_init__(self):
         _check_in_disk(self.center, "center")
-        if not self.radius > 0.0:
-            raise GeometryError(f"hyperbolic radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError(f"hyperbolic radius must be positive and finite, got {self.radius}")
 
 
 def hyp_disk_to_euclid(d: HypDisk) -> tuple[complex, float]:
@@ -321,8 +321,8 @@ def regular_radius_from_perimeter(m: int, L: float) -> float:
     """
     if m < 3:
         raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
-    if not L > 0.0:
-        raise GeometryError(f"perimeter must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise GeometryError(f"perimeter must be positive and finite, got {L}")
     s = math.sinh(0.5 * L / m)
     a = math.sin(math.pi / m)
     return s / (a + math.hypot(a, s))

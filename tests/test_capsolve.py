@@ -31,7 +31,7 @@ from hypcap.capsolve import (
     discretize,
     solve_capacity,
 )
-from hypcap.condenser import cap_hyp_disk, ref_M1, ref_M2
+from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim
 from hypcap.experiments import (
     DEFAULT_POLYGON_ROWS,
     DEFAULT_TRIANGLE_ROWS,
@@ -51,7 +51,7 @@ from hypcap.hypgeom import (
     regular_radius_from_perimeter,
     triangle_measures,
 )
-from hypcap.specfun import f1, f2
+from hypcap.specfun import f2
 
 SEED = 73301
 
@@ -529,29 +529,29 @@ class TestDiscretize:
             assert np.max(np.abs(_green(circle, zeta, d.symmetry))) <= 1e-14
 
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 
-# a NaN input at each guard, and what the guard says: NaN compares
-# False, so a guard written as x <= 0 or |z| >= 1 would let it through
+# a bad input x at each guard, and what the guard says, for x NaN and
+# infinite: NaN compares False, so a guard written as x <= 0 or |z| >= 1
+# would let it through, and one written as x > 0 would let inf through
 NAN_INPUTS = {
-    "vertex": (lambda: HypPolygon.from_vertices([0.5, 0.5j, -0.5, complex(0, NAN)]), "unit disk"),
-    "disk_center": (lambda: HypDisk(NAN, 1.0), "unit disk"),
-    "disk_radius": (lambda: HypDisk(0.1, NAN), "radius must be positive"),
-    "hyp_dist": (lambda: hyp_dist(0.1, NAN), "unit disk"),
-    "mobius": (lambda: mobius(NAN, 0.1), "unit disk"),
-    "mobius_array": (lambda: mobius(0.1, np.array([0.2, NAN])), "unit disk"),
-    "hyp_midpoint": (lambda: hyp_midpoint(0.2, NAN), "unit disk"),
-    "perimeter_radius": (lambda: regular_radius_from_perimeter(4, NAN), "perimeter must"),
-    "cap_hyp_disk": (lambda: cap_hyp_disk(NAN), "radius must be positive"),
-    "ref_M1": (lambda: ref_M1(NAN), "ref_M1 requires"),
-    "ref_M2": (lambda: ref_M2(NAN), "ref_M2 requires"),
-    "f1": (lambda: f1(NAN), "f1 requires"),
-    "f2": (lambda: f2(NAN), "f2 requires"),
-    "run_f1f2": (lambda: run_f1f2([NAN]), "f1 requires"),
-    "tol": (lambda: cap_polygon(regular_polygon(4, 0.5), tol=NAN), "tolerance must"),
-    "euclid_radius": (lambda: BoundarySet.from_euclid_disk(0.0, NAN), "radius must be positive"),
-    "euclid_center": (lambda: BoundarySet.from_euclid_disk(NAN, 0.3), "plate boundary reaches"),
-    "sequence_perim": (lambda: run_sequence_perim(NAN), "perimeter sequences"),
+    "vertex": (lambda x: HypPolygon.from_vertices([0.5, 0.5j, -0.5, complex(0, x)]), "unit disk"),
+    "disk_center": (lambda x: HypDisk(x, 1.0), "unit disk"),
+    "disk_radius": (lambda x: HypDisk(0.1, x), "radius must be positive"),
+    "hyp_dist": (lambda x: hyp_dist(0.1, x), "unit disk"),
+    "mobius": (lambda x: mobius(x, 0.1), "unit disk"),
+    "mobius_array": (lambda x: mobius(0.1, np.array([0.2, x])), "unit disk"),
+    "hyp_midpoint": (lambda x: hyp_midpoint(0.2, x), "unit disk"),
+    "perimeter_radius": (lambda x: regular_radius_from_perimeter(4, x), "perimeter must"),
+    "cap_hyp_disk": (lambda x: cap_hyp_disk(x), "radius must be positive"),
+    "ref_cap_area": (lambda x: ref_cap_area(x), "ref_cap_area requires"),
+    "ref_cap_perim": (lambda x: ref_cap_perim(x), "ref_cap_perim requires"),
+    "f2": (lambda x: f2(x), "f2 requires"),
+    "run_f1f2": (lambda x: run_f1f2([x]), "ref_cap_perim requires"),
+    "tol": (lambda x: cap_polygon(regular_polygon(4, 0.5), tol=x), "tolerance must"),
+    "euclid_radius": (lambda x: BoundarySet.from_euclid_disk(0.0, x), "radius must be positive"),
+    "euclid_center": (lambda x: BoundarySet.from_euclid_disk(x, 0.3), "plate boundary reaches"),
+    "sequence_perim": (lambda x: run_sequence_perim(x), "perimeter sequences"),
 }
 
 
@@ -561,11 +561,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             solve_capacity(b, tol=0.0)
 
-    @pytest.mark.parametrize("name", list(NAN_INPUTS))
-    def test_nan_input_rejected(self, name):
+    @pytest.mark.parametrize(
+        ("name", "bad"),
+        [pytest.param(name, NAN, id=name) for name in NAN_INPUTS]
+        + [pytest.param(name, INF, id=f"{name}-inf") for name in NAN_INPUTS],
+    )
+    def test_nan_input_rejected(self, name, bad):
         call, message = NAN_INPUTS[name]
         with pytest.raises(ValueError, match=message):
-            call()
+            call(bad)
 
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):

@@ -4,17 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hypcap.condenser import (
-    cap_hyp_disk,
-    hat_triangle_cap,
-    ref_M1,
-    ref_M2,
-    ref_cap_area,
-    ref_cap_perim,
-    triangle_bounds_from_s,
-)
-from hypcap.specfun import f1, mu
+from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim, triangle_bounds_from_s
+from hypcap.specfun import mu
 
 SEED = 46111
 
@@ -34,21 +28,39 @@ class TestCapHypDisk:
                 2 * math.pi / math.log(1.0 / math.tanh(0.5 * M)), rel=1e-14
             )
 
+    @pytest.mark.parametrize("M", [20.0, 30.0, 37.0, 40.0])
+    def test_large_radius(self, M):
+        # -log th(M/2) = 2 artanh(e^{-M}), free of the cancellation as
+        # th(M/2) rounds to 1
+        assert cap_hyp_disk(M) == pytest.approx(math.pi / math.atanh(math.exp(-M)), rel=1e-14)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             cap_hyp_disk(0.0)
+        # pi e^M leaves the float range from M = 708.6 on
+        for M in (708.7, 709.5, 710.0):
+            with pytest.raises(OverflowError):
+                cap_hyp_disk(M)
 
 
 class TestReferenceConstants:
     def test_M1_substitution(self):
-        assert ref_M1(4 * math.pi) == pytest.approx(math.sqrt(2), rel=1e-15)
+        # M1(4 pi) = sqrt 2
+        assert ref_cap_area(4 * math.pi) == pytest.approx(4 * math.pi / math.log(2), rel=1e-15)
 
     def test_M2_substitution(self):
-        assert ref_M2(2 * math.pi) == pytest.approx(1 + math.sqrt(2), rel=1e-15)
+        # M2(2 pi) = 1 + sqrt 2 = e^{arsh 1}
+        assert ref_cap_perim(2 * math.pi) == pytest.approx(
+            2 * math.pi / math.asinh(1.0), rel=1e-15
+        )
 
-    def test_perimeter_cap_equals_f1(self):
-        for c in (0.3, 2.0, 11.0, 60.0):
-            assert ref_cap_perim(c) == pytest.approx(f1(c), rel=1e-13)
+    @given(st.floats(1e-6, 700.0))
+    def test_disk_formulas_agree(self, M):
+        # the disk of hyperbolic radius M has perimeter 2 pi sh M and
+        # area 4 pi sh^2(M/2)
+        cap = cap_hyp_disk(M)
+        assert ref_cap_perim(2 * math.pi * math.sinh(M)) == pytest.approx(cap, rel=1e-13)
+        assert ref_cap_area(4 * math.pi * math.sinh(0.5 * M) ** 2) == pytest.approx(cap, rel=1e-13)
 
     def test_area_cap_form(self):
         c = 3.0
@@ -58,9 +70,9 @@ class TestReferenceConstants:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            ref_M1(0.0)
+            ref_cap_area(0.0)
         with pytest.raises(ValueError):
-            ref_M2(-2.0)
+            ref_cap_perim(-2.0)
 
 
 class TestTriangleBounds:
@@ -101,18 +113,25 @@ class TestTriangleBounds:
 
 
 class TestHatTriangleCap:
+    """The lower bound is the capacity 6 pi / mu(s^3) of the three
+    spokes [0, s e^{2 pi i k/3}], k = 0, 1, 2."""
+
     def test_matches_lower_bound(self):
-        for s in (0.2, 0.5, 0.8):
-            assert hat_triangle_cap(s) == triangle_bounds_from_s(s).lower
+        # s = 1e-4 gives mu a tiny argument, s^3 = 1e-12
+        for s in (1e-4, 0.2, 0.5, 0.8):
+            assert triangle_bounds_from_s(s).lower == 6 * math.pi / mu(s**3)
 
     def test_direct_value(self):
-        assert hat_triangle_cap(0.7) == pytest.approx(6 * math.pi / mu(0.343), rel=1e-13)
+        assert triangle_bounds_from_s(0.7).lower == pytest.approx(
+            6 * math.pi / mu(0.343), rel=1e-13
+        )
 
     def test_half_disk_doubling_consistency(self):
         # per spoke pair: pi / mu(2 s^{3/2} / (s^3 + 1)) = 2 pi / mu(s^3)
         for s in (0.3, 0.6, 0.9):
             r = 2 * s**1.5 / (s**3 + 1)
-            assert 3 * math.pi / mu(r) == pytest.approx(hat_triangle_cap(s), rel=1e-12)
+            lower = triangle_bounds_from_s(s).lower
+            assert 3 * math.pi / mu(r) == pytest.approx(lower, rel=1e-12)
 
 
 class TestDiskFamilyTheorems:

@@ -1,9 +1,11 @@
 """The package's import graph stays numpy plus scipy.linalg: importing
 every module must pull in none of scipy's heavier subpackages, whose
-import time dominates a fresh process's first solve.  Every name a
-module exports in __all__ exists."""
+import time dominates a fresh process's first solve.  Each module's
+__all__ is exactly right both ways: every name in it exists, and every
+public function or class the module defines is in it."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -43,3 +45,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, missing
+    defined = {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == name
+    }
+    assert not defined - set(module.__all__), sorted(defined - set(module.__all__))

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from hypcap.condenser import ref_cap_perim
 from hypcap.experiments import run_f1f2
-from hypcap.specfun import _agm, f1, f2, mu
+from hypcap.specfun import _agm, f2, mu
 
 
 def K_quadrature(r, tol=1e-13):
@@ -114,14 +115,23 @@ class TestMu:
             assert abs(mu(r) * mu(rc) - math.pi**2 / 4) < 1e-11
 
     def test_domain_errors(self):
-        for bad in (0.0, -0.5, 1.0 + 1e-12, 1e-9):
+        for bad in (0.0, -0.5, 1.0 + 1e-12, math.nan):
             with pytest.raises(ValueError):
                 mu(bad)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-100, 1e-300, 5e-324])
+    def test_tiny_argument(self, r):
+        # mu(r) = log(4/r) + O(r^2); the AGM route holds down to the
+        # smallest subnormal
+        assert mu(r) == pytest.approx(math.log(4.0) - math.log(r), rel=1e-15)
 
 
 class TestF1F2:
     def test_f1_substitution(self):
-        assert f1(2 * math.pi) == pytest.approx(2 * math.pi / math.log(1 + math.sqrt(2)), rel=1e-14)
+        # the driver's f1 is ref_cap_perim
+        (row,) = run_f1f2(c_grid=[2 * math.pi])
+        expected = 2 * math.pi / math.log(1 + math.sqrt(2))
+        assert row.values["f1"] == pytest.approx(expected, rel=1e-14)
 
     def test_f2_special_value(self):
         c = 4 * math.atanh(1 / math.sqrt(2))
@@ -129,11 +139,11 @@ class TestF1F2:
 
     def test_disk_beats_slit(self):
         for c in (0.1, 1.0, 5.0, 20.0, 100.0):
-            assert f1(c) > f2(c)
+            assert ref_cap_perim(c) > f2(c)
 
     def test_both_increasing(self):
         grid = np.linspace(0.05, 100.0, 200)
-        v1 = [f1(c) for c in grid]
+        v1 = [ref_cap_perim(c) for c in grid]
         v2 = [f2(c) for c in grid]
         assert all(b > a for a, b in zip(v1, v1[1:]))
         assert all(b > a for a, b in zip(v2, v2[1:]))
@@ -146,9 +156,13 @@ class TestF1F2:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            f1(0.0)
-        with pytest.raises(ValueError):
             f2(-1.0)
+
+    @pytest.mark.parametrize("c", [2840.0, 2900.0, 2970.0, 3000.0])
+    def test_f2_asymptotic_switch(self, c):
+        # 1/ch(c/4) turns subnormal from c = 2836 on, so the asymptotic
+        # branch must take over well before it
+        assert f2(c) == pytest.approx(8 / math.pi * (math.log(2) + c / 4), rel=1e-15)
 
 
 class TestMuBound:
