@@ -27,10 +27,13 @@ __all__ = [
 def cap_hyp_disk(M: float) -> float:
     """cap(D, B_rho(x, M)) = 2 pi / (-log th(M/2)); center-free by
     Mobius invariance.  Written as 2 pi / log1p(2 / expm1(M)), which has
-    no cancellation as th(M/2) rounds to 1."""
+    no cancellation as th(M/2) rounds to 1; where 2 / expm1(M)
+    overflows (M below about 1e-308) the log is log 2 - log M."""
     if not 0.0 < M < math.inf:
         raise ValueError(f"hyperbolic radius must be positive and finite, got {M}")
-    cap = 2.0 * math.pi / math.log1p(2.0 / math.expm1(M))
+    q = 2.0 / math.expm1(M)
+    log_q = math.log1p(q) if q < math.inf else math.log(2.0) - math.log(M)
+    cap = 2.0 * math.pi / log_q
     if cap == math.inf:
         raise OverflowError(f"cap_hyp_disk({M}) exceeds the float range")
     return cap
@@ -38,19 +41,25 @@ def cap_hyp_disk(M: float) -> float:
 
 def ref_cap_area(c: float) -> float:
     """Capacity 2 pi / log M1 = 4 pi / log1p(4 pi / c) of the reference
-    disk |z| <= 1/M1 of hyperbolic area c, M1 = sqrt(1 + 4 pi / c)."""
+    disk |z| <= 1/M1 of hyperbolic area c, M1 = sqrt(1 + 4 pi / c);
+    where 4 pi / c overflows the log is log(4 pi) - log c."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"ref_cap_area requires 0 < c < inf, got {c}")
-    return 4.0 * math.pi / math.log1p(4.0 * math.pi / c)
+    q = 4.0 * math.pi / c
+    log_q = math.log1p(q) if q < math.inf else math.log(4.0 * math.pi) - math.log(c)
+    return 4.0 * math.pi / log_q
 
 
 def ref_cap_perim(c: float) -> float:
     """Capacity 2 pi / log M2 = 2 pi / arsh(2 pi / c) of the reference
     disk |z| <= 1/M2 of hyperbolic perimeter c, M2 = sqrt(1 + 4 pi^2 /
-    c^2) + 2 pi / c; the paper's f1."""
+    c^2) + 2 pi / c; the paper's f1.  Where 2 pi / c overflows, arsh of
+    it is log(4 pi) - log c to rounding."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"ref_cap_perim requires 0 < c < inf, got {c}")
-    return 2.0 * math.pi / math.asinh(2.0 * math.pi / c)
+    q = 2.0 * math.pi / c
+    log_q = math.asinh(q) if q < math.inf else math.log(4.0 * math.pi) - math.log(c)
+    return 2.0 * math.pi / log_q
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Experiment drivers: capacity comparisons, tables, and sequences.
 
 Each driver returns a list of ExperimentRow records.  One helper,
-_solve, records a row's solve: the capacity and its boundary residual
-side by side in values ("capacity" and "residual", or "cap_X" and
-"residual_X" on conjecture rows, where _solve_pair adds the
-competitor's "cap_X0" and "residual_X0"), the converged flag, and the
-equal-perimeter-disk check.  So a row stores every number its verdicts
-compare (a sequence's previous row and the table's cell rows hold the
-rest).  Every verdict on a solved capacity follows one rule: it is True
-or False when the compared values differ by more than the slack, twice
-the largest boundary residual of the solves compared, and the string
+_solve, records a row's solve from the plate alone, which fixes the
+tolerance (the solver's default) and the equal-perimeter disk: the
+capacity and its boundary residual side by side in values ("capacity"
+and "residual", or "cap_X" and "residual_X" on conjecture rows, where
+_solve_pair adds the competitor's "cap_X0" and "residual_X0"), the
+converged flag, and the disk check.  So a row stores every number its
+verdicts compare (a sequence's previous row and the table's cell rows
+hold the rest).  Every verdict on a solved capacity follows one rule: it
+is True or False when the compared values differ by more than the slack,
+twice the largest boundary residual of the solves compared, and
 "inconclusive-within-residual" otherwise.  A verdict over several
-comparisons is False if any of them is, else inconclusive if any of
-them is, else True.  Checks between closed forms keep their own
-rounding tolerances.
+comparisons is False if any of them is, else inconclusive if any of them
+is, else True.  Closed-form checks keep their own rounding tolerances.
 
 Default inputs mirror the published experiments: ten triangle vertex
 triples, seven irregular polygons, the 9 x 5 regular-polygon grid, and
@@ -25,13 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .capsolve import (
-    DEFAULT_TOL_POLYGON,
-    ConfigurationError,
-    SolveReport,
-    SolverError,
-    cap_polygon,
-)
+from .capsolve import ConfigurationError, SolveReport, SolverError, cap_polygon
 from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     GeometryError,
@@ -95,9 +89,6 @@ DEFAULT_POLYGON_ROWS = [
 DEFAULT_TABLE_R = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 DEFAULT_TABLE_M = [3, 4, 5, 6, 7]
 
-# residual tolerance of the sequence solves
-TOL_SEQUENCE = 1e-2
-
 # what a bad input row can raise; anything else is a bug and propagates
 _ROW_ERRORS = (GeometryError, SolverError, ConfigurationError)
 
@@ -140,12 +131,13 @@ def _all_hold(verdicts):
     return INCONCLUSIVE if INCONCLUSIVE in verdicts else True
 
 
-def _solve(plate, tol, perimeter, names=("capacity", "residual")):
+def _solve(plate, names=("capacity", "residual")):
     """Solve one plate: the report, and the values and verdicts every
-    solved row carries.  names key the capacity and its residual; the
-    perimeter gives the equal-perimeter disk that bounds the capacity."""
-    rep = cap_polygon(plate, tol)
-    bound = ref_cap_perim(perimeter)
+    solved row carries.  The plate alone fixes both the solve, at the
+    solver's default tolerance, and the equal-perimeter disk that bounds
+    its capacity; names key the capacity and its residual."""
+    rep = cap_polygon(plate)
+    bound = ref_cap_perim(polygon_perimeter(plate))
     values = {names[0]: rep.capacity, names[1]: rep.boundary_residual, "perimeter_bound": bound}
     verdicts = {
         "converged": bool(rep.converged),
@@ -154,13 +146,13 @@ def _solve(plate, tol, perimeter, names=("capacity", "residual")):
     return rep, values, verdicts
 
 
-def _solve_pair(plate, competitor, perimeter, x):
-    """Solve a plate, then its competitor: _solve's entries under cap_X
-    and residual_X, the competitor's cap_X0 and residual_X0, the pair's
-    slack, and both_converged in place of converged."""
-    names = (f"cap_{x}", f"residual_{x}")
-    rep, values, verdicts = _solve(plate, DEFAULT_TOL_POLYGON, perimeter, names)
-    rep_0 = cap_polygon(competitor, DEFAULT_TOL_POLYGON)
+def _solve_pair(plate, competitor, x):
+    """Solve a plate, then its competitor, each as _solve does: _solve's
+    entries under cap_X and residual_X, the competitor's cap_X0 and
+    residual_X0, the pair's slack, and both_converged in place of
+    converged."""
+    rep, values, verdicts = _solve(plate, (f"cap_{x}", f"residual_{x}"))
+    rep_0 = cap_polygon(competitor)
     values |= {
         f"cap_{x}0": rep_0.capacity,
         f"residual_{x}0": rep_0.boundary_residual,
@@ -207,9 +199,7 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
             r0 = equilateral_triangle_radius(omega)
             t0_poly = regular_polygon(3, r0)
             area0 = polygon_measures(t0_poly).area
-            values, verdicts = _solve_pair(
-                recenter_triangle(v1, v2, v3), t0_poly, tm.perimeter, "T"
-            )
+            values, verdicts = _solve_pair(recenter_triangle(v1, v2, v3), t0_poly, "T")
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
@@ -236,7 +226,7 @@ def run_polygon_conjecture(polygons=None) -> list[ExperimentRow]:
             poly = HypPolygon.from_vertices(vs)
             L = polygon_perimeter(poly)
             r0 = regular_radius_from_perimeter(m, L)
-            values, verdicts = _solve_pair(poly, regular_polygon(m, r0), L, "P")
+            values, verdicts = _solve_pair(poly, regular_polygon(m, r0), "P")
         except _ROW_ERRORS as exc:
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue
@@ -257,8 +247,7 @@ def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
     for r in r_list:
         for m in m_list:
             rid = f"table_r{r:g}_m{m}"
-            poly = regular_polygon(m, r)
-            rep, values, verdicts = _solve(poly, DEFAULT_TOL_POLYGON, polygon_perimeter(poly))
+            rep, values, verdicts = _solve(regular_polygon(m, r))
             grid[(r, m)] = rep
             values |= {"r": float(r), "m": float(m)}
             out.append(ExperimentRow(rid, {"m": m, "r": float(r)}, values, verdicts))
@@ -297,8 +286,7 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
         else:
             r = regular_radius_from_perimeter(m, c)
             bound = ref_cap_perim(c)
-        poly = regular_polygon(m, r)
-        rep, values, verdicts = _solve(poly, TOL_SEQUENCE, polygon_perimeter(poly))
+        rep, values, verdicts = _solve(regular_polygon(m, r))
         slack = _slack(rep)
         values |= {"r": r, "m": float(m), "reference_bound": bound, "slack": slack}
         # a perimeter row's bound check is its within_perimeter_bound
@@ -362,8 +350,7 @@ def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
     out = []
     for s in s_grid:
         b = triangle_bounds_from_s(s)
-        poly = regular_polygon(3, s)
-        rep, values, verdicts = _solve(poly, DEFAULT_TOL_POLYGON, polygon_perimeter(poly))
+        rep, values, verdicts = _solve(regular_polygon(3, s))
         slack = _slack(rep)
         values |= {
             "s": float(s),

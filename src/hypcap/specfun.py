@@ -26,9 +26,10 @@ __all__ = [
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 64
 
-# f2 switches to mu(s) = log(4/s) + O(s^2) below this s = 1/ch(c/4): the
-# asymptotic form is exact to 1e-16 there, and s itself soon becomes
-# subnormal (from c = 2836 on) and loses digits.
+# f2 switches to mu(s) = log(4/s) + O(s^2) below this s, for s = th(c/4)
+# at small c and s = 1/ch(c/4) at large c: the asymptotic form is exact
+# to 1e-16 there, and s itself soon underflows (0.25 c is 0 for c <= 1e-323)
+# or becomes subnormal (1/ch(c/4) from c = 2836 on) and loses digits.
 _F2_ASYMPTOTIC_S = 1e-8
 
 
@@ -63,13 +64,16 @@ def f2(c: float) -> float:
     hyperbolic perimeter c (twice its diameter): 2*pi / mu(th(c/4)).
 
     Evaluated through the reflection mu(th x) = (pi^2/4) / mu(1/ch x),
-    which stays accurate where th(c/4) rounds to 1; for large c the
-    asymptotic mu(s) ~ log(4/s) takes over (see _F2_ASYMPTOTIC_S).
+    which stays accurate where th(c/4) rounds to 1; for small and large
+    c the asymptotic mu(s) ~ log(4/s) takes over (see _F2_ASYMPTOTIC_S).
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"f2 requires 0 < c < inf, got {c}")
     x = 0.25 * c
     t = math.tanh(x)
+    if t < _F2_ASYMPTOTIC_S:
+        # log(4 / th(c/4)) = log 16 - log c, without the underflow of c/4
+        return 2.0 * math.pi / (math.log(16.0) - math.log(c))
     if t <= 0.9:
         return 2.0 * math.pi / mu(t)
     # 1 / ch x without the overflow of ch x

@@ -62,6 +62,15 @@ class TestReferenceConstants:
         assert ref_cap_perim(2 * math.pi * math.sinh(M)) == pytest.approx(cap, rel=1e-13)
         assert ref_cap_area(4 * math.pi * math.sinh(0.5 * M) ** 2) == pytest.approx(cap, rel=1e-13)
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-308, 5e-324])
+    def test_tiny_argument(self, x):
+        # k / x overflows below about 1e-308, and each log is then
+        # log k - log x
+        log_disk, log_ref = math.log(2) - math.log(x), math.log(4 * math.pi) - math.log(x)
+        assert cap_hyp_disk(x) == pytest.approx(2 * math.pi / log_disk, rel=1e-15)
+        assert ref_cap_area(x) == pytest.approx(4 * math.pi / log_ref, rel=1e-15)
+        assert ref_cap_perim(x) == pytest.approx(2 * math.pi / log_ref, rel=1e-15)
+
     def test_area_cap_form(self):
         c = 3.0
         assert ref_cap_area(c) == pytest.approx(

@@ -12,6 +12,7 @@ residual-slack rule and be recomputable from the values the rows store.
 
 import cmath
 import dataclasses
+import inspect
 import math
 import re
 from types import SimpleNamespace
@@ -22,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcap import experiments
-from hypcap.capsolve import cap_polygon
+from hypcap.capsolve import DEFAULT_TOL_POLYGON, cap_polygon
+from hypcap.condenser import ref_cap_perim
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
-from hypcap.hypgeom import mobius
+from hypcap.hypgeom import mobius, polygon_perimeter
 
 # first-level solves only: the needle triangles 2, 6 and 10 are left out
 REDUCED_RUNS = {
@@ -123,6 +125,34 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
         compared = {k: v for k, v in row.verdicts.items() if k not in NON_CAPACITY_VERDICTS}
         assert compared, row.id
         assert all(v == INCONCLUSIVE for v in compared.values()), (row.id, compared)
+
+
+@pytest.mark.parametrize("name", SOLVING_DRIVERS)
+def test_solve_fixed_by_plate_alone(name, monkeypatch):
+    # every solve runs at the solver's default tolerance, and each row's
+    # bound is the equal-perimeter disk of the plate that row solved
+    solve, calls = experiments.cap_polygon, []
+    signature = inspect.signature(solve)
+
+    def recorded(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        calls.append((call.arguments["poly"], call.arguments["tol"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cap_polygon", recorded)
+    rows = REDUCED_RUNS[name]()
+    assert calls and all(tol == DEFAULT_TOL_POLYGON for _, tol in calls)
+    # a row solves its plate first, then a pair row its competitor
+    plates = iter(plate for plate, _ in calls)
+    for row in rows:
+        if "perimeter_bound" not in row.values:
+            continue
+        plate = next(plates)
+        if "both_converged" in row.verdicts:
+            next(plates)
+        assert row.values["perimeter_bound"] == ref_cap_perim(polygon_perimeter(plate)), row.id
+    assert next(plates, None) is None
 
 
 @settings(max_examples=10)

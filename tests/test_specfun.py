@@ -150,7 +150,7 @@ class TestF1F2:
 
     def test_f2_branch_continuity(self):
         # direct / reflected / asymptotic branches agree where they meet
-        for c in (3.59, 3.61, 139.0, 143.0):
+        for c in (4e-8, 3.59, 3.61, 139.0, 143.0):
             lo, hi = f2(c * (1 - 1e-9)), f2(c * (1 + 1e-9))
             assert hi == pytest.approx(lo, rel=1e-7)
 
@@ -163,6 +163,12 @@ class TestF1F2:
         # 1/ch(c/4) turns subnormal from c = 2836 on, so the asymptotic
         # branch must take over well before it
         assert f2(c) == pytest.approx(8 / math.pi * (math.log(2) + c / 4), rel=1e-15)
+
+    @pytest.mark.parametrize("c", [1e-20, 1e-300, 5e-324])
+    def test_f2_small_perimeter(self, c):
+        # below th(c/4) = 1e-8 mu(th(c/4)) is log 16 - log c to rounding,
+        # and 0.25 c underflows to 0 for c <= 1e-323
+        assert f2(c) == pytest.approx(2 * math.pi / (math.log(16) - math.log(c)), rel=1e-15)
 
 
 class TestMuBound:
