@@ -338,7 +338,9 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     nodes = keep & (pos % 2 == 0)
     check = keep & (pos % 2 == 1)
     zn = z[nodes]
-    log_speed = math.log(n) + (n - 1) * np.log(np.abs(zn)) + np.log(np.abs(dz[nodes]))
+    # log|d(z^n)/du|; for n = 1 the z^(n-1) factor is 1, also at a node at 0
+    log_zn = (n - 1) * np.log(np.abs(zn)) if n > 1 else 0.0
+    log_speed = math.log(n) + log_zn + np.log(np.abs(dz[nodes]))
     return Discretization(
         nodes=zn,
         pos=pos[nodes],

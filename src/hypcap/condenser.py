@@ -2,21 +2,20 @@
 
 Everything in this module is a formula, one per quantity, each accurate
 over its whole domain: the capacity of a hyperbolic disk, of the
-reference disks of given hyperbolic area or perimeter, and the
-two-sided capacity bounds for the centered equilateral triangle with
-vertices s, s e^{2 pi i/3}, s e^{4 pi i/3}.  No numerics beyond scalar
-special functions; the Nystrom solver lives in capsolve.
+reference disks of given hyperbolic area or perimeter, and the two
+capacity bounds, lower and upper, for the centered equilateral triangle
+with vertices s, s e^{2 pi i/3}, s e^{4 pi i/3}.  No numerics beyond
+scalar special functions; the Nystrom solver lives in capsolve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from .specfun import mu
 
 __all__ = [
-    "TriangleBoundSet",
     "cap_hyp_disk",
     "ref_cap_area",
     "ref_cap_perim",
@@ -62,36 +61,15 @@ def ref_cap_perim(c: float) -> float:
     return 2.0 * math.pi / log_q
 
 
-@dataclass(frozen=True)
-class TriangleBoundSet:
-    """Two-sided capacity bounds for the centered equilateral triangle
-    with vertices s, s e^{2 pi i/3}, s e^{4 pi i/3}.
-
-    lower is the exact capacity of the inscribed three-spoke set;
-    upper_s, upper_perim and upper_area are the same upper bound written
-    in terms of s, the perimeter u, and the area v respectively."""
-
-    s: float
-    lower: float
-    upper_s: float
-    upper_perim: float
-    upper_area: float
-
-
-def triangle_bounds_from_s(s: float) -> TriangleBoundSet:
-    """Capacity bounds 6 pi/mu(s^3) <= cap <= 3 pi/mu(sqrt(3) s /
-    sqrt(s^4 + s^2 + 1)) with the upper bound's perimeter and area
-    rewrites evaluated from their own closed forms."""
+def triangle_bounds_from_s(s: float) -> tuple[float, float]:
+    """The two capacity bounds (lower, upper) = (6 pi/mu(s^3), 3 pi/mu(sqrt(3) s
+    / sqrt(s^4 + s^2 + 1))) of the centered equilateral triangle; lower is
+    the exact capacity of its three spokes.  Where s^3 is subnormal or 0
+    (s below about 2.8e-103), mu(s^3) is log 4 - 3 log s, which mu(r)
+    equals to 1e-16 far above that."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"triangle_bounds_from_s requires 0 < s < 1, got {s}")
-    lower = 6.0 * math.pi / mu(s**3)
-    th_u6 = math.sqrt(3.0) * s / math.sqrt(s**4 + s**2 + 1.0)
-    upper_s = 3.0 * math.pi / mu(th_u6)
-    u = 6.0 * math.atanh(th_u6)
-    upper_perim = 3.0 * math.pi / mu(math.tanh(u / 6.0))
-    # area from 2 ch(u/6) sin((pi - v)/6) = 1
-    v = math.pi - 6.0 * math.asin(0.5 / math.cosh(u / 6.0))
-    upper_area = (12.0 / math.pi) * mu(2.0 * math.sin((math.pi - v) / 6.0))
-    return TriangleBoundSet(
-        s=s, lower=lower, upper_s=upper_s, upper_perim=upper_perim, upper_area=upper_area
-    )
+    r = s**3
+    mu_r = mu(r) if r >= sys.float_info.min else math.log(4.0) - 3.0 * math.log(s)
+    upper = 3.0 * math.pi / mu(math.sqrt(3.0) * s / math.sqrt(s**4 + s**2 + 1.0))
+    return 6.0 * math.pi / mu_r, upper

@@ -1,16 +1,17 @@
 """Experiment drivers: capacity comparisons, tables, and sequences.
 
-Each driver returns a list of ExperimentRow records.  One helper,
-_solve, records a row's solve from the plate alone, which fixes the
-tolerance (the solver's default) and the equal-perimeter disk: the
-capacity and its boundary residual side by side in values ("capacity"
-and "residual", or "cap_X" and "residual_X" on conjecture rows, where
-_solve_pair adds the competitor's "cap_X0" and "residual_X0"), the
-converged flag, and the disk check.  So a row stores every number its
-verdicts compare (a sequence's previous row and the table's cell rows
-hold the rest).  Every verdict on a solved capacity follows one rule: it
-is True or False when the compared values differ by more than the slack,
-twice the largest boundary residual of the solves compared, and
+Each driver returns a list of ExperimentRow records.  Every bound a row
+checks comes from the plate it solved: _solve solves the plate alone, at
+the solver's default tolerance, and checks its equal-perimeter disk;
+area rows add the equal-area disk and bounds rows the upper bound's two
+forms, at the measured area and perimeter.  values hold each capacity
+beside its boundary residual ("capacity" and "residual", or "cap_X" and
+"residual_X" on conjecture rows, where _solve_pair adds the competitor's
+"cap_X0" and "residual_X0").  So a row stores every number its verdicts
+compare (a sequence's previous row and the table's cell rows hold the
+rest).  Every verdict on a solved capacity follows one rule: it is True
+or False when the compared values differ by more than the slack, twice
+the largest boundary residual of the solves compared, and
 "inconclusive-within-residual" otherwise.  A verdict over several
 comparisons is False if any of them is, else inconclusive if any of them
 is, else True.  Closed-form checks keep their own rounding tolerances.
@@ -40,7 +41,7 @@ from .hypgeom import (
     regular_radius_from_perimeter,
     triangle_measures,
 )
-from .specfun import f2
+from .specfun import f2, mu
 
 __all__ = [
     "DEFAULT_POLYGON_ROWS",
@@ -276,21 +277,19 @@ def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
 
 def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
     decreasing = kind == "area"
+    radius = regular_radius_from_area if decreasing else regular_radius_from_perimeter
     out = []
     prev = None
     for m in m_range:
         rid = f"seq_{kind}_c{c:g}_m{m}"
-        if decreasing:
-            r = regular_radius_from_area(m, c)
-            bound = ref_cap_area(c)
-        else:
-            r = regular_radius_from_perimeter(m, c)
-            bound = ref_cap_perim(c)
-        rep, values, verdicts = _solve(regular_polygon(m, r))
+        r = radius(m, c)
+        plate = regular_polygon(m, r)
+        rep, values, verdicts = _solve(plate)
         slack = _slack(rep)
-        values |= {"r": r, "m": float(m), "reference_bound": bound, "slack": slack}
+        values |= {"r": r, "m": float(m), "slack": slack}
         # a perimeter row's bound check is its within_perimeter_bound
         if decreasing:
+            values["area_bound"] = bound = ref_cap_area(polygon_measures(plate).area)
             verdicts["above_area_bound"] = _ordered_verdict(rep.capacity, bound, slack)
         if prev is not None:
             values["previous_capacity"] = prev.capacity
@@ -345,27 +344,32 @@ def run_f1f2(c_grid=None) -> list[ExperimentRow]:
 
 def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
     """Sandwich check: solved equilateral-triangle capacity between the
-    spoke lower bound and the single-side upper bound."""
+    spoke lower bound and the single-side upper bound, and that bound's
+    perimeter and area forms at the plate's measured perimeter u and area
+    v.  The area form loses digits as v -> 0 (its mu argument tends to
+    1), so rewrites_agree fails from s of about 1e-4 down."""
     s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] if s_grid is None else s_grid
     out = []
     for s in s_grid:
-        b = triangle_bounds_from_s(s)
-        rep, values, verdicts = _solve(regular_polygon(3, s))
+        lower, upper = triangle_bounds_from_s(s)
+        plate = regular_polygon(3, s)
+        rep, values, verdicts = _solve(plate)
+        pm = polygon_measures(plate)
+        upper_perim = 3.0 * math.pi / mu(math.tanh(pm.perimeter / 6.0))
+        # mu(r) mu(r') = pi^2 / 4, and r' = 1 / ch(u/6) = 2 sin((pi - v)/6)
+        upper_area = (12.0 / math.pi) * mu(2.0 * math.sin((math.pi - pm.area) / 6.0))
         slack = _slack(rep)
         values |= {
-            "s": float(s),
-            "lower": b.lower,
-            "upper": b.upper_s,
-            "upper_perim_form": b.upper_perim,
-            "upper_area_form": b.upper_area,
+            "s": float(s), "lower": lower, "upper": upper,
+            "upper_perim_form": upper_perim, "upper_area_form": upper_area,
         }
         verdicts["sandwich"] = _all_hold([
-            _ordered_verdict(rep.capacity, b.lower, slack),
-            _ordered_verdict(b.upper_s, rep.capacity, slack),
+            _ordered_verdict(rep.capacity, lower, slack),
+            _ordered_verdict(upper, rep.capacity, slack),
         ])
         verdicts["rewrites_agree"] = bool(
-            abs(b.upper_perim - b.upper_s) <= 1e-12 * b.upper_s
-            and abs(b.upper_area - b.upper_s) <= 1e-10 * max(1.0, b.upper_s)
+            abs(upper_perim - upper) <= 1e-12 * upper
+            and abs(upper_area - upper) <= 1e-10 * max(1.0, upper)
         )
         out.append(ExperimentRow(f"bounds_s{s:g}", {"s": float(s)}, values, verdicts))
     return out

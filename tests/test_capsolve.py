@@ -149,6 +149,14 @@ class TestSmoothPlates:
             exact = cap_hyp_disk(M)
             assert abs(rep.capacity - exact) / exact < 1e-7
 
+    def test_disk_through_origin(self):
+        # the circle's real diameter runs from -0.6 to 0, so one node sits
+        # exactly at z = 0
+        rep = solve_capacity(BoundarySet.from_euclid_disk(-0.3, 0.3), tol=DEFAULT_TOL_SMOOTH)
+        exact = cap_hyp_disk(math.atanh(0.6))
+        assert rep.converged
+        assert abs(rep.capacity - exact) <= 1e-12 * exact
+
 
 class TestPolygonPlates:
     def test_regular_triangle_anchor(self):
@@ -484,6 +492,29 @@ class TestNystrom:
         rep0, rep1 = cap_polygon(HypPolygon.from_vertices(vertices)), cap_polygon(moved)
         slack = 3 * max(rep0.boundary_residual, rep1.boundary_residual)
         assert abs(rep1.capacity - rep0.capacity) <= slack
+
+    @settings(max_examples=10)
+    @given(
+        radii=st.tuples(*[st.floats(0.3, 0.7)] * 3),
+        jitter=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+        push=st.floats(0.1, 1.0),
+    )
+    def test_monotone_under_inclusion(self, radii, jitter, push):
+        # pushing b out along the geodesic ray from a gives a triangle
+        # that contains (a, b, c), so its capacity is no smaller, up to
+        # the verdict rule's slack
+        a, b, c = [
+            rho * cmath.exp(1j * (2.0 * math.pi * k / 3 + dt))
+            for k, (rho, dt) in enumerate(zip(radii, jitter))
+        ]
+        assume(min(triangle_measures(a, b, c).angles) > 0.15)
+        w = mobius(a, b)
+        # 1 < lam and |lam w| <= 0.95, since |w| < 0.95 for radii <= 0.7
+        lam = 1.0 + push * (0.95 / abs(w) - 1.0)
+        inner = cap_polygon(recenter_triangle(a, b, c))
+        outer = cap_polygon(recenter_triangle(a, mobius(-a, lam * w), c))
+        slack = 2 * max(inner.boundary_residual, outer.boundary_residual)
+        assert outer.capacity >= inner.capacity - slack
 
 
 class TestDiscretize:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim, triangle_bounds_from_s
+from hypcap.hypgeom import polygon_measures, regular_polygon
 from hypcap.specfun import mu
 
 SEED = 46111
@@ -87,33 +88,52 @@ class TestReferenceConstants:
 class TestTriangleBounds:
     def test_vanishing_triangle(self):
         # decay toward 0 is logarithmic in s
-        b = triangle_bounds_from_s(1e-4)
-        assert 0 < b.lower < b.upper_s < 1.0
-        assert triangle_bounds_from_s(1e-100).lower < 0.05
+        lower, upper = triangle_bounds_from_s(1e-4)
+        assert 0 < lower < upper < 1.0
+        assert triangle_bounds_from_s(1e-100)[0] < 0.05
 
     def test_values_from_mu(self):
-        b = triangle_bounds_from_s(0.5)
-        assert b.lower == pytest.approx(6 * math.pi / mu(0.125), rel=1e-13)
-        assert b.upper_s == pytest.approx(
+        lower, upper = triangle_bounds_from_s(0.5)
+        assert lower == pytest.approx(6 * math.pi / mu(0.125), rel=1e-13)
+        assert upper == pytest.approx(
             3 * math.pi / mu(math.sqrt(3) / (2 * math.sqrt(1.3125))), rel=1e-13
         )
 
     def test_rewrites_agree(self):
+        # the paper's perimeter and area forms of the upper bound, at the
+        # perimeter u and area v that hyp_dist and Gauss-Bonnet measure
         for s in np.linspace(0.05, 0.95, 19):
-            b = triangle_bounds_from_s(s)
-            assert abs(b.upper_perim - b.upper_s) < 1e-12 * b.upper_s
-            assert abs(b.upper_area - b.upper_s) < 1e-10 * max(1.0, b.upper_s)
+            upper = triangle_bounds_from_s(s)[1]
+            pm = polygon_measures(regular_polygon(3, s))
+            upper_perim = 3 * math.pi / mu(math.tanh(pm.perimeter / 6))
+            upper_area = (12 / math.pi) * mu(2 * math.sin((math.pi - pm.area) / 6))
+            assert abs(upper_perim - upper) < 1e-12 * upper
+            assert abs(upper_area - upper) < 1e-10 * max(1.0, upper)
 
     def test_sandwich_and_monotone(self):
         prev = None
         for s in np.linspace(0.05, 0.95, 46):
-            b = triangle_bounds_from_s(s)
-            assert b.lower <= b.upper_s
-            assert math.isfinite(b.lower) and math.isfinite(b.upper_s)
+            lower, upper = triangle_bounds_from_s(s)
+            assert lower <= upper
+            assert math.isfinite(lower) and math.isfinite(upper)
             if prev is not None:
-                assert b.lower > prev.lower
-                assert b.upper_s > prev.upper_s
-            prev = b
+                assert lower > prev[0]
+                assert upper > prev[1]
+            prev = lower, upper
+
+    @pytest.mark.parametrize("s", [1e-107, 1e-109, 1e-200, 1e-300])
+    def test_subnormal_cube(self, s):
+        # s^3 is subnormal or 0, and mu(r) = log 4 - log r to rounding
+        lower, upper = triangle_bounds_from_s(s)
+        log4 = math.log(4)
+        assert lower == pytest.approx(6 * math.pi / (log4 - 3 * math.log(s)), rel=1e-15)
+        assert upper == pytest.approx(
+            3 * math.pi / (log4 - math.log(math.sqrt(3) * s)), rel=1e-15
+        )
+
+    def test_smallest_subnormal(self):
+        lower, upper = triangle_bounds_from_s(5e-324)
+        assert 0 < lower < upper < math.inf
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1):
@@ -128,18 +148,18 @@ class TestHatTriangleCap:
     def test_matches_lower_bound(self):
         # s = 1e-4 gives mu a tiny argument, s^3 = 1e-12
         for s in (1e-4, 0.2, 0.5, 0.8):
-            assert triangle_bounds_from_s(s).lower == 6 * math.pi / mu(s**3)
+            lower, _ = triangle_bounds_from_s(s)
+            assert lower == 6 * math.pi / mu(s**3)
 
     def test_direct_value(self):
-        assert triangle_bounds_from_s(0.7).lower == pytest.approx(
-            6 * math.pi / mu(0.343), rel=1e-13
-        )
+        lower, _ = triangle_bounds_from_s(0.7)
+        assert lower == pytest.approx(6 * math.pi / mu(0.343), rel=1e-13)
 
     def test_half_disk_doubling_consistency(self):
         # per spoke pair: pi / mu(2 s^{3/2} / (s^3 + 1)) = 2 pi / mu(s^3)
         for s in (0.3, 0.6, 0.9):
             r = 2 * s**1.5 / (s**3 + 1)
-            lower = triangle_bounds_from_s(s).lower
+            lower, _ = triangle_bounds_from_s(s)
             assert 3 * math.pi / mu(r) == pytest.approx(lower, rel=1e-12)
 
 

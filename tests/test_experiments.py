@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from hypcap import experiments
 from hypcap.capsolve import DEFAULT_TOL_POLYGON, cap_polygon
-from hypcap.condenser import ref_cap_perim
+from hypcap.condenser import ref_cap_area, ref_cap_perim
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
-from hypcap.hypgeom import mobius, polygon_perimeter
+from hypcap.hypgeom import mobius, polygon_measures, polygon_perimeter
+from hypcap.specfun import mu
 
 # first-level solves only: the needle triangles 2, 6 and 10 are left out
 REDUCED_RUNS = {
@@ -129,8 +130,10 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
 
 @pytest.mark.parametrize("name", SOLVING_DRIVERS)
 def test_solve_fixed_by_plate_alone(name, monkeypatch):
-    # every solve runs at the solver's default tolerance, and each row's
-    # bound is the equal-perimeter disk of the plate that row solved
+    # every solve runs at the solver's default tolerance, and every bound
+    # a row checks comes from the plate that row solved: its
+    # equal-perimeter disk, an area row's equal-area disk, and a bounds
+    # row's perimeter and area forms at the plate's measured u and v
     solve, calls = experiments.cap_polygon, []
     signature = inspect.signature(solve)
 
@@ -152,6 +155,14 @@ def test_solve_fixed_by_plate_alone(name, monkeypatch):
         if "both_converged" in row.verdicts:
             next(plates)
         assert row.values["perimeter_bound"] == ref_cap_perim(polygon_perimeter(plate)), row.id
+        pm = polygon_measures(plate)
+        if name == "sequence_area":
+            assert row.values["area_bound"] == ref_cap_area(pm.area), row.id
+        if name == "triangle_bounds":
+            upper_perim = 3 * math.pi / mu(math.tanh(pm.perimeter / 6))
+            upper_area = (12 / math.pi) * mu(2 * math.sin((math.pi - pm.area) / 6))
+            assert row.values["upper_perim_form"] == upper_perim, row.id
+            assert row.values["upper_area_form"] == upper_area, row.id
     assert next(plates, None) is None
 
 
@@ -239,7 +250,7 @@ def _capacity_verdicts(row, rows_by_id, previous):
                 [verdict(cap, v["lower"], _slack(res)), verdict(v["upper"], cap, _slack(res))]
             )
         if row.id.startswith("seq_area_"):
-            out["above_area_bound"] = verdict(cap, v["reference_bound"], _slack(res))
+            out["above_area_bound"] = verdict(cap, v["area_bound"], _slack(res))
         if "previous_capacity" in v:
             pair = _slack(res, previous.values["residual"])
             if row.id.startswith("seq_area_"):
