@@ -39,7 +39,6 @@ from .hypgeom import (
     regular_polygon,
     regular_radius_from_area,
     regular_radius_from_perimeter,
-    triangle_measures,
 )
 from .specfun import f2, mu
 
@@ -185,9 +184,12 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
 def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
     """Compare cap(D, T) against the equilateral triangle of equal area.
 
-    For each vertex triple: measure the triangle, build the equilateral
-    competitor from the mean angle, solve both capacities, and check
-    cap(T) >= cap(T0) with residual slack.
+    For each vertex triple: recentre the triangle (recenter_triangle),
+    measure that plate from its sides, build the equilateral competitor
+    from its mean angle, solve both capacities, and check cap(T) >=
+    cap(T0) with residual slack.  The area and the angles are those of
+    the plate solved, not of the raw triple, which differs from it only
+    by an isometry.
     """
     rows = DEFAULT_TRIANGLE_ROWS if rows is None else rows
     out = []
@@ -195,12 +197,13 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
         rid = f"triangle_{i + 1}"
         inputs = {"vertices": [[v.real, v.imag] for v in map(complex, (v1, v2, v3))]}
         try:
-            tm = triangle_measures(v1, v2, v3)
+            plate = recenter_triangle(v1, v2, v3)
+            tm = polygon_measures(plate)
             omega = sum(tm.angles) / 3.0
             r0 = equilateral_triangle_radius(omega)
             t0_poly = regular_polygon(3, r0)
             area0 = polygon_measures(t0_poly).area
-            values, verdicts = _solve_pair(recenter_triangle(v1, v2, v3), t0_poly, "T")
+            values, verdicts = _solve_pair(plate, t0_poly, "T")
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
             out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
             continue

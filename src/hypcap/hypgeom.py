@@ -6,16 +6,16 @@ distances come from the standard Poincare metric, and polygons are closed
 chains of geodesic arcs.  Everything here is exact geometry; no solver
 machinery.
 
-Polygons and triangles are measured by one rule.  The Euclidean angle
-between the tangents of two sides meeting at a vertex is the hyperbolic
-vertex angle (the model is conformal); the tangents come from the disk
-automorphism that moves the vertex to 0, and Gauss-Bonnet turns the
-angles into the area (m - 2) pi - sum(angles).  Nothing depends on where
-the origin lies, and the small angles near the ideal boundary come out
-without cancellation.  HypPolygon checks at construction, exactly and
-from the phase steps between its vertices, that its plate is starlike
-about 0: that validates the vertex list as a simple, counterclockwise
-boundary.  Every side, diameter or not, is one closed form (GeodesicArc).
+Polygons and triangles are measured from their sides by one rule.  The
+model is conformal, so the Euclidean turn between the end tangents of
+two sides meeting at a vertex gives the hyperbolic vertex angle, and
+Gauss-Bonnet on the Euclidean boundary gives the area as minus the sum
+of the sides' own turns (GeodesicArc.dtheta): no angle sum cancels, and
+nothing depends on where the origin lies.  HypPolygon checks at
+construction, exactly and from the phase steps between its vertices,
+that its plate is starlike about 0: that validates the vertex list as a
+simple, counterclockwise boundary.  Every side, diameter or not, is one
+closed form (GeodesicArc).
 """
 
 from __future__ import annotations
@@ -182,11 +182,6 @@ def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:
     return GeodesicArc(z1, z2, 2.0 * cmath.phase(1.0 - z1.conjugate() * z2))
 
 
-def _perimeter(vertices) -> float:
-    m = len(vertices)
-    return sum(hyp_dist(vertices[k], vertices[(k + 1) % m]) for k in range(m))
-
-
 class PolygonMeasures(NamedTuple):
     """Area, perimeter, and interior angles; angles[k] sits at vertex k."""
 
@@ -195,37 +190,34 @@ class PolygonMeasures(NamedTuple):
     angles: list[float]
 
 
-def _measures(vertices) -> PolygonMeasures:
-    """Measures of the closed chain of geodesic sides through the
-    vertices, in either orientation.
+def _measures(sides) -> PolygonMeasures:
+    """Measures of a closed chain of geodesic sides, sides[k] running
+    from vertex k to vertex k + 1, in either orientation.
 
-    T_v = mobius(v, .) has a positive derivative at v, so T_v(w) points
-    the way the geodesic from v to w leaves v.  The turn at v is the
-    phase of t_out / t_in for the side tangents t_out ~ T_v(next) and
-    t_in ~ -T_v(prev).  A simple chain turns by 2 pi + area in total at
-    its vertices, so the sign of the turn sum is the orientation and each
-    interior angle is pi - sign * turn.
+    The turn at vertex k is the phase of t_out / t_in, between the end
+    tangent t_in of the side arriving and the start tangent t_out of the
+    side leaving.  Along the whole boundary the vertex turns and the
+    sides' turns dtheta add up to sign * 2 pi, where sign = +-1 is the
+    orientation, so the vertex turns alone sum to sign * (2 pi + area):
+    their sign is the orientation, and each interior angle is
+    pi - sign * turn.  Gauss-Bonnet, area = (m - 2) pi - sum(angles),
+    then reads area = -sign * sum(dtheta), a sum of the sides' own turns
+    that stays exact to rounding however small the plate.
     """
-    m = len(vertices)
-    turns = []
-    for k in range(m):
-        v, nxt = vertices[k], vertices[(k + 1) % m]
-        if v == nxt:
-            raise GeometryError(f"consecutive vertices {k} and {(k + 1) % m} coincide")
-        turns.append(cmath.phase(-mobius(v, nxt) / mobius(v, vertices[k - 1])))
+    turns = [cmath.phase(s.tangent(0.0) / sides[k - 1].tangent(1.0)) for k, s in enumerate(sides)]
     sign = math.copysign(1.0, sum(turns))
-    angles = [math.pi - sign * turn for turn in turns]
-    area = (m - 2) * math.pi - sum(angles)
+    area = -sign * sum(s.dtheta for s in sides)
     if area <= 0.0:
-        raise GeometryError("degenerate polygon: nonpositive angle defect")
-    return PolygonMeasures(area=area, perimeter=_perimeter(vertices), angles=angles)
+        raise GeometryError("degenerate polygon: nonpositive area")
+    angles = [math.pi - sign * turn for turn in turns]
+    return PolygonMeasures(area, sum(hyp_dist(s.z1, s.z2) for s in sides), angles)
 
 
 def triangle_measures(v1: complex, v2: complex, v3: complex) -> PolygonMeasures:
     """Measures of the geodesic triangle with the given vertices, in any
     order; angles[i] sits at the i-th vertex.  The triangle need not
     contain the origin."""
-    return _measures([v1, v2, v3])
+    return _measures([geodesic_arc(v1, v2), geodesic_arc(v2, v3), geodesic_arc(v3, v1)])
 
 
 @dataclass(frozen=True)
@@ -250,11 +242,12 @@ class HypPolygon:
         """Polygon through the vertices, in either orientation, if it is
         starlike about 0.
 
-        A side whose endpoints are collinear with 0 is radial: some ray
-        meets the boundary in a whole segment, or 0 is on the boundary.
-        Any other side is a geodesic that misses 0 and meets each ray
-        from 0 at most once, so the phase moves monotonically along it,
-        by the principal phase step between its ends.  The boundary is
+        A side from v to w is radial when conj(v) w is real (v, w and 0
+        collinear, or v = w): some ray meets the boundary in a whole
+        segment, or 0 is on the boundary.  Any other side is a geodesic
+        that misses 0 and meets each ray from 0 at most once, so the
+        phase moves monotonically along it, by the principal phase step
+        arg(conj(v) w).  The boundary is
         therefore starlike exactly when no side is radial, the steps sum
         to +-2 pi (the sign is the orientation), and every step has the
         sign of the sum.
@@ -263,14 +256,11 @@ class HypPolygon:
         m = len(vs)
         if m < 3:
             raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
-        for k in range(m):
-            z1, z2 = vs[k], vs[(k + 1) % m]
-            if z1 == z2:
-                raise GeometryError(f"consecutive vertices {k} and {(k + 1) % m} coincide")
-            if abs((z1.conjugate() * z2).imag) <= _COLLINEAR_TOL * abs(z1) * abs(z2):
-                raise GeometryError("polygon has a radial side; not starlike about 0")
         # a product, not a quotient: v / w overflows for subnormal w
-        steps = [cmath.phase(vs[(k + 1) % m] * vs[k].conjugate()) for k in range(m)]
+        ws = [vs[k].conjugate() * vs[(k + 1) % m] for k in range(m)]
+        if any(abs(w.imag) <= _COLLINEAR_TOL * abs(w) for w in ws):
+            raise GeometryError("polygon has a radial side; not starlike about 0")
+        steps = [cmath.phase(w) for w in ws]
         if sum(steps) < 0:
             # clockwise: reversing the list negates every step
             vs, steps = vs[::-1], [-step for step in steps]
@@ -292,12 +282,12 @@ def regular_polygon(m: int, r: float) -> HypPolygon:
 
 def polygon_perimeter(p: HypPolygon) -> float:
     """Sum of the hyperbolic side lengths."""
-    return _perimeter(p.vertices)
+    return sum(hyp_dist(s.z1, s.z2) for s in p.sides)
 
 
 def polygon_measures(p: HypPolygon) -> PolygonMeasures:
     """Area, perimeter, and interior vertex angles of a polygon."""
-    return _measures(p.vertices)
+    return _measures(p.sides)
 
 
 def equilateral_triangle_radius(omega: float) -> float:
@@ -317,15 +307,20 @@ def regular_radius_from_perimeter(m: int, L: float) -> float:
     """Vertex radius of the regular m-gon with hyperbolic perimeter L.
 
     Stable rearrangement of r = (-sin(pi/m) + sqrt(sin^2(pi/m) +
-    sh^2(L/2m))) / sh(L/2m).
+    sh^2(L/2m))) / sh(L/2m).  r -> 1 as L grows: it passes 1 - 1e-12,
+    the ideal polygon limit, before L/2m reaches 29 and rounds to 1 from
+    40 on, long before sh overflows (about 710).
     """
     if m < 3:
         raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
     if not 0.0 < L < math.inf:
         raise GeometryError(f"perimeter must be positive and finite, got {L}")
-    s = math.sinh(0.5 * L / m)
+    s = math.sinh(min(0.5 * L / m, 40.0))
     a = math.sin(math.pi / m)
-    return s / (a + math.hypot(a, s))
+    r = s / (a + math.hypot(a, s))
+    if r > 1.0 - 1e-12:
+        raise GeometryError(f"perimeter {L} not attainable below the ideal polygon limit")
+    return r
 
 
 def regular_radius_from_area(m: int, c: float) -> float:

@@ -70,7 +70,7 @@ ROW_SCHEMA = {
 NON_CAPACITY_VERDICTS = {"converged", "both_converged", "equal_area", "rewrites_agree"}
 
 DEGENERATE_RUNS = {
-    # three points on a diameter: zero angle defect
+    # three points on a diameter: recentred, every side is radial
     "triangle_conjecture": lambda: experiments.run_triangle_conjecture(
         rows=[(0.1, 0.2, 0.3), DEFAULT_TRIANGLE_ROWS[3]]
     ),
@@ -278,5 +278,5 @@ def test_published_sweep(published_rows):
         if INCONCLUSIVE in row.verdicts.values():
             inconclusive.add(row.id)
     # triangle_5 and polygon_m4_2 differ from their competitors by less
-    # than the slack (ROADMAP item 1)
+    # than the slack (ROADMAP item 2)
     assert inconclusive <= {"triangle_5", "polygon_m4_2"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, recenter_triangle
 from hypcap.hypgeom import (
     GeometryError,
     HypDisk,
@@ -365,12 +366,27 @@ class TestPolygonMeasures:
             1.0, abs=1e-10
         )
 
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_regular_area_closed_form(self, m):
+        # each side turns by -2 atan(r^2 sin(2 pi/m) / (1 - r^2 cos(2 pi/m))),
+        # so the area holds its relative accuracy however small the plate
+        t = 2.0 * math.pi / m
+        for r in (0.5, 1e-2, 1e-6, 1e-10, 1e-100):
+            want = 2 * m * math.atan(r * r * math.sin(t) / (1.0 - r * r * math.cos(t)))
+            area = polygon_measures(regular_polygon(m, r)).area
+            assert area == pytest.approx(want, rel=1e-14, abs=0.0), r
+
     def test_gauss_bonnet_consistency(self):
-        for m, r in [(3, 0.5), (5, 0.7), (8, 0.9)]:
-            meas = polygon_measures(regular_polygon(m, r))
+        # the area sums the sides' turns and the angles come from the
+        # tangents at the vertices: two independent formulas
+        plates = [regular_polygon(m, r) for m, r in [(3, 0.5), (5, 0.7), (8, 0.9)]]
+        plates += [HypPolygon.from_vertices(vs) for vs in DEFAULT_POLYGON_ROWS]
+        plates += [recenter_triangle(*vs) for vs in DEFAULT_TRIANGLE_ROWS]
+        for p in plates:
+            meas = polygon_measures(p)
             assert meas.area == pytest.approx(
-                math.pi * (m - 2) - sum(meas.angles), abs=1e-10
-            )
+                math.pi * (p.m - 2) - sum(meas.angles), abs=1e-12
+            ), p.vertices
 
     def test_triangle_measures_off_center(self):
         # triangle that does not contain the origin
@@ -488,6 +504,14 @@ class TestRegularRadiusConstructors:
 
     def test_perimeter_small_limit(self):
         assert regular_radius_from_perimeter(4, 1e-10) < 1e-9
+
+    @pytest.mark.parametrize("L", [200.0, 300.0, 5000.0, 1e300])
+    def test_perimeter_past_ideal_limit(self, L):
+        # past 1 - 1e-12 the radius no longer fixes the perimeter (the
+        # 3-gon at r = 1 - 5.9e-15 has perimeter 199.86); further on it
+        # rounds to 1, and sh(L/2m) overflows
+        with pytest.raises(GeometryError, match="ideal polygon limit"):
+            regular_radius_from_perimeter(3, L)
 
     def test_perimeter_from_distance_oracle(self):
         s = 0.5
