@@ -585,8 +585,6 @@ def cap_polygon(
     return solve_capacity(BoundarySet.from_polygon(poly), params, tol)
 
 
-def cap_disk(
-    d: HypDisk, tol: float = DEFAULT_TOL_SMOOTH, params: SolverParams | None = None
-) -> SolveReport:
+def cap_disk(d: HypDisk, tol: float = DEFAULT_TOL_SMOOTH) -> SolveReport:
     """Capacity of (unit disk, closed hyperbolic disk), numerically."""
-    return solve_capacity(BoundarySet.from_hyp_disk(d), params, tol)
+    return solve_capacity(BoundarySet.from_hyp_disk(d), tol=tol)

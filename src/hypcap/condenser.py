@@ -62,14 +62,17 @@ def ref_cap_perim(c: float) -> float:
 
 
 def triangle_bounds_from_s(s: float) -> tuple[float, float]:
-    """The two capacity bounds (lower, upper) = (6 pi/mu(s^3), 3 pi/mu(sqrt(3) s
-    / sqrt(s^4 + s^2 + 1))) of the centered equilateral triangle; lower is
-    the exact capacity of its three spokes.  Where s^3 is subnormal or 0
-    (s below about 2.8e-103), mu(s^3) is log 4 - 3 log s, which mu(r)
-    equals to 1e-16 far above that."""
+    """The two capacity bounds (lower, upper) = (6 pi/mu(s^3), 3 pi/mu(sqrt(3)
+    s/q)), q = sqrt(s^4 + s^2 + 1), of the centered equilateral triangle;
+    lower is the exact capacity of its three spokes.  Each mu is passed its
+    complementary modulus, sqrt(1 - s^2) q and (1 - s^2)/q, free of the
+    cancellation in 1 - r^2 as s -> 1.  Where s^3 is subnormal or 0 (s
+    below about 2.8e-103), mu(s^3) is log 4 - 3 log s, which mu(r) equals
+    to 1e-16 far above that."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"triangle_bounds_from_s requires 0 < s < 1, got {s}")
-    r = s**3
-    mu_r = mu(r) if r >= sys.float_info.min else math.log(4.0) - 3.0 * math.log(s)
-    upper = 3.0 * math.pi / mu(math.sqrt(3.0) * s / math.sqrt(s**4 + s**2 + 1.0))
-    return 6.0 * math.pi / mu_r, upper
+    r, d, q = s**3, (1.0 - s) * (1.0 + s), math.sqrt(s**4 + s**2 + 1.0)
+    upper = 3.0 * math.pi / mu(math.sqrt(3.0) * s / q, d / q)
+    if r < sys.float_info.min:
+        return 6.0 * math.pi / (math.log(4.0) - 3.0 * math.log(s)), upper
+    return 6.0 * math.pi / mu(r, math.sqrt(d) * q), upper

@@ -2,16 +2,17 @@
 
 Each driver returns a list of ExperimentRow records.  Every bound a row
 checks comes from the plate it solved: _solve solves the plate alone, at
-the solver's default tolerance, and checks its equal-perimeter disk;
-area rows add the equal-area disk and bounds rows the upper bound's two
-forms, at the measured area and perimeter.  values hold each capacity
-beside its boundary residual ("capacity" and "residual", or "cap_X" and
-"residual_X" on conjecture rows, where _solve_pair adds the competitor's
-"cap_X0" and "residual_X0").  So a row stores every number its verdicts
-compare (a sequence's previous row and the table's cell rows hold the
-rest).  Every verdict on a solved capacity follows one rule: it is True
-or False when the compared values differ by more than the slack, twice
-the largest boundary residual of the solves compared, and
+the solver's default tolerance, and checks both disk theorems, the
+equal-area disk below its capacity and the equal-perimeter disk above,
+at its measured area and perimeter; bounds rows add the upper bound's
+two forms.  values hold each capacity beside its boundary residual
+("capacity" and "residual", or "cap_X" and "residual_X" on conjecture
+rows, where _solve_pair adds the competitor's "cap_X0" and
+"residual_X0").  So a row stores every number its verdicts compare (a
+sequence's previous row and the table's cell rows hold the rest).  Every
+verdict on a solved capacity follows one rule: it is True or False when
+the compared values differ by more than the slack, twice the largest
+boundary residual of the solves compared, and
 "inconclusive-within-residual" otherwise.  A verdict over several
 comparisons is False if any of them is, else inconclusive if any of them
 is, else True.  Closed-form checks keep their own rounding tolerances.
@@ -31,7 +32,6 @@ from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     GeometryError,
     HypPolygon,
-    equilateral_triangle_radius,
     hyp_midpoint,
     mobius,
     polygon_measures,
@@ -133,15 +133,17 @@ def _all_hold(verdicts):
 
 def _solve(plate, names=("capacity", "residual")):
     """Solve one plate: the report, and the values and verdicts every
-    solved row carries.  The plate alone fixes both the solve, at the
-    solver's default tolerance, and the equal-perimeter disk that bounds
-    its capacity; names key the capacity and its residual."""
-    rep = cap_polygon(plate)
-    bound = ref_cap_perim(polygon_perimeter(plate))
-    values = {names[0]: rep.capacity, names[1]: rep.boundary_residual, "perimeter_bound": bound}
+    solved row carries.  The plate alone fixes the solve, at the solver's
+    default tolerance, and both disk bounds, ref_cap_area(area) <= cap <=
+    ref_cap_perim(perimeter); names key the capacity and its residual."""
+    rep, pm = cap_polygon(plate), polygon_measures(plate)
+    cap, slack = rep.capacity, _slack(rep)
+    bounds = {"perimeter_bound": ref_cap_perim(pm.perimeter), "area_bound": ref_cap_area(pm.area)}
+    values = {names[0]: cap, names[1]: rep.boundary_residual} | bounds
     verdicts = {
         "converged": bool(rep.converged),
-        "within_perimeter_bound": _ordered_verdict(bound, rep.capacity, _slack(rep)),
+        "within_perimeter_bound": _ordered_verdict(bounds["perimeter_bound"], cap, slack),
+        "above_area_bound": _ordered_verdict(cap, bounds["area_bound"], slack),
     }
     return rep, values, verdicts
 
@@ -186,10 +188,10 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
 
     For each vertex triple: recentre the triangle (recenter_triangle),
     measure that plate from its sides, build the equilateral competitor
-    from its mean angle, solve both capacities, and check cap(T) >=
-    cap(T0) with residual slack.  The area and the angles are those of
-    the plate solved, not of the raw triple, which differs from it only
-    by an isometry.
+    T0 from its area, solve both capacities, and check cap(T) >= cap(T0)
+    with residual slack.  The area is that of the plate solved, not of the
+    raw triple, which differs from it only by an isometry; equal_area
+    checks T0's measured area against it to 1e-12 relative.
     """
     rows = DEFAULT_TRIANGLE_ROWS if rows is None else rows
     out = []
@@ -200,7 +202,7 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
             plate = recenter_triangle(v1, v2, v3)
             tm = polygon_measures(plate)
             omega = sum(tm.angles) / 3.0
-            r0 = equilateral_triangle_radius(omega)
+            r0 = regular_radius_from_area(3, tm.area)
             t0_poly = regular_polygon(3, r0)
             area0 = polygon_measures(t0_poly).area
             values, verdicts = _solve_pair(plate, t0_poly, "T")
@@ -213,7 +215,7 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
         verdicts["capacity_not_below_equilateral"] = _ordered_verdict(
             values["cap_T"], values["cap_T0"], values["slack"]
         )
-        verdicts["equal_area"] = bool(abs(tm.area - area0) < 1e-9)
+        verdicts["equal_area"] = bool(abs(tm.area - area0) <= 1e-12 * tm.area)
         out.append(ExperimentRow(rid, inputs, values, verdicts))
     return out
 
@@ -286,14 +288,8 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
     for m in m_range:
         rid = f"seq_{kind}_c{c:g}_m{m}"
         r = radius(m, c)
-        plate = regular_polygon(m, r)
-        rep, values, verdicts = _solve(plate)
-        slack = _slack(rep)
-        values |= {"r": r, "m": float(m), "slack": slack}
-        # a perimeter row's bound check is its within_perimeter_bound
-        if decreasing:
-            values["area_bound"] = bound = ref_cap_area(polygon_measures(plate).area)
-            verdicts["above_area_bound"] = _ordered_verdict(rep.capacity, bound, slack)
+        rep, values, verdicts = _solve(regular_polygon(m, r))
+        values |= {"r": r, "m": float(m), "slack": _slack(rep)}
         if prev is not None:
             values["previous_capacity"] = prev.capacity
             key = "decreasing_in_m" if decreasing else "increasing_in_m"
@@ -348,9 +344,10 @@ def run_f1f2(c_grid=None) -> list[ExperimentRow]:
 def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
     """Sandwich check: solved equilateral-triangle capacity between the
     spoke lower bound and the single-side upper bound, and that bound's
-    perimeter and area forms at the plate's measured perimeter u and area
-    v.  The area form loses digits as v -> 0 (its mu argument tends to
-    1), so rewrites_agree fails from s of about 1e-4 down."""
+    perimeter and area forms 3 pi / mu(th(u/6)) and (12/pi) mu(r'), r' =
+    2 sin((pi - v)/6) = 1/ch(u/6), at the plate's measured u and v.  Each
+    mu is passed its complementary modulus, 1/ch(u/6) and sqrt(d (2 - d))
+    with d = 1 - r' = 2 sin^2(v/12) + sqrt(3) sin(v/6), so neither cancels."""
     s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] if s_grid is None else s_grid
     out = []
     for s in s_grid:
@@ -358,9 +355,11 @@ def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
         plate = regular_polygon(3, s)
         rep, values, verdicts = _solve(plate)
         pm = polygon_measures(plate)
-        upper_perim = 3.0 * math.pi / mu(math.tanh(pm.perimeter / 6.0))
-        # mu(r) mu(r') = pi^2 / 4, and r' = 1 / ch(u/6) = 2 sin((pi - v)/6)
-        upper_area = (12.0 / math.pi) * mu(2.0 * math.sin((math.pi - pm.area) / 6.0))
+        x, v = pm.perimeter / 6.0, pm.area
+        upper_perim = 3.0 * math.pi / mu(math.tanh(x), 1.0 / math.cosh(x))
+        d = 2.0 * math.sin(v / 12.0) ** 2 + math.sqrt(3.0) * math.sin(v / 6.0)
+        r_prime = 2.0 * math.sin((math.pi - v) / 6.0)
+        upper_area = (12.0 / math.pi) * mu(r_prime, math.sqrt(d * (2.0 - d)))
         slack = _slack(rep)
         values |= {
             "s": float(s), "lower": lower, "upper": upper,
@@ -370,9 +369,8 @@ def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
             _ordered_verdict(rep.capacity, lower, slack),
             _ordered_verdict(upper, rep.capacity, slack),
         ])
-        verdicts["rewrites_agree"] = bool(
-            abs(upper_perim - upper) <= 1e-12 * upper
-            and abs(upper_area - upper) <= 1e-10 * max(1.0, upper)
+        verdicts["rewrites_agree"] = all(
+            abs(form - upper) <= 1e-12 * upper for form in (upper_perim, upper_area)
         )
         out.append(ExperimentRow(f"bounds_s{s:g}", {"s": float(s)}, values, verdicts))
     return out

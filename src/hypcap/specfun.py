@@ -42,19 +42,21 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def mu(r: float) -> float:
+def mu(r: float, rc: float | None = None) -> float:
     """Modulus of the Grotzsch ring (D, [0, r]) for r in (0, 1].
 
     Decreasing homeomorphism of (0, 1] onto [0, inf) with mu(1) = 0.
-    Computed from two AGM values.  Tiny r is safe: the complementary
-    modulus rounds to 1 there, which costs only O(r^2), and AGM(1, r)
-    stays accurate down to the smallest subnormal r.
+    Computed from AGM(1, r) and AGM(1, rc), rc = sqrt(1 - r^2), which
+    mu(r) forms from r; a caller that can form rc without the
+    cancellation as r -> 1 passes it.  Tiny r is safe: rc rounds to 1
+    there, which costs only O(r^2), and AGM(1, r) stays accurate down to
+    the smallest subnormal r.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"mu requires 0 < r <= 1, got {r}")
-    if r == 1.0:
+    rc = math.sqrt((1.0 - r) * (1.0 + r)) if rc is None else rc
+    if rc == 0.0:
         return 0.0
-    rc = math.sqrt((1.0 - r) * (1.0 + r))
     # K(r) = pi / (2 AGM(1, rc)),  K(rc) = pi / (2 AGM(1, r))
     return 0.5 * math.pi * _agm(1.0, rc) / _agm(1.0, r)
 
@@ -63,7 +65,7 @@ def f2(c: float) -> float:
     """Capacity of the radial slit [0, th(c/4)], the degenerate plate of
     hyperbolic perimeter c (twice its diameter): 2*pi / mu(th(c/4)).
 
-    Evaluated through the reflection mu(th x) = (pi^2/4) / mu(1/ch x),
+    Evaluated as mu(th x, 1/ch x), the complementary modulus passed in,
     which stays accurate where th(c/4) rounds to 1; for small and large
     c the asymptotic mu(s) ~ log(4/s) takes over (see _F2_ASYMPTOTIC_S).
     """
@@ -74,13 +76,11 @@ def f2(c: float) -> float:
     if t < _F2_ASYMPTOTIC_S:
         # log(4 / th(c/4)) = log 16 - log c, without the underflow of c/4
         return 2.0 * math.pi / (math.log(16.0) - math.log(c))
-    if t <= 0.9:
-        return 2.0 * math.pi / mu(t)
     # 1 / ch x without the overflow of ch x
     e = math.exp(-x)
     s = 2.0 * e / (1.0 + e * e)
     if s >= _F2_ASYMPTOTIC_S:
-        return (8.0 / math.pi) * mu(s)
+        return 2.0 * math.pi / mu(t, s)
     # log(4 ch x) without overflow
     log_4ch = math.log(2.0) + x + math.log1p(e * e)
     return (8.0 / math.pi) * log_4ch

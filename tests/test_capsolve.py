@@ -35,6 +35,7 @@ from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim
 from hypcap.experiments import (
     DEFAULT_POLYGON_ROWS,
     DEFAULT_TRIANGLE_ROWS,
+    _solve,
     recenter_triangle,
     run_f1f2,
     run_sequence_perim,
@@ -369,6 +370,30 @@ class TestSymmetry:
         np.testing.assert_allclose(green, _reflected_sum(z, every), rtol=1e-12, atol=1e-12)
 
 
+# a triangle about 0, and a disk automorphism z -> mobius(a, z), |a| <= 0.25
+TRIANGLE_AND_SHIFT = {
+    "radii": st.tuples(*[st.floats(0.3, 0.7)] * 3),
+    "jitter": st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    "shift": st.floats(0.0, 0.25),
+    "angle": st.floats(0.0, 2.0 * math.pi),
+}
+
+
+def _triangle_and_image(radii, jitter, shift, angle):
+    """The triangle drawn from TRIANGLE_AND_SHIFT and its image under the
+    automorphism; an example whose image leaves 0 outside is rejected."""
+    vertices = [
+        rho * cmath.exp(1j * (2.0 * math.pi * k / 3 + dt))
+        for k, (rho, dt) in enumerate(zip(radii, jitter))
+    ]
+    a = shift * cmath.exp(1j * angle)
+    try:
+        moved = HypPolygon.from_vertices([mobius(a, v) for v in vertices])
+    except GeometryError:  # 0 left the moved triangle
+        assume(False)
+    return HypPolygon.from_vertices(vertices), moved
+
+
 class TestNystrom:
     @pytest.mark.parametrize(
         "row, bie",
@@ -471,27 +496,24 @@ class TestNystrom:
         assert abs(start.capacity - finer.capacity) <= start.boundary_residual
 
     @settings(max_examples=10)
-    @given(
-        radii=st.tuples(*[st.floats(0.3, 0.7)] * 3),
-        jitter=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
-        shift=st.floats(0.0, 0.25),
-        angle=st.floats(0.0, 2.0 * math.pi),
-    )
+    @given(**TRIANGLE_AND_SHIFT)
     def test_mobius_invariance_triangles(self, radii, jitter, shift, angle):
         # a disk automorphism that keeps 0 inside moves a triangle about 0
         # to another one with the same capacity
-        vertices = [
-            rho * cmath.exp(1j * (2.0 * math.pi * k / 3 + dt))
-            for k, (rho, dt) in enumerate(zip(radii, jitter))
-        ]
-        a = shift * cmath.exp(1j * angle)
-        try:
-            moved = HypPolygon.from_vertices([mobius(a, v) for v in vertices])
-        except GeometryError:  # 0 left the moved triangle
-            assume(False)
-        rep0, rep1 = cap_polygon(HypPolygon.from_vertices(vertices)), cap_polygon(moved)
+        rep0, rep1 = map(cap_polygon, _triangle_and_image(radii, jitter, shift, angle))
         slack = 3 * max(rep0.boundary_residual, rep1.boundary_residual)
         assert abs(rep1.capacity - rep0.capacity) <= slack
+
+    @settings(max_examples=10)
+    @given(**TRIANGLE_AND_SHIFT)
+    def test_disk_theorems_bracket_triangles(self, radii, jitter, shift, angle):
+        # ref_cap_area(area) <= cap <= ref_cap_perim(perimeter) on every
+        # plate, as _solve checks them: neither reads False, before or
+        # after the move
+        for plate in _triangle_and_image(radii, jitter, shift, angle):
+            verdicts = _solve(plate)[2]
+            assert verdicts["within_perimeter_bound"] is not False, plate.vertices
+            assert verdicts["above_area_bound"] is not False, plate.vertices
 
     @settings(max_examples=10)
     @given(

@@ -101,18 +101,31 @@ class TestTriangleBounds:
 
     def test_rewrites_agree(self):
         # the paper's perimeter and area forms of the upper bound, at the
-        # perimeter u and area v that hyp_dist and Gauss-Bonnet measure
-        for s in np.linspace(0.05, 0.95, 19):
+        # perimeter u and area v that hyp_dist and Gauss-Bonnet measure,
+        # each mu given its complementary modulus: 1 / ch(u/6), and
+        # sqrt(d (2 - d)) for d = 1 - 2 sin((pi - v)/6)
+        for s in [1e-8, 1e-6, 1e-4, *np.linspace(0.05, 0.95, 19), 0.999]:
             upper = triangle_bounds_from_s(s)[1]
             pm = polygon_measures(regular_polygon(3, s))
-            upper_perim = 3 * math.pi / mu(math.tanh(pm.perimeter / 6))
-            upper_area = (12 / math.pi) * mu(2 * math.sin((math.pi - pm.area) / 6))
-            assert abs(upper_perim - upper) < 1e-12 * upper
-            assert abs(upper_area - upper) < 1e-10 * max(1.0, upper)
+            x, v = pm.perimeter / 6, pm.area
+            d = 2 * math.sin(v / 12) ** 2 + math.sqrt(3) * math.sin(v / 6)
+            upper_perim = 3 * math.pi / mu(math.tanh(x), 1 / math.cosh(x))
+            r_prime = 2 * math.sin((math.pi - v) / 6)
+            upper_area = (12 / math.pi) * mu(r_prime, math.sqrt(d * (2 - d)))
+            assert abs(upper_perim - upper) < 1e-12 * upper, s
+            assert abs(upper_area - upper) < 1e-12 * upper, s
+
+    @pytest.mark.parametrize("s", [1 - 1e-9, 1 - 1e-12])
+    def test_upper_near_one(self, s):
+        # mu(r) mu(r') = pi^2 / 4 and mu(r') = log(4 / r') + O(r'^2), with
+        # r' = (1 - s^2) / sqrt(s^4 + s^2 + 1) below 1e-8
+        q = math.sqrt(s**4 + s**2 + 1)
+        expected = (12 / math.pi) * math.log(4 * q / ((1 - s) * (1 + s)))
+        assert triangle_bounds_from_s(s)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_sandwich_and_monotone(self):
         prev = None
-        for s in np.linspace(0.05, 0.95, 46):
+        for s in [*np.linspace(0.05, 0.95, 46), *(1 - 10.0**-k for k in range(4, 16))]:
             lower, upper = triangle_bounds_from_s(s)
             assert lower <= upper
             assert math.isfinite(lower) and math.isfinite(upper)
@@ -146,10 +159,11 @@ class TestHatTriangleCap:
     spokes [0, s e^{2 pi i k/3}], k = 0, 1, 2."""
 
     def test_matches_lower_bound(self):
-        # s = 1e-4 gives mu a tiny argument, s^3 = 1e-12
+        # s = 1e-4 gives mu a tiny argument, s^3 = 1e-12; the bound passes
+        # mu its complementary modulus, so the two differ by rounding
         for s in (1e-4, 0.2, 0.5, 0.8):
             lower, _ = triangle_bounds_from_s(s)
-            assert lower == 6 * math.pi / mu(s**3)
+            assert lower == pytest.approx(6 * math.pi / mu(s**3), rel=1e-15)
 
     def test_direct_value(self):
         lower, _ = triangle_bounds_from_s(0.7)

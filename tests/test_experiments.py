@@ -42,7 +42,8 @@ REDUCED_RUNS = {
     ),
     "sequence_area": lambda: experiments.run_sequence_area(m_range=range(3, 6)),
     "sequence_perim": lambda: experiments.run_sequence_perim(m_range=range(3, 6)),
-    "triangle_bounds": lambda: experiments.run_triangle_bounds(s_grid=[0.3, 0.7]),
+    # at s = 1e-4 and 1e-6 the area form's mu argument is within 1.5e-8 of 1
+    "triangle_bounds": lambda: experiments.run_triangle_bounds(s_grid=[0.3, 0.7, 1e-4, 1e-6]),
     "f1f2": lambda: experiments.run_f1f2(c_grid=[0.1, 1.0, 10.0]),
 }
 
@@ -51,18 +52,18 @@ SOLVING_DRIVERS = [name for name in REDUCED_RUNS if name != "f1f2"]
 # the verdict keys of each row of a reduced run (a sequence's first row
 # has no predecessor to compare with), and the capacities the benchmark
 # reads from every row that solves
-SOLVED = {"converged", "within_perimeter_bound"}
-PAIR = {"both_converged", "within_perimeter_bound"}
-AREA = SOLVED | {"above_area_bound"}
+DISKS = {"within_perimeter_bound", "above_area_bound"}
+SOLVED = {"converged"} | DISKS
+PAIR = {"both_converged"} | DISKS
 ROW_SCHEMA = {
     "triangle_conjecture": (
         [PAIR | {"capacity_not_below_equilateral", "equal_area"}] * 2, {"cap_T", "cap_T0"}
     ),
     "polygon_conjecture": ([PAIR | {"capacity_not_above_regular"}] * 2, {"cap_P", "cap_P0"}),
     "regular_table": ([SOLVED] * 4 + [{"increasing_in_m", "increasing_in_r"}], {"capacity"}),
-    "sequence_area": ([AREA] + [AREA | {"decreasing_in_m"}] * 2, {"capacity"}),
+    "sequence_area": ([SOLVED] + [SOLVED | {"decreasing_in_m"}] * 2, {"capacity"}),
     "sequence_perim": ([SOLVED] + [SOLVED | {"increasing_in_m"}] * 2, {"capacity"}),
-    "triangle_bounds": ([SOLVED | {"sandwich", "rewrites_agree"}] * 2, {"capacity"}),
+    "triangle_bounds": ([SOLVED | {"sandwich", "rewrites_agree"}] * 4, {"capacity"}),
     "f1f2": ([{"disk_beats_slit", "disk_within_half_pi_of_slit"}] * 3, set()),
 }
 
@@ -132,8 +133,8 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
 def test_solve_fixed_by_plate_alone(name, monkeypatch):
     # every solve runs at the solver's default tolerance, and every bound
     # a row checks comes from the plate that row solved: its
-    # equal-perimeter disk, an area row's equal-area disk, and a bounds
-    # row's perimeter and area forms at the plate's measured u and v
+    # equal-perimeter and equal-area disks, and a bounds row's perimeter
+    # and area forms at the plate's measured u and v
     solve, calls = experiments.cap_polygon, []
     signature = inspect.signature(solve)
 
@@ -156,14 +157,27 @@ def test_solve_fixed_by_plate_alone(name, monkeypatch):
             next(plates)
         assert row.values["perimeter_bound"] == ref_cap_perim(polygon_perimeter(plate)), row.id
         pm = polygon_measures(plate)
-        if name == "sequence_area":
-            assert row.values["area_bound"] == ref_cap_area(pm.area), row.id
+        assert row.values["area_bound"] == ref_cap_area(pm.area), row.id
         if name == "triangle_bounds":
-            upper_perim = 3 * math.pi / mu(math.tanh(pm.perimeter / 6))
-            upper_area = (12 / math.pi) * mu(2 * math.sin((math.pi - pm.area) / 6))
+            x, v = pm.perimeter / 6, pm.area
+            d = 2 * math.sin(v / 12) ** 2 + math.sqrt(3) * math.sin(v / 6)
+            upper_perim = 3 * math.pi / mu(math.tanh(x), 1 / math.cosh(x))
+            r_prime = 2 * math.sin((math.pi - v) / 6)
+            upper_area = (12 / math.pi) * mu(r_prime, math.sqrt(d * (2 - d)))
             assert row.values["upper_perim_form"] == upper_perim, row.id
             assert row.values["upper_area_form"] == upper_area, row.id
     assert next(plates, None) is None
+
+
+def test_equal_area_competitor_of_a_small_triangle():
+    # triangle_1 scaled by 1e-5 has area 5.0e-11, below any absolute
+    # tolerance worth having; T0 comes from that area itself
+    (row,) = experiments.run_triangle_conjecture(
+        rows=[tuple(1e-5 * v for v in DEFAULT_TRIANGLE_ROWS[0])]
+    )
+    area = row.values["area_T"]
+    assert row.verdicts["equal_area"] is True
+    assert abs(row.values["area_T0"] - area) <= 1e-12 * area
 
 
 @settings(max_examples=10)
@@ -249,8 +263,6 @@ def _capacity_verdicts(row, rows_by_id, previous):
             out["sandwich"] = experiments._all_hold(
                 [verdict(cap, v["lower"], _slack(res)), verdict(v["upper"], cap, _slack(res))]
             )
-        if row.id.startswith("seq_area_"):
-            out["above_area_bound"] = verdict(cap, v["area_bound"], _slack(res))
         if "previous_capacity" in v:
             pair = _slack(res, previous.values["residual"])
             if row.id.startswith("seq_area_"):
@@ -258,6 +270,7 @@ def _capacity_verdicts(row, rows_by_id, previous):
             else:
                 out["increasing_in_m"] = verdict(cap, v["previous_capacity"], pair)
     out["within_perimeter_bound"] = verdict(v["perimeter_bound"], cap, _slack(res))
+    out["above_area_bound"] = verdict(cap, v["area_bound"], _slack(res))
     return out
 
 

@@ -119,6 +119,14 @@ class TestMu:
             with pytest.raises(ValueError):
                 mu(bad)
 
+    @pytest.mark.parametrize("rc", [1e-9, 1e-100, 5e-324])
+    def test_complementary_modulus(self, rc):
+        # r rounds to 1, and only the rc passed in sets mu(r) = (pi^2/4) /
+        # mu(rc), with mu(rc) = log(4/rc) + O(rc^2)
+        mu_rc = math.log(4.0) - math.log(rc)
+        assert mu(1.0, rc) == pytest.approx(math.pi**2 / 4 / mu_rc, rel=1e-15)
+        assert mu(1.0) == 0.0
+
     @pytest.mark.parametrize("r", [1e-9, 1e-100, 1e-300, 5e-324])
     def test_tiny_argument(self, r):
         # mu(r) = log(4/r) + O(r^2); the AGM route holds down to the
@@ -149,7 +157,7 @@ class TestF1F2:
         assert all(b > a for a, b in zip(v2, v2[1:]))
 
     def test_f2_branch_continuity(self):
-        # direct / reflected / asymptotic branches agree where they meet
+        # the mu and asymptotic branches agree where they meet
         for c in (4e-8, 3.59, 3.61, 139.0, 143.0):
             lo, hi = f2(c * (1 - 1e-9)), f2(c * (1 + 1e-9))
             assert hi == pytest.approx(lo, rel=1e-7)
