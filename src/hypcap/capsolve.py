@@ -19,7 +19,9 @@ Discretization (Kress, Numer. Math. 58, 1990):
   grid nodes u_j = pi j / N.  Each polygon side gets its own stretch of u
   with Kress's sigmoidal grading of order p = 6, which clusters nodes
   at the corners like a p-th power; a circle plate is one smooth piece
-  at uniform speed.  The unknown is psi = sigma |dz/du|.
+  at uniform speed.  A piece gives the solver z(t) and z'(t) = dz/dt,
+  t in [0, 1]; with s = q u - 2 pi k on piece k of q and t = tau(s),
+  dz/du = z'(t) q dtau/ds.  The unknown is psi = sigma |dz/du|.
 * The log|z - zeta| part is split as 1/2 log(4 sin^2((u - v)/2)) plus
   a smooth remainder.  The singular part gets Kress's trigonometric
   product weights
@@ -137,21 +139,17 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class _CirclePiece:
-    """Smooth closed boundary piece |z - center| = radius, ccw."""
+    """Smooth closed boundary piece |z - center| = radius, ccw, at the
+    constant speed |z'(t)| = 2 pi radius."""
 
     center: complex
     radius: float
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.center + self.radius * np.exp(2j * math.pi * t)
+        return self.center + self.radius * np.exp(2j * math.pi * np.asarray(t, dtype=float))
 
-    def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1j * np.exp(2j * math.pi * t)
-
-    def euclid_length(self) -> float:
-        return 2.0 * math.pi * self.radius
+    def derivative(self, t):
+        return 2j * math.pi * self.radius * np.exp(2j * math.pi * np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ class BoundarySet:
     def from_polygon(p: HypPolygon) -> "BoundarySet":
         return BoundarySet(
             pieces=tuple(p.sides),
-            symmetry=max(n for n in range(1, p.m + 1) if _rotates_onto_itself(p.vertices, n)),
+            symmetry=next(n for n in range(p.m, 0, -1) if _rotates_onto_itself(p.vertices, n)),
         )
 
     @staticmethod
@@ -207,10 +205,6 @@ class BoundarySet:
         if not 0.0 < radius < math.inf:
             raise GeometryError(f"disk radius must be positive and finite, got {radius}")
         return BoundarySet(pieces=(_CirclePiece(center, radius),))
-
-    @staticmethod
-    def from_hyp_disk(d: HypDisk) -> "BoundarySet":
-        return BoundarySet.from_euclid_disk(*hyp_disk_to_euclid(d))
 
 
 @dataclass(frozen=True)
@@ -309,8 +303,9 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     """Graded nodes and midpoint check points of one sector.
 
     Each of the sector's q = m / n sides gets p.nodes_per_side grid
-    nodes with Kress grading of order 6, on its stretch of u; a circle
-    plate gets them at uniform speed.  Polygon nodes and check points
+    nodes with Kress grading of order 6, t = tau(s) with s = q u - 2 pi k
+    on side k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at
+    uniform speed, tau(s) = s / 2 pi.  Polygon nodes and check points
     within 1e-9 of a side end in the side parameter are dropped.  For a
     regular polygon only the half of side 0 with t <= 1/2 is kept.
     """
@@ -325,9 +320,8 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     else:
         tau, gap, dtau = _kress_grading(s, _GRADING_ORDER)
         keep = gap >= _VERTEX_GAP
-    # s = q u - 2 pi k on side k
     z = np.concatenate([piece.point(tau) for piece in sector])
-    dz = np.concatenate([piece.tangent(tau) * (q * piece.euclid_length()) * dtau for piece in sector])
+    dz = np.concatenate([piece.derivative(tau) * (q * dtau) for piece in sector])
     pos = np.arange(2 * n_grid)
     keep = np.tile(keep, q)
     mirror = None
@@ -587,4 +581,4 @@ def cap_polygon(
 
 def cap_disk(d: HypDisk, tol: float = DEFAULT_TOL_SMOOTH) -> SolveReport:
     """Capacity of (unit disk, closed hyperbolic disk), numerically."""
-    return solve_capacity(BoundarySet.from_hyp_disk(d), tol=tol)
+    return solve_capacity(BoundarySet.from_euclid_disk(*hyp_disk_to_euclid(d)), tol=tol)

@@ -137,12 +137,14 @@ class GeodesicArc:
     conj(z1) z2).  mobius(z1, .) has a positive derivative at z1, so the
     side leaves z1 along mobius(z1, z2), which is z2 - z1 turned by
     -dtheta/2, and it turns at a constant rate.  With x = dtheta / 2 pi
-    and numpy's normalised sinc, the length is |z2 - z1| / sinc(x) and
+    and numpy's normalised sinc,
 
-        z(t) = z1 + (z2 - z1) t sinc(t x) / sinc(x) e^{i (t - 1) dtheta / 2}.
+        z(t) = z1 + (z2 - z1) t sinc(t x) / sinc(x) e^{i (t - 1) dtheta / 2},
 
-    At dtheta = 0 these are the segment formulas exactly, and nothing
-    depends on the centre, which grows without bound as a side flattens.
+    and z'(t) = (z2 - z1) / sinc(x) e^{i (t - 1/2) dtheta}, whose modulus
+    is the Euclidean length, constant in t.  At dtheta = 0 these are the
+    segment formulas exactly, and nothing depends on the centre, which
+    grows without bound as a side flattens.
     """
 
     z1: complex
@@ -162,13 +164,9 @@ class GeodesicArc:
         scale = s * np.sinc(s * x) / np.sinc(x) * np.exp(-0.5j * self.dtheta * sign * (1.0 - s))
         return np.where(first, self.z1, self.z2) + sign * (self.z2 - self.z1) * scale
 
-    def tangent(self, t):
-        """Unit tangent(s) in the direction of traversal."""
-        d = self.z2 - self.z1
-        return d / abs(d) * np.exp(1j * self.dtheta * (np.asarray(t, dtype=float) - 0.5))
-
-    def euclid_length(self) -> float:
-        return float(abs(self.z2 - self.z1) / np.sinc(self.dtheta / (2.0 * math.pi)))
+    def derivative(self, t):
+        scale = (self.z2 - self.z1) / np.sinc(self.dtheta / (2.0 * math.pi))
+        return scale * np.exp(1j * self.dtheta * (np.asarray(t, dtype=float) - 0.5))
 
 
 def geodesic_arc(z1: complex, z2: complex) -> GeodesicArc:
@@ -194,17 +192,17 @@ def _measures(sides) -> PolygonMeasures:
     """Measures of a closed chain of geodesic sides, sides[k] running
     from vertex k to vertex k + 1, in either orientation.
 
-    The turn at vertex k is the phase of t_out / t_in, between the end
-    tangent t_in of the side arriving and the start tangent t_out of the
-    side leaving.  Along the whole boundary the vertex turns and the
-    sides' turns dtheta add up to sign * 2 pi, where sign = +-1 is the
+    The turn at vertex k is the phase of z'(0) of the side leaving over
+    z'(1) of the side arriving (their moduli, the lengths, move no
+    phase).  Along the whole boundary the vertex turns and the sides'
+    turns dtheta add up to sign * 2 pi, where sign = +-1 is the
     orientation, so the vertex turns alone sum to sign * (2 pi + area):
     their sign is the orientation, and each interior angle is
     pi - sign * turn.  Gauss-Bonnet, area = (m - 2) pi - sum(angles),
     then reads area = -sign * sum(dtheta), a sum of the sides' own turns
     that stays exact to rounding however small the plate.
     """
-    turns = [cmath.phase(s.tangent(0.0) / sides[k - 1].tangent(1.0)) for k, s in enumerate(sides)]
+    turns = [cmath.phase(s.derivative(0) / sides[k - 1].derivative(1)) for k, s in enumerate(sides)]
     sign = math.copysign(1.0, sum(turns))
     area = -sign * sum(s.dtheta for s in sides)
     if area <= 0.0:

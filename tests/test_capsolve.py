@@ -45,6 +45,7 @@ from hypcap.hypgeom import (
     HypDisk,
     HypPolygon,
     equilateral_triangle_radius,
+    hyp_disk_to_euclid,
     hyp_dist,
     hyp_midpoint,
     mobius,
@@ -159,6 +160,13 @@ class TestSmoothPlates:
         assert abs(rep.capacity - exact) <= 1e-12 * exact
 
 
+def _euclidean_regular_capacity(m):
+    """Logarithmic capacity of the Euclidean regular m-gon of circumradius
+    1, side a = 2 sin(pi/m): a Gamma(1/m) / (2^(1+2/m) sqrt(pi) Gamma(1/2 + 1/m))."""
+    a = 2.0 * math.sin(math.pi / m)
+    return a * math.gamma(1 / m) / (2 ** (1 + 2 / m) * math.sqrt(math.pi) * math.gamma(0.5 + 1 / m))
+
+
 class TestPolygonPlates:
     def test_regular_triangle_anchor(self):
         rep = cap_polygon(regular_polygon(3, 0.5))
@@ -169,6 +177,27 @@ class TestPolygonPlates:
         rep = cap_polygon(regular_polygon(4, 0.6))
         assert rep.converged
         assert abs(rep.capacity - 8.3279319407) / 8.3279319407 < 5e-4
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_euclidean_limit(self, m):
+        # a small plate's capacity is 2 pi / log(1 / C r) + O(r^2), C r
+        # the logarithmic capacity of the Euclidean regular m-gon of
+        # circumradius r: one Richardson step in r^2 on two sharp-cornered
+        # solves must land on the closed form
+        (r1, c1), (r2, c2) = (
+            (r, math.exp(-2.0 * math.pi / cap_polygon(regular_polygon(m, r)).capacity) / r)
+            for r in (1e-3, 1e-4)
+        )
+        limit = (c2 * r1**2 - c1 * r2**2) / (r1**2 - r2**2)
+        assert abs(limit - _euclidean_regular_capacity(m)) <= 1e-10 * limit
+
+    def test_euclidean_limit_classic_forms(self):
+        g = math.gamma
+        a3, a4 = math.sqrt(3.0), math.sqrt(2.0)  # sides at circumradius 1
+        c3 = math.sqrt(3.0) * g(1 / 3) ** 3 * a3 / (8.0 * math.pi**2)
+        c4 = g(1 / 4) ** 2 * a4 / (4.0 * math.pi**1.5)
+        assert _euclidean_regular_capacity(3) == pytest.approx(c3, rel=1e-15)
+        assert _euclidean_regular_capacity(4) == pytest.approx(c4, rel=1e-15)
 
     def test_determinism(self):
         r1 = cap_polygon(regular_polygon(5, 0.7))
@@ -555,20 +584,19 @@ class TestDiscretize:
         side = b.pieces[0]
         z = d.nodes[d.pos < 64]
         gaps = np.abs(np.diff(z))
-        h_uniform = side.euclid_length() / 32
+        length = abs(side.derivative(0.0))
+        h_uniform = length / 32
         assert np.min(gaps) < h_uniform / 100
         assert np.argmin(gaps) in (0, len(gaps) - 1)
         assert np.max(gaps) > h_uniform
-        assert np.min(np.abs(d.nodes[:, None] - np.array([p.z1 for p in b.pieces]))) > 1e-9 * (
-            side.euclid_length()
-        )
+        assert np.min(np.abs(d.nodes[:, None] - np.array([p.z1 for p in b.pieces]))) > 1e-9 * length
 
     @pytest.mark.parametrize(
         "b",
         [
             BoundarySet.from_polygon(regular_polygon(3, 0.9)),
             BoundarySet.from_polygon(regular_polygon(8, 0.9)),
-            BoundarySet.from_hyp_disk(HypDisk(0.3, 1.0)),
+            BoundarySet.from_euclid_disk(*hyp_disk_to_euclid(HypDisk(0.3, 1.0))),
         ],
         ids=["3-0.9", "8-0.9", "disk"],
     )

@@ -26,7 +26,7 @@ from hypcap import experiments
 from hypcap.capsolve import DEFAULT_TOL_POLYGON, cap_polygon
 from hypcap.condenser import ref_cap_area, ref_cap_perim
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
-from hypcap.hypgeom import mobius, polygon_measures, polygon_perimeter
+from hypcap.hypgeom import mobius, polygon_measures, polygon_perimeter, regular_polygon
 from hypcap.specfun import mu
 
 # first-level solves only: the needle triangles 2, 6 and 10 are left out
@@ -279,6 +279,16 @@ def test_published_verdicts_recompute_from_rows(published_rows):
     for previous, row in zip([None, *published_rows], published_rows):
         stored = {k: v for k, v in row.verdicts.items() if k not in NON_CAPACITY_VERDICTS}
         assert _capacity_verdicts(row, rows_by_id, previous) == stored, row.id
+
+
+def test_polygon_competitors_share_perimeter(published_rows):
+    # the regular competitor is rebuilt from its stored radius alone
+    polygon_rows = [row for row in published_rows if row.id.startswith("polygon_")]
+    assert polygon_rows
+    for row in polygon_rows:
+        v = row.values
+        regular = regular_polygon(len(row.inputs["vertices"]), v["regular_radius"])
+        assert polygon_perimeter(regular) == pytest.approx(v["perimeter"], rel=1e-14), row.id
 
 
 def test_published_sweep(published_rows):

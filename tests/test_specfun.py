@@ -157,10 +157,12 @@ class TestF1F2:
         assert all(b > a for a, b in zip(v2, v2[1:]))
 
     def test_f2_branch_continuity(self):
-        # the mu and asymptotic branches agree where they meet
-        for c in (4e-8, 3.59, 3.61, 139.0, 143.0):
-            lo, hi = f2(c * (1 - 1e-9)), f2(c * (1 + 1e-9))
-            assert hi == pytest.approx(lo, rel=1e-7)
+        # the mu and asymptotic branches agree where they meet: at
+        # th(c/4) = 1e-8 and at 1/ch(c/4) = 1e-8; across a 2e-12 step f2
+        # moves by its derivative alone
+        for c in (4.0 * math.atanh(1e-8), 4.0 * math.acosh(1e8)):
+            lo, hi = f2(c * (1 - 1e-12)), f2(c * (1 + 1e-12))
+            assert hi == pytest.approx(lo, rel=1e-11)
 
     def test_domain(self):
         with pytest.raises(ValueError):
