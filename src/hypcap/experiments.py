@@ -1,21 +1,23 @@
 """Experiment drivers: capacity comparisons, tables, and sequences.
 
 Each driver returns a list of ExperimentRow records.  Every bound a row
-checks comes from the plate it solved: _solve solves the plate alone, at
-the solver's default tolerance, and checks both disk theorems, the
-equal-area disk below its capacity and the equal-perimeter disk above,
-at its measured area and perimeter; bounds rows add the upper bound's
-two forms.  values hold each capacity beside its boundary residual
-("capacity" and "residual", or "cap_X" and "residual_X" on conjecture
-rows, where _solve_pair adds the competitor's "cap_X0" and
-"residual_X0").  So a row stores every number its verdicts compare (a
-sequence's previous row and the table's cell rows hold the rest).  Every
-verdict on a solved capacity follows one rule: it is True or False when
-the compared values differ by more than the slack, twice the largest
-boundary residual of the solves compared, and
-"inconclusive-within-residual" otherwise.  A verdict over several
-comparisons is False if any of them is, else inconclusive if any of them
-is, else True.  Closed-form checks keep their own rounding tolerances.
+checks comes from the plate it solved: _solve solves and measures the
+plate alone, at the solver's default tolerance, and checks both disk
+theorems, the equal-area disk below its capacity and the equal-perimeter
+disk above; bounds rows add the upper bound's two forms.  values hold
+each capacity beside its boundary residual, "capacity" and "residual";
+conjecture rows (X = T for triangles, P for polygons) hold "cap_X",
+"residual_X", the regular competitor's "cap_X0" and "residual_X0", their
+"slack", the matched measure of both ("area_X" and "area_X0", or
+"perimeter_X" and "perimeter_X0") and the competitor's "regular_radius".
+So a row stores every number its verdicts compare (a sequence's previous
+row and the table's cell rows hold the rest).  Every verdict on a solved
+capacity follows one rule: it is True or False when the compared values
+differ by more than the slack, twice the largest boundary residual of
+the solves compared, and "inconclusive-within-residual" otherwise.  A
+verdict over several comparisons is False if any of them is, else
+inconclusive if any of them is, else True.  Closed-form checks keep
+their own rounding tolerances.
 
 Default inputs mirror the published experiments: ten triangle vertex
 triples, seven irregular polygons, the 9 x 5 regular-polygon grid, and
@@ -35,7 +37,6 @@ from .hypgeom import (
     hyp_midpoint,
     mobius,
     polygon_measures,
-    polygon_perimeter,
     regular_polygon,
     regular_radius_from_area,
     regular_radius_from_perimeter,
@@ -132,10 +133,11 @@ def _all_hold(verdicts):
 
 
 def _solve(plate, names=("capacity", "residual")):
-    """Solve one plate: the report, and the values and verdicts every
-    solved row carries.  The plate alone fixes the solve, at the solver's
-    default tolerance, and both disk bounds, ref_cap_area(area) <= cap <=
-    ref_cap_perim(perimeter); names key the capacity and its residual."""
+    """Solve one plate: the report, the values and verdicts every solved
+    row carries, and the plate's PolygonMeasures.  The plate alone fixes
+    the solve, at the solver's default tolerance, and both disk bounds,
+    ref_cap_area(area) <= cap <= ref_cap_perim(perimeter); names key the
+    capacity and its residual."""
     rep, pm = cap_polygon(plate), polygon_measures(plate)
     cap, slack = rep.capacity, _slack(rep)
     bounds = {"perimeter_bound": ref_cap_perim(pm.perimeter), "area_bound": ref_cap_area(pm.area)}
@@ -145,23 +147,7 @@ def _solve(plate, names=("capacity", "residual")):
         "within_perimeter_bound": _ordered_verdict(bounds["perimeter_bound"], cap, slack),
         "above_area_bound": _ordered_verdict(cap, bounds["area_bound"], slack),
     }
-    return rep, values, verdicts
-
-
-def _solve_pair(plate, competitor, x):
-    """Solve a plate, then its competitor, each as _solve does: _solve's
-    entries under cap_X and residual_X, the competitor's cap_X0 and
-    residual_X0, the pair's slack, and both_converged in place of
-    converged."""
-    rep, values, verdicts = _solve(plate, (f"cap_{x}", f"residual_{x}"))
-    rep_0 = cap_polygon(competitor)
-    values |= {
-        f"cap_{x}0": rep_0.capacity,
-        f"residual_{x}0": rep_0.boundary_residual,
-        "slack": _slack(rep, rep_0),
-    }
-    verdicts["both_converged"] = verdicts.pop("converged") and bool(rep_0.converged)
-    return values, verdicts
+    return rep, values, verdicts, pm
 
 
 def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
@@ -183,65 +169,58 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     return HypPolygon.from_vertices([mobius(a, v) for v in (v1, v2, v3)])
 
 
-def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
-    """Compare cap(D, T) against the equilateral triangle of equal area.
-
-    For each vertex triple: recentre the triangle (recenter_triangle),
-    measure that plate from its sides, build the equilateral competitor
-    T0 from its area, solve both capacities, and check cap(T) >= cap(T0)
-    with residual slack.  The area is that of the plate solved, not of the
-    raw triple, which differs from it only by an isometry; equal_area
-    checks T0's measured area against it to 1e-12 relative.
-    """
-    rows = DEFAULT_TRIANGLE_ROWS if rows is None else rows
+def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_above):
+    """For each vertex list: build the plate, solve it (_solve), build the
+    regular m-gon radius(m, c) of the plate's measured c (the measure
+    field of its PolygonMeasures), solve that competitor, and check
+    cap(plate) >= cap(competitor) under key (<= if not plate_above).
+    equal_<measure> checks the competitor's c0 against c to 1e-12
+    relative.  rid formats the row id from i (1-based) and m."""
     out = []
-    for i, (v1, v2, v3) in enumerate(rows):
-        rid = f"triangle_{i + 1}"
-        inputs = {"vertices": [[v.real, v.imag] for v in map(complex, (v1, v2, v3))]}
+    for i, vs in enumerate(vertex_lists):
+        m = len(vs)
+        rid_i = rid.format(i=i + 1, m=m)
+        inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
         try:
-            plate = recenter_triangle(v1, v2, v3)
-            tm = polygon_measures(plate)
-            omega = sum(tm.angles) / 3.0
-            r0 = regular_radius_from_area(3, tm.area)
-            t0_poly = regular_polygon(3, r0)
-            area0 = polygon_measures(t0_poly).area
-            values, verdicts = _solve_pair(plate, t0_poly, "T")
+            rep, values, verdicts, pm = _solve(build(vs), (f"cap_{x}", f"residual_{x}"))
+            c = getattr(pm, measure)
+            r0 = radius(m, c)
+            competitor = regular_polygon(m, r0)
+            rep_0, c0 = cap_polygon(competitor), getattr(polygon_measures(competitor), measure)
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
-            out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
+            out.append(ExperimentRow(id=rid_i, inputs=inputs, error=str(exc)))
             continue
+        cap, cap0, slack = rep.capacity, rep_0.capacity, _slack(rep, rep_0)
         values |= {
-            "area_T": tm.area, "area_T0": area0, "equilateral_radius": r0, "mean_angle": omega
+            f"cap_{x}0": cap0, f"residual_{x}0": rep_0.boundary_residual, "slack": slack,
+            f"{measure}_{x}": c, f"{measure}_{x}0": c0, "regular_radius": r0,
         }
-        verdicts["capacity_not_below_equilateral"] = _ordered_verdict(
-            values["cap_T"], values["cap_T0"], values["slack"]
-        )
-        verdicts["equal_area"] = bool(abs(tm.area - area0) <= 1e-12 * tm.area)
-        out.append(ExperimentRow(rid, inputs, values, verdicts))
+        verdicts["both_converged"] = verdicts.pop("converged") and bool(rep_0.converged)
+        verdicts[key] = _ordered_verdict(*((cap, cap0) if plate_above else (cap0, cap)), slack)
+        verdicts[f"equal_{measure}"] = bool(abs(c - c0) <= 1e-12 * c)
+        out.append(ExperimentRow(rid_i, inputs, values, verdicts))
     return out
+
+
+def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
+    """Compare cap(D, T) against the equilateral triangle T0 of equal area.
+
+    Each triple is recentred (recenter_triangle), an isometry, and T0
+    takes the area of the plate solved."""
+    return _run_conjecture(
+        DEFAULT_TRIANGLE_ROWS if rows is None else rows, lambda vs: recenter_triangle(*vs),
+        "triangle_{i}", "T", "area", regular_radius_from_area,
+        "capacity_not_below_equilateral", True,
+    )
 
 
 def run_polygon_conjecture(polygons=None) -> list[ExperimentRow]:
-    """Compare cap(D, P) against the regular polygon of equal perimeter."""
-    polygons = DEFAULT_POLYGON_ROWS if polygons is None else polygons
-    out = []
-    for i, vs in enumerate(polygons):
-        m = len(vs)
-        rid = f"polygon_m{m}_{i + 1}"
-        inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
-        try:
-            poly = HypPolygon.from_vertices(vs)
-            L = polygon_perimeter(poly)
-            r0 = regular_radius_from_perimeter(m, L)
-            values, verdicts = _solve_pair(poly, regular_polygon(m, r0), "P")
-        except _ROW_ERRORS as exc:
-            out.append(ExperimentRow(id=rid, inputs=inputs, error=str(exc)))
-            continue
-        values |= {"perimeter": L, "regular_radius": r0}
-        verdicts["capacity_not_above_regular"] = _ordered_verdict(
-            values["cap_P0"], values["cap_P"], values["slack"]
-        )
-        out.append(ExperimentRow(rid, inputs, values, verdicts))
-    return out
+    """Compare cap(D, P) against the regular polygon P0 of equal perimeter."""
+    return _run_conjecture(
+        DEFAULT_POLYGON_ROWS if polygons is None else polygons, HypPolygon.from_vertices,
+        "polygon_m{m}_{i}", "P", "perimeter", regular_radius_from_perimeter,
+        "capacity_not_above_regular", False,
+    )
 
 
 def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
@@ -253,7 +232,7 @@ def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
     for r in r_list:
         for m in m_list:
             rid = f"table_r{r:g}_m{m}"
-            rep, values, verdicts = _solve(regular_polygon(m, r))
+            rep, values, verdicts, _ = _solve(regular_polygon(m, r))
             grid[(r, m)] = rep
             values |= {"r": float(r), "m": float(m)}
             out.append(ExperimentRow(rid, {"m": m, "r": float(r)}, values, verdicts))
@@ -288,7 +267,7 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
     for m in m_range:
         rid = f"seq_{kind}_c{c:g}_m{m}"
         r = radius(m, c)
-        rep, values, verdicts = _solve(regular_polygon(m, r))
+        rep, values, verdicts, _ = _solve(regular_polygon(m, r))
         values |= {"r": r, "m": float(m), "slack": _slack(rep)}
         if prev is not None:
             values["previous_capacity"] = prev.capacity
@@ -352,9 +331,7 @@ def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
     out = []
     for s in s_grid:
         lower, upper = triangle_bounds_from_s(s)
-        plate = regular_polygon(3, s)
-        rep, values, verdicts = _solve(plate)
-        pm = polygon_measures(plate)
+        rep, values, verdicts, pm = _solve(regular_polygon(3, s))
         x, v = pm.perimeter / 6.0, pm.area
         upper_perim = 3.0 * math.pi / mu(math.tanh(x), 1.0 / math.cosh(x))
         d = 2.0 * math.sin(v / 12.0) ** 2 + math.sqrt(3.0) * math.sin(v / 6.0)

@@ -280,7 +280,7 @@ def regular_polygon(m: int, r: float) -> HypPolygon:
 
 def polygon_perimeter(p: HypPolygon) -> float:
     """Sum of the hyperbolic side lengths."""
-    return sum(hyp_dist(s.z1, s.z2) for s in p.sides)
+    return polygon_measures(p).perimeter
 
 
 def polygon_measures(p: HypPolygon) -> PolygonMeasures:

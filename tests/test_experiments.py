@@ -59,7 +59,9 @@ ROW_SCHEMA = {
     "triangle_conjecture": (
         [PAIR | {"capacity_not_below_equilateral", "equal_area"}] * 2, {"cap_T", "cap_T0"}
     ),
-    "polygon_conjecture": ([PAIR | {"capacity_not_above_regular"}] * 2, {"cap_P", "cap_P0"}),
+    "polygon_conjecture": (
+        [PAIR | {"capacity_not_above_regular", "equal_perimeter"}] * 2, {"cap_P", "cap_P0"}
+    ),
     "regular_table": ([SOLVED] * 4 + [{"increasing_in_m", "increasing_in_r"}], {"capacity"}),
     "sequence_area": ([SOLVED] + [SOLVED | {"decreasing_in_m"}] * 2, {"capacity"}),
     "sequence_perim": ([SOLVED] + [SOLVED | {"increasing_in_m"}] * 2, {"capacity"}),
@@ -68,7 +70,16 @@ ROW_SCHEMA = {
 }
 
 # verdicts that compare no solved capacity
-NON_CAPACITY_VERDICTS = {"converged", "both_converged", "equal_area", "rewrites_agree"}
+NON_CAPACITY_VERDICTS = {
+    "converged", "both_converged", "equal_area", "equal_perimeter", "rewrites_agree"
+}
+
+# each conjecture family: its row-id prefix, its letter X, the measure
+# its competitor matches and its conjecture verdict
+CONJECTURES = {
+    "triangle_conjecture": ("triangle_", "T", "area", "capacity_not_below_equilateral"),
+    "polygon_conjecture": ("polygon_", "P", "perimeter", "capacity_not_above_regular"),
+}
 
 DEGENERATE_RUNS = {
     # three points on a diameter: recentred, every side is radial
@@ -147,14 +158,19 @@ def test_solve_fixed_by_plate_alone(name, monkeypatch):
     monkeypatch.setattr(experiments, "cap_polygon", recorded)
     rows = REDUCED_RUNS[name]()
     assert calls and all(tol == DEFAULT_TOL_POLYGON for _, tol in calls)
-    # a row solves its plate first, then a pair row its competitor
+    # a row solves its plate first, then a conjecture row its competitor,
+    # the regular m-gon of the plate's measured area or perimeter
     plates = iter(plate for plate, _ in calls)
     for row in rows:
         if "perimeter_bound" not in row.values:
             continue
         plate = next(plates)
-        if "both_converged" in row.verdicts:
-            next(plates)
+        if name in CONJECTURES:
+            _, x, measure, _ = CONJECTURES[name]
+            c = getattr(polygon_measures(plate), measure)
+            assert row.values[f"{measure}_{x}"] == c, row.id
+            regular = regular_polygon(len(plate.vertices), row.values["regular_radius"])
+            assert next(plates).vertices == regular.vertices, row.id
         assert row.values["perimeter_bound"] == ref_cap_perim(polygon_perimeter(plate)), row.id
         pm = polygon_measures(plate)
         assert row.values["area_bound"] == ref_cap_area(pm.area), row.id
@@ -281,14 +297,36 @@ def test_published_verdicts_recompute_from_rows(published_rows):
         assert _capacity_verdicts(row, rows_by_id, previous) == stored, row.id
 
 
-def test_polygon_competitors_share_perimeter(published_rows):
-    # the regular competitor is rebuilt from its stored radius alone
-    polygon_rows = [row for row in published_rows if row.id.startswith("polygon_")]
-    assert polygon_rows
-    for row in polygon_rows:
-        v = row.values
-        regular = regular_polygon(len(row.inputs["vertices"]), v["regular_radius"])
-        assert polygon_perimeter(regular) == pytest.approx(v["perimeter"], rel=1e-14), row.id
+def test_competitors_share_the_measure(published_rows):
+    # the regular competitor is rebuilt from its stored radius alone, and
+    # has the measure the row stores for its plate
+    for prefix, x, measure, _ in CONJECTURES.values():
+        conjecture_rows = [row for row in published_rows if row.id.startswith(prefix)]
+        assert conjecture_rows
+        for row in conjecture_rows:
+            v = row.values
+            regular = regular_polygon(len(row.inputs["vertices"]), v["regular_radius"])
+            c = getattr(polygon_measures(regular), measure)
+            assert c == pytest.approx(v[f"{measure}_{x}"], rel=1e-14), row.id
+            assert row.verdicts[f"equal_{measure}"] is True, row.id
+
+
+@pytest.mark.parametrize(
+    "name, m, r",
+    [("triangle_conjecture", 3, 0.3), ("triangle_conjecture", 3, 0.8),
+     ("polygon_conjecture", 3, 0.3), ("polygon_conjecture", 3, 0.8),
+     ("polygon_conjecture", 4, 0.6), ("polygon_conjecture", 8, 0.9)],
+)
+def test_regular_plate_is_its_own_competitor(name, m, r):
+    # the comparison's zero point: a regular plate's competitor is itself
+    # (a recentred triangle is moved by an isometry), so the capacities
+    # differ by less than the slack
+    _, x, measure, key = CONJECTURES[name]
+    (row,) = getattr(experiments, f"run_{name}")([regular_polygon(m, r).vertices])
+    assert row.error is None, row.error
+    assert row.values["regular_radius"] == pytest.approx(r, rel=1e-14)
+    assert row.verdicts[f"equal_{measure}"] is True
+    assert row.verdicts[key] == INCONCLUSIVE
 
 
 def test_published_sweep(published_rows):
