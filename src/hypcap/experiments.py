@@ -268,7 +268,7 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
         rid = f"seq_{kind}_c{c:g}_m{m}"
         r = radius(m, c)
         rep, values, verdicts, _ = _solve(regular_polygon(m, r))
-        values |= {"r": r, "m": float(m), "slack": _slack(rep)}
+        values |= {"r": r, "m": float(m)}
         if prev is not None:
             values["previous_capacity"] = prev.capacity
             key = "decreasing_in_m" if decreasing else "increasing_in_m"
@@ -281,17 +281,15 @@ def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
 
 def run_sequence_area(c: float = 3.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic area c: capacities should
-    decrease with m toward the equal-area disk reference from above."""
-    if not 0.0 < c < math.pi:
-        raise ValueError(f"area sequences need 0 < c < pi, got {c}")
+    decrease with m toward the equal-area disk reference from above.
+    regular_radius_from_area checks c for each m, 0 < c < (m - 2) pi."""
     return _run_sequence("area", c, m_range)
 
 
 def run_sequence_perim(c: float = 20.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic perimeter c: capacities should
-    increase with m toward the equal-perimeter circle reference."""
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"perimeter sequences need 0 < c < inf, got {c}")
+    increase with m toward the equal-perimeter circle reference.
+    regular_radius_from_perimeter checks c for each m."""
     return _run_sequence("perim", c, m_range)
 
 

@@ -88,16 +88,14 @@ def mobius(a: complex, z):
 
 
 def hyp_midpoint(x: complex, y: complex) -> complex:
-    """Hyperbolic midpoint of the geodesic segment from x to y."""
-    x = _check_in_disk(x, "x")
-    y = _check_in_disk(y, "y")
-    w = mobius(x, y)  # y moved to a radial point, x to 0
+    """Hyperbolic midpoint of the geodesic segment from x to y: mobius(x, .)
+    sends y to w, and its inverse mobius(-x, .) sends back the point
+    th(artanh|w| / 2) w / |w| halfway from 0 to w."""
+    w = mobius(x, y)
     if w == 0:
-        return x
+        return complex(x)
     t = math.tanh(0.5 * math.atanh(abs(w)))
-    m = t * w / abs(w)
-    # inverse of T_x
-    return (m + x) / (1.0 + x.conjugate() * m)
+    return mobius(-x, t * w / abs(w))
 
 
 @dataclass(frozen=True)
@@ -270,8 +268,6 @@ class HypPolygon:
 
 def regular_polygon(m: int, r: float) -> HypPolygon:
     """Regular hyperbolic m-gon with vertices r exp(2 pi i k / m)."""
-    if m < 3:
-        raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
     if not 0.0 < r < 1.0:
         raise GeometryError(f"vertex radius must be in (0, 1), got {r}")
     vs = [r * cmath.exp(2j * math.pi * k / m) for k in range(m)]

@@ -109,6 +109,16 @@ def test_driver_rows_pass(name):
             assert re.sub("^cap(acity)?", "residual", key) in row.values, (row.id, key)
 
 
+def test_area_sequence_beyond_pi():
+    # areas up to (m - 2) pi exist from m = 4 on; regular_radius_from_area
+    # alone checks c, so a bad c raises at the first m that cannot take it
+    rows = experiments.run_sequence_area(4.0, range(4, 8))
+    assert [row.error for row in rows] == [None] * 4
+    assert [row.verdicts.get("decreasing_in_m") for row in rows] == [None, True, True, True]
+    with pytest.raises(ValueError, match=r"area 4.0 outside the attainable range \(0, 3.14"):
+        experiments.run_sequence_area(4.0)
+
+
 @pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
 def test_degenerate_row_recorded_as_error(name):
     bad, good = DEGENERATE_RUNS[name]()

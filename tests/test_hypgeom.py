@@ -161,6 +161,8 @@ class TestMobius:
             assert hyp_dist(x, m) + hyp_dist(m, y) == pytest.approx(
                 hyp_dist(x, y), abs=1e-12
             )
+        for z in (0.3 - 0.4j, 0.5):
+            assert hyp_midpoint(z, z) == z and type(hyp_midpoint(z, z)) is complex
 
 
 class TestHypDisk:
@@ -281,6 +283,12 @@ class TestPolygonBasics:
     def test_origin_vertex_rejected(self):
         with pytest.raises(GeometryError):
             HypPolygon.from_vertices([0.0, 0.5, 0.5j])
+
+    def test_regular_polygon_needs_three_vertices(self):
+        # from_vertices holds the one vertex-count check
+        for m in (0, 1, 2):
+            with pytest.raises(GeometryError, match="at least 3 vertices"):
+                regular_polygon(m, 0.5)
 
     @settings(max_examples=300)
     @given(
