@@ -47,14 +47,14 @@ Its singular part on the sector parameter is again
 1/2 log(4 sin^2((u - v)/2)): of the Kress weights of the whole boundary
 only the terms with k a multiple of n survive the sum over rotations,
 times n, which are the weights of the sector on its own.  The diagonal
-term becomes log|d(z^n)/du| - log(1 - |z|^2n).  When the vertices form
-one rotation orbit (a regular polygon) the plate is also symmetric
-under sigma(z) = (v_0/|v_0|)^2 conj(z), which modulo rotations maps
-side 0 onto itself by t -> 1 - t.  The graded nodes are symmetric too,
-so node j pairs with node P - j of the side, and the solver fits only
-the rows and columns with t <= 1/2, each column carrying the node and
-its mirror image.  The node at t = 1/2 is its own image: its column is
-doubled and its unknown halved.  The capacity is
+term becomes log|d(z^n)/du| - log(1 - |z|^2n).  When the line through
+0 and a vertex v_0 (first in the side list) is a mirror axis of the
+plate, sigma(z) = (v_0/|v_0|)^2 conj(z) maps vertex k onto vertex -k,
+and so, modulo rotations, the sector's grid position u onto -u.  The
+graded nodes are symmetric too, so the solver fits only the rows and
+columns with u <= pi, each column carrying the node and its mirror
+image.  A node at u = pi (a side's midpoint) is its own image: its
+column is doubled and its unknown halved.  The capacity is
 -2 pi k (pi / N) sum_j psi_j, with k = n images per node, or 2n with
 the mirror.
 
@@ -118,15 +118,22 @@ _SYMMETRY_RTOL = 1e-12
 _BLOCK_ENTRIES = 2**16
 
 
-def _rotates_onto_itself(vertices, n: int) -> bool:
-    """Whether n divides m and rotation by 2 pi / n about 0 maps vertex k
-    onto vertex k + m/n, to 1e-12 of the largest vertex radius."""
-    v = np.asarray(vertices, dtype=complex)
-    if len(v) % n:
-        return False
-    moved = cmath.exp(2j * math.pi / n) * v
-    err = np.max(np.abs(np.roll(v, -(len(v) // n)) - moved))
-    return bool(err <= _SYMMETRY_RTOL * np.max(np.abs(v)))
+def _maps_onto(v, moved) -> bool:
+    """Whether moved[k] = v[k] for every k, to 1e-12 of the largest |v[k]|."""
+    tol = _SYMMETRY_RTOL * max(map(abs, v))
+    return all(abs(a - b) <= tol for a, b in zip(v, moved))
+
+
+def _rotates_onto_itself(v, n: int) -> bool:
+    """Whether n divides m and rotation by 2 pi / n maps vertex k onto k + m/n."""
+    q, w = len(v) // n, cmath.exp(2j * math.pi / n)
+    return not len(v) % n and _maps_onto(v[q:] + v[:q], [w * z for z in v])
+
+
+def _mirrors_onto_itself(v, mirror: complex) -> bool:
+    """Whether |mirror| = 1 and z -> mirror * conj(z) maps vertex k onto -k."""
+    moved = [mirror * z.conjugate() for z in v]
+    return abs(abs(mirror) - 1.0) <= _SYMMETRY_RTOL and _maps_onto(v[:1] + v[:0:-1], moved)
 
 
 class SolverError(RuntimeError):
@@ -162,12 +169,15 @@ class BoundarySet:
 
     symmetry is the order n of the rotation group about 0 that maps the
     piece list onto itself, piece k onto piece k + m/n; the solver fits
-    one sector of m/n pieces with the orbit-summed kernel.  from_polygon
-    derives it from the vertices; it is 1 for disks and generic plates.
+    one sector of m/n pieces with the orbit-summed kernel.  A mirror z ->
+    mirror * conj(z) that maps vertex k onto vertex -k halves the sector.
+    from_polygon derives both, vertex 0 first on a mirror axis; disks
+    and generic plates take neither.
     """
 
     pieces: tuple
     symmetry: int = 1
+    mirror: complex | None = None
 
     def __post_init__(self):
         # hyperbolic distance from 0 is convex along a geodesic, so a
@@ -181,12 +191,14 @@ class BoundarySet:
                 f"plate boundary reaches |z| = {top:.8f}; must stay below 1 - 1e-6"
             )
         # geodesic sides are fixed by their endpoints, so the corners
-        # decide the symmetry; a single circle piece admits only n = 1
+        # decide the symmetries; a circle piece admits only n = 1, no mirror
         m, n = len(self.pieces), self.symmetry
-        if n != 1 and (
-            n < 1 or m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)
-        ):
+        if n != 1 and (n < 1 or m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)):
             raise GeometryError(f"plate does not have {n}-fold rotational symmetry about 0")
+        if self.mirror is not None and (
+            self.is_smooth or not _mirrors_onto_itself([p.z1 for p in self.pieces], self.mirror)
+        ):
+            raise GeometryError(f"plate is not symmetric under z -> ({self.mirror}) conj(z)")
 
     @property
     def is_smooth(self) -> bool:
@@ -194,9 +206,13 @@ class BoundarySet:
 
     @staticmethod
     def from_polygon(p: HypPolygon) -> "BoundarySet":
+        axes = [(j, (v / abs(v)) ** 2) for j, v in enumerate(p.vertices)]
+        hits = ((j, u) for j, u in axes if _mirrors_onto_itself(p.vertices[j:] + p.vertices[:j], u))
+        j, mirror = next(hits, (0, None))
         return BoundarySet(
-            pieces=tuple(p.sides),
+            pieces=p.sides[j:] + p.sides[:j],
             symmetry=next(n for n in range(p.m, 0, -1) if _rotates_onto_itself(p.vertices, n)),
+            mirror=mirror,
         )
 
     @staticmethod
@@ -241,9 +257,9 @@ class Discretization:
     counted in half steps of that grid: nodes sit at even positions,
     check points at the odd ones between them, so a point at position
     k has u = pi k / n_grid.  nodes are the kept grid nodes (the fitted
-    unknowns and rows); with a mirror (the unit factor of
-    sigma(z) = mirror * conj(z), set for regular polygons) only those
-    with u <= pi, and each also stands for its image at position -k.
+    unknowns and rows); with a mirror (BoundarySet.mirror, the unit
+    factor of sigma(z) = mirror * conj(z)) only those with u <= pi, and
+    each also stands for its image at position -k.
     diagonal is the limit of the smooth part of the kernel at each node,
     log|d(z^n)/du| - log(1 - |z|^2n).
     """
@@ -306,8 +322,8 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     nodes with Kress grading of order 6, t = tau(s) with s = q u - 2 pi k
     on side k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at
     uniform speed, tau(s) = s / 2 pi.  Polygon nodes and check points
-    within 1e-9 of a side end in the side parameter are dropped.  For a
-    regular polygon only the half of side 0 with t <= 1/2 is kept.
+    within 1e-9 of a side end in the side parameter are dropped.  With a
+    mirror only the half of the sector with u <= pi is kept.
     """
     n = b.symmetry
     sector = b.pieces[: len(b.pieces) // n]
@@ -324,10 +340,7 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     dz = np.concatenate([piece.derivative(tau) * (q * dtau) for piece in sector])
     pos = np.arange(2 * n_grid)
     keep = np.tile(keep, q)
-    mirror = None
-    if not b.is_smooth and n == len(b.pieces):
-        v0 = complex(b.pieces[0].z1)
-        mirror = (v0 / abs(v0)) ** 2
+    if b.mirror is not None:
         keep &= pos <= n_grid
     nodes = keep & (pos % 2 == 0)
     check = keep & (pos % 2 == 1)
@@ -343,7 +356,7 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
         check_pos=pos[check],
         n_grid=n_grid,
         symmetry=n,
-        mirror=mirror,
+        mirror=b.mirror,
     )
 
 
@@ -352,9 +365,9 @@ class SolveReport:
     """Outcome of one capacity solve.
 
     n_collocation counts the unknowns (and rows) of the fitted square
-    system: the kept nodes of one sector, of half a side for a regular
-    polygon.  boundary_residual is max|u - 1| at the midpoints between
-    those nodes, and converged says it is below the tolerance.
+    system: the kept nodes of one sector, of half of it with a mirror.
+    boundary_residual is max|u - 1| at the midpoints between those
+    nodes, and converged says it is below the tolerance.
     """
 
     capacity: float
@@ -553,7 +566,7 @@ def solve_capacity(
     after each level whose residual is not below tol, and returns the
     first converged report, else the last (converged=False).  A plate
     with symmetry n > 1 starts one doubling higher: its system is n-fold
-    (regular polygons 2n-fold) smaller, so the extra level is cheap, and
+    (2n-fold with a mirror) smaller, so the extra level is cheap, and
     sharp regular corners (the 3-gon at r = 0.9) need it to resolve the
     capacity to the accuracy the residual promises.
     """

@@ -34,6 +34,7 @@ from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     GeometryError,
     HypPolygon,
+    hyp_dist,
     hyp_midpoint,
     mobius,
     polygon_measures,
@@ -152,21 +153,27 @@ def _solve(plate, names=("capacity", "residual")):
 
 def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     """The triangle moved by the disk automorphism that sends
-    a = hyp_midpoint(hyp_midpoint(v1, v2), v3) to 0.
+    a = hyp_midpoint(hyp_midpoint(b1, b2), apex) to 0: the apex is the
+    first of v3, v1, v2 whose two sides are equal to 1e-12 relative (v3
+    if none), and b1, b2 follow it in cyclic order.
 
     The capacity is invariant under disk automorphisms, and published
     triangle inputs need not surround 0, which HypPolygon needs (the
     plate starlike about 0).  A geodesic triangle is geodesically convex,
-    so the midpoint of v1 and v2 lies on a side and a, the midpoint of
-    the geodesic from it to v3, lies strictly inside: the moved triangle
-    is starlike about 0.  hyp_midpoint commutes with isometries, so
+    so the midpoint of b1 and b2 lies on a side and a, the midpoint of
+    the geodesic from it to the apex, lies strictly inside: the moved
+    triangle is starlike about 0.  An isosceles triangle's mirror axis
+    runs through the apex and a, so the moved plate has one through 0,
+    for the solver to fold.  hyp_midpoint commutes with isometries, so
     moving the input by an isometry first moves a with it, and the
-    result differs only by a rotation (or reflection) about 0: where
-    the input triangle sits does not change the recentred plate's
-    vertex moduli.
+    result differs only by a rotation (or reflection) about 0: where the
+    input triangle sits does not change the recentred plate's vertex moduli.
     """
-    a = hyp_midpoint(hyp_midpoint(v1, v2), v3)
-    return HypPolygon.from_vertices([mobius(a, v) for v in (v1, v2, v3)])
+    vs = (v1, v2, v3)
+    side = [hyp_dist(vs[k - 1], vs[k]) for k in range(3)]  # sides k and k + 1 meet at vertex k
+    k = next((k for k in (2, 0, 1) if math.isclose(side[k], side[k - 2], rel_tol=1e-12)), 2)
+    a = hyp_midpoint(hyp_midpoint(vs[k - 2], vs[k - 1]), vs[k])
+    return HypPolygon.from_vertices([mobius(a, v) for v in vs])
 
 
 def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_above):

@@ -60,8 +60,10 @@ from hypcap.specfun import f2
 
 SEED = 73301
 
-# published polygon row with no rotational symmetry; plates with 2-fold
-# and 3-fold symmetry that are not regular
+# published polygon row with no rotational symmetry (a mirror axis, the
+# real one); plates with 2-fold and 3-fold symmetry that are not regular;
+# and plates with a mirror axis through 0 alone, at a turned axis and
+# with the axis vertex not first: an isosceles triangle and a kite
 NEAR_SQUARE = [0.601, -0.6j, -0.599, 0.6j]
 RHOMBUS = [0.6, 0.3j, -0.6, -0.3j]
 STAR3 = [
@@ -69,12 +71,30 @@ STAR3 = [
     for k in range(3)
     for rho, shift in ((0.7, 0.0), (0.3, 0.5))
 ]
+ISOSCELES = [0.4 * cmath.exp(-1.5j), 0.7 * cmath.exp(1j), 0.4 * cmath.exp(3.5j)]
+KITE = [cmath.exp(0.4j) * v for v in (0.4j, -0.3, -0.4j, 0.6)]
+# the kite's sides from its axis vertex -0.3 e^{0.4i} on, unfolded, and
+# the unit factor of the reflection in its axis
+KITE_UNFOLDED = replace(BoundarySet.from_polygon(HypPolygon.from_vertices(KITE)), mirror=None)
+KITE_AXIS = cmath.exp(0.8j)
+
+
+def _has_vertex_axis(vertices):
+    """Whether the reflection in the line through 0 and some vertex maps
+    the vertex set onto itself, to 1e-12: the symmetry the mirror fold
+    needs, tested on the set rather than on the vertex order."""
+    v = np.asarray(vertices, dtype=complex)
+    return any(
+        np.max(np.min(np.abs((w / abs(w)) ** 2 * np.conj(v)[:, None] - v[None, :]), axis=1))
+        <= 1e-12
+        for w in v
+    )
 
 
 def _unfold(points, d):
-    """points of the half side and their mirror images across the side's
-    bisector (d.mirror * conj(z), turned by one rotation), each point on
-    the bisector once: the side that a mirror half stands for."""
+    """points of the half sector and their mirror images across the
+    sector's bisector (d.mirror * conj(z), turned by one rotation), each
+    point on the bisector once: the sector that a mirror half stands for."""
     if d.mirror is None:
         return points
     images = cmath.exp(2j * math.pi / d.symmetry) * d.mirror * np.conj(points)
@@ -116,18 +136,26 @@ def _reference_kernel(z, pos, d):
     return A
 
 
-# plates of the kernel tests: no symmetry, two sectors without a mirror,
-# a mirror half whose t = 1/2 node is its own image, and a circle
+# plates of the kernel tests: no symmetry, a mirror half of two sectors,
+# two sectors without a mirror, mirror halves whose middle node is its
+# own image (a side's midpoint), mirror halves of a whole boundary, and
+# a circle
 KERNEL_PLATES = pytest.mark.parametrize(
     "b",
     [
         BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1])),
         BoundarySet.from_polygon(HypPolygon.from_vertices(RHOMBUS)),
+        replace(BoundarySet.from_polygon(HypPolygon.from_vertices(RHOMBUS)), mirror=None),
         BoundarySet.from_polygon(HypPolygon.from_vertices(STAR3)),
         BoundarySet.from_polygon(regular_polygon(3, 0.9)),
+        BoundarySet.from_polygon(HypPolygon.from_vertices(ISOSCELES)),
+        BoundarySet.from_polygon(HypPolygon.from_vertices(KITE)),
         BoundarySet.from_euclid_disk(0.2 + 0.1j, 0.3),
     ],
-    ids=["triangle_2-T", "rhombus", "star-3", "3-0.9", "disk"],
+    ids=[
+        "triangle_2-T", "rhombus", "rhombus-no-mirror", "star-3", "3-0.9", "isosceles", "kite",
+        "disk",
+    ],
 )
 
 
@@ -232,7 +260,7 @@ class TestSymmetry:
         b = BoundarySet.from_polygon(regular_polygon(m, r))
         p = SolverParams(nodes_per_side=256)
         sym = _solve_once(b, p, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, symmetry=1), p, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, symmetry=1, mirror=None), p, DEFAULT_TOL_POLYGON)
         assert (sym.symmetry, full.symmetry) == (m, 1)
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
@@ -245,15 +273,42 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("vertices", [RHOMBUS, STAR3], ids=["rhombus", "star-3"])
     def test_sector_solve_matches_full_solve_without_mirror(self, vertices):
-        # sectors of several sides, with no mirror: the orbit kernel's
-        # weights fold the whole boundary's over the rotations
-        b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
+        # sectors of several sides, with the mirror taken off: the orbit
+        # kernel's weights fold the whole boundary's over the rotations
+        b = replace(BoundarySet.from_polygon(HypPolygon.from_vertices(vertices)), mirror=None)
         p = SolverParams(nodes_per_side=128)
         sym = _solve_once(b, p, DEFAULT_TOL_POLYGON)
         full = _solve_once(replace(b, symmetry=1), p, DEFAULT_TOL_POLYGON)
         assert sym.symmetry > 1 and full.n_collocation == sym.symmetry * sym.n_collocation
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            ISOSCELES,
+            KITE,
+            RHOMBUS,
+            STAR3,
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]).vertices,
+            NEAR_SQUARE,
+        ],
+        ids=["isosceles", "kite", "rhombus", "star-3", "triangle_4-T", "polygon_m4_2"],
+    )
+    def test_mirror_solve_matches_full_solve(self, vertices):
+        # the mirror half of a sector gives the whole boundary's capacity
+        # to rounding, at equal nodes per side; it keeps one node more
+        # than half a sector when the sector's middle is a side's
+        # midpoint (an odd number of sides), which is its own image
+        b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
+        p = SolverParams()
+        half = _solve_once(b, p, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, symmetry=1, mirror=None), p, DEFAULT_TOL_POLYGON)
+        assert b.mirror is not None
+        assert abs(half.capacity - full.capacity) <= 1e-13 * full.capacity
+        assert half.converged == full.converged
+        odd = len(vertices) // b.symmetry % 2
+        assert full.n_collocation == b.symmetry * (2 * half.n_collocation - odd)
 
     def test_symmetric_plates_start_one_doubling_higher(self):
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
@@ -272,26 +327,46 @@ class TestSymmetry:
             (STAR3, 3),
             (NEAR_SQUARE, 1),
             ([mobius(0.1 + 0.05j, v) for v in regular_polygon(3, 0.5).vertices], 1),
+            (ISOSCELES, 1),
+            (KITE, 1),
+            ([0.6, 0.1 - 0.8j, -0.5 + 0.6j], 1),
         ],
-        ids=["regular-3", "regular-8", "rotated-6", "rhombus", "star-3", "near-square", "moved-3"],
+        ids=[
+            "regular-3", "regular-8", "rotated-6", "rhombus", "star-3", "near-square", "moved-3",
+            "isosceles", "kite", "scalene",
+        ],
     )
     def test_detected_symmetry(self, vertices, n):
+        # a mirror is found iff a vertex axis through 0 exists, and
+        # vertex 0 of the side list then lies on it
         b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
         assert b.symmetry == n
+        assert (b.mirror is not None) == _has_vertex_axis(vertices)
+        if b.mirror is not None:
+            z1 = b.pieces[0].z1
+            assert abs(b.mirror * z1.conjugate() - z1) <= 1e-12
 
     @pytest.mark.parametrize(
         "vertices",
-        [regular_polygon(3, 0.9).vertices, regular_polygon(8, 0.5).vertices, RHOMBUS, STAR3],
-        ids=["regular-3", "regular-8", "rhombus", "star-3"],
+        [
+            regular_polygon(3, 0.9).vertices,
+            regular_polygon(8, 0.5).vertices,
+            RHOMBUS,
+            STAR3,
+            ISOSCELES,
+            KITE,
+            DEFAULT_POLYGON_ROWS[0],
+        ],
+        ids=["regular-3", "regular-8", "rhombus", "star-3", "isosceles", "kite", "polygon_m3_1"],
     )
     def test_sector_layout_rotates_onto_full_layout(self, vertices):
-        # the sector's nodes and check points (for a regular polygon the
-        # mirror half's, mirrored), rotated n times, are the full layout's
+        # the sector's nodes and check points (with a mirror the mirror
+        # half's, mirrored), rotated n times, are the full layout's
         b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
         n = b.symmetry
         sector = discretize(b, SolverParams())
-        full = discretize(replace(b, symmetry=1), SolverParams())
-        assert (sector.mirror is not None) == (n == len(vertices))
+        full = discretize(replace(b, symmetry=1, mirror=None), SolverParams())
+        assert (sector.mirror is not None) == _has_vertex_axis(vertices)
         for part, whole in (
             (_unfold(sector.nodes, sector), full.nodes),
             (_unfold(sector.check, sector), full.check),
@@ -300,23 +375,36 @@ class TestSymmetry:
             assert len(turned) == len(whole)
             assert np.max(np.min(np.abs(turned[:, None] - whole[None, :]), axis=1)) <= 1e-12
 
-    @pytest.mark.parametrize("m, r", [(3, 0.9), (4, 0.5), (8, 0.9)])
-    def test_mirror_kernel_folds_full_kernel(self, m, r):
-        # the half side's Nystrom matrix is the full plate's, with each
-        # column summed over the node's 2m images.  Every entry gains a
-        # factor m, because the sector's parameter runs m times faster
-        # and its unknown sigma |dz/du| is 1/m of the full one, and the
-        # node at t = 1/2 has its column doubled (its unknown halved)
-        b = BoundarySet.from_polygon(regular_polygon(m, r))
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            regular_polygon(3, 0.9),
+            regular_polygon(4, 0.5),
+            regular_polygon(8, 0.9),
+            HypPolygon.from_vertices(ISOSCELES),
+            HypPolygon.from_vertices(KITE),
+            HypPolygon.from_vertices(STAR3),
+        ],
+        ids=["3-0.9", "4-0.5", "8-0.9", "isosceles", "kite", "star-3"],
+    )
+    def test_mirror_kernel_folds_full_kernel(self, poly):
+        # the half sector's Nystrom matrix is the full plate's, with each
+        # column summed over the node's 2n images.  Every entry gains a
+        # factor n, because the sector's parameter runs n times faster
+        # and its unknown sigma |dz/du| is 1/n of the full one, and a
+        # node in the middle of the sector has its column doubled (its
+        # unknown halved)
+        b = BoundarySet.from_polygon(poly)
+        n = b.symmetry
         p = SolverParams(nodes_per_side=32)
-        half, full = discretize(b, p), discretize(replace(b, symmetry=1), p)
+        half, full = discretize(b, p), discretize(replace(b, symmetry=1, mirror=None), p)
         big = _kernel(full)
-        side = 2 * p.nodes_per_side  # half steps per side
-        local = full.pos % side
-        image_of = np.minimum(local, side - local)
+        sector = 2 * half.n_grid  # half steps per sector
+        local = full.pos % sector
+        image_of = np.minimum(local, sector - local)
         rows = [np.flatnonzero(full.pos == k)[0] for k in half.pos]
-        folded = m * np.stack([big[rows][:, image_of == k].sum(axis=1) for k in half.pos], axis=1)
-        folded[:, half.pos == p.nodes_per_side] *= 2
+        folded = n * np.stack([big[rows][:, image_of == k].sum(axis=1) for k in half.pos], axis=1)
+        folded[:, half.pos == half.n_grid] *= 2
         np.testing.assert_allclose(_kernel(half), folded, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -333,6 +421,65 @@ class TestSymmetry:
     def test_false_symmetry_rejected(self, b, n):
         with pytest.raises(GeometryError):
             replace(b, symmetry=n)
+
+    @pytest.mark.parametrize(
+        "b, mirror",
+        [
+            (KITE_UNFOLDED, 1.001 * KITE_AXIS),
+            (KITE_UNFOLDED, -KITE_AXIS),
+            (KITE_UNFOLDED, complex(math.nan, 0.0)),
+            (BoundarySet(HypPolygon.from_vertices(KITE).sides), KITE_AXIS),
+            (BoundarySet.from_polygon(HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[0])), 1.0),
+            (BoundarySet.from_euclid_disk(0.0, 0.4), 1.0),
+        ],
+        ids=["not-unit", "wrong-axis", "nan", "vertex-0-off-axis", "scalene", "disk"],
+    )
+    def test_false_mirror_rejected(self, b, mirror):
+        # the kite's axis is accepted; a mirror of the wrong modulus or
+        # axis, one that does not fix vertex 0, and any on a plate without
+        # a vertex axis or on a circle piece are not
+        assert replace(KITE_UNFOLDED, mirror=KITE_AXIS).mirror == KITE_AXIS
+        with pytest.raises(GeometryError, match="not symmetric under"):
+            replace(b, mirror=mirror)
+
+    @settings(max_examples=10)
+    @given(
+        apex=st.floats(-0.6, 0.6),
+        base=st.floats(0.2, 0.7),
+        spread=st.floats(0.3, 2.8),
+        shift=st.floats(0.0, 0.5),
+        shift_angle=st.floats(0.0, 2.0 * math.pi),
+        turn=st.floats(0.0, 2.0 * math.pi),
+        first=st.integers(0, 2),
+        push=st.floats(1e-3, 0.2),
+    )
+    def test_recentred_isosceles_triangles_fold(
+        self, apex, base, spread, shift, shift_angle, turn, first, push
+    ):
+        # an isosceles triangle (apex on the real axis, base symmetric
+        # about it), moved anywhere by a disk automorphism and a rotation
+        # and listed from any vertex, is recentred onto a plate that
+        # folds, with the unfolded solve's capacity; pushing one base
+        # vertex out makes it scalene, and then it does not fold
+        vertices = [complex(apex), cmath.rect(base, spread), cmath.rect(base, -spread)]
+        try:
+            assume(min(triangle_measures(*vertices).angles) > 0.05)
+        except GeometryError:  # the apex on the base: no triangle
+            assume(False)
+        a = cmath.rect(shift, shift_angle)
+
+        def moved(vs):
+            vs = vs[first:] + vs[:first]
+            return [cmath.exp(1j * turn) * mobius(a, v) for v in vs]
+
+        b = BoundarySet.from_polygon(recenter_triangle(*moved(vertices)))
+        assert b.mirror is not None
+        p = SolverParams()
+        half = _solve_once(b, p, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, mirror=None), p, DEFAULT_TOL_POLYGON)
+        assert abs(half.capacity - full.capacity) <= 1e-13 * full.capacity
+        scalene = moved(vertices[:2] + [(1.0 + push) * vertices[2]])
+        assert BoundarySet.from_polygon(recenter_triangle(*scalene)).mirror is None
 
     @settings(max_examples=20)
     @given(
@@ -471,7 +618,13 @@ class TestNystrom:
         d = discretize(b, SolverParams())
         A, ref = _kernel(d), _reference_kernel(d.nodes, d.pos, d)
         assert np.array_equal(A, A.T)
-        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        # _kernel evaluates one triangle and mirrors it, so it may differ
+        # from the reference by the reference's own asymmetry: rounding of
+        # mirror images beside an axis vertex, up to 1.3e-10 on a turned
+        # axis (isosceles), where nodes and images lie 3e-8 apart
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(ref - ref.T)) <= 1e-9 * scale
+        assert np.all(np.abs(A - ref) <= 1e-13 * scale + np.abs(ref - ref.T))
 
     @KERNEL_PLATES
     def test_check_potential_matches_reference(self, b):

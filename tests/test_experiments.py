@@ -23,10 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcap import experiments
-from hypcap.capsolve import DEFAULT_TOL_POLYGON, cap_polygon
+from hypcap.capsolve import DEFAULT_TOL_POLYGON, BoundarySet, cap_polygon
 from hypcap.condenser import ref_cap_area, ref_cap_perim
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
-from hypcap.hypgeom import mobius, polygon_measures, polygon_perimeter, regular_polygon
+from hypcap.hypgeom import (
+    HypPolygon,
+    hyp_midpoint,
+    mobius,
+    polygon_measures,
+    polygon_perimeter,
+    regular_polygon,
+)
 from hypcap.specfun import mu
 
 # first-level solves only: the needle triangles 2, 6 and 10 are left out
@@ -230,6 +237,23 @@ def test_recentring_ignores_where_the_triangle_sits(radii, jitter, shift, shift_
     )
     cap_here, cap_there = cap_polygon(here).capacity, cap_polygon(there).capacity
     assert abs(cap_there - cap_here) <= 1e-12 * cap_here
+
+
+def test_isosceles_rows_fold():
+    # the seven isosceles published triples are recentred onto a plate
+    # with a mirror axis through 0, which the solver folds; the three
+    # scalene ones are not, and keep a = mid(mid(v1, v2), v3) to the bit
+    folds = [
+        i + 1
+        for i, vs in enumerate(DEFAULT_TRIANGLE_ROWS)
+        if BoundarySet.from_polygon(experiments.recenter_triangle(*vs)).mirror is not None
+    ]
+    assert folds == [3, 4, 5, 7, 8, 9, 10]
+    for i in (1, 2, 6):
+        vs = DEFAULT_TRIANGLE_ROWS[i - 1]
+        a = hyp_midpoint(hyp_midpoint(vs[0], vs[1]), vs[2])
+        want = HypPolygon.from_vertices([mobius(a, v) for v in vs])
+        assert experiments.recenter_triangle(*vs).vertices == want.vertices
 
 
 @pytest.fixture(scope="module")
