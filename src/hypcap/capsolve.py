@@ -52,11 +52,12 @@ term becomes log|d(z^n)/du| - log(1 - |z|^2n).  When the line through
 plate, sigma(z) = (v_0/|v_0|)^2 conj(z) maps vertex k onto vertex -k,
 and so, modulo rotations, the sector's grid position u onto -u.  The
 graded nodes are symmetric too, so the solver fits only the rows and
-columns with u <= pi, each column carrying the node and its mirror
-image.  A node at u = pi (a side's midpoint) is its own image: its
-column is doubled and its unknown halved.  The capacity is
--2 pi k (pi / N) sum_j psi_j, with k = n images per node, or 2n with
-the mirror.
+columns with u <= pi.  discretize lists once which images stand for a
+node: itself at u, and with the mirror also sigma(z) at -u; each column
+sums over them.  A node at u = pi (a side's midpoint) is its own image:
+its column is doubled and its unknown halved.  The capacity is
+-2 pi k (pi / N) sum_j psi_j, with k = n times the images listed per
+node: n, or 2n with the mirror.
 
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
@@ -67,9 +68,10 @@ SolverParams.nodes_per_side per side, a symmetry-reduced one at twice
 that (see solve_capacity).
 
 Evaluation.  The matrix and the potential at the midpoints are the two
-O(n^2) steps of a level.  Both work in row blocks of about 2^16
-entries, so that their temporaries stay in cache.  G_n is evaluated in
-real arithmetic: with a = z^n and b = zeta^n,
+O(n^2) steps of a level.  Both sum over the images that discretize
+listed, and work in row blocks of about 2^16 entries, so that their
+temporaries stay in cache.  G_n is evaluated in real arithmetic: with
+a = z^n and b = zeta^n,
 |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2), so
 G_n = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2).  The matrix is
 symmetric, because G_n is, the Kress weights and the log-sine term are
@@ -257,11 +259,12 @@ class Discretization:
     counted in half steps of that grid: nodes sit at even positions,
     check points at the odd ones between them, so a point at position
     k has u = pi k / n_grid.  nodes are the kept grid nodes (the fitted
-    unknowns and rows); with a mirror (BoundarySet.mirror, the unit
-    factor of sigma(z) = mirror * conj(z)) only those with u <= pi, and
-    each also stands for its image at position -k.
-    diagonal is the limit of the smooth part of the kernel at each node,
-    log|d(z^n)/du| - log(1 - |z|^2n).
+    unknowns and rows); with a mirror only those with u <= pi.  images
+    lists the (points, positions) each node stands for: (nodes, pos),
+    and with a mirror (BoundarySet.mirror, the unit factor of sigma(z) =
+    mirror * conj(z)) also (sigma(nodes), -pos); each is summed over the
+    n rotations.  diagonal is the limit of the smooth part of the kernel
+    at each node, log|d(z^n)/du| - log(1 - |z|^2n).
     """
 
     nodes: np.ndarray
@@ -271,12 +274,7 @@ class Discretization:
     check_pos: np.ndarray
     n_grid: int
     symmetry: int
-    mirror: complex | None = None
-
-    @property
-    def order(self) -> int:
-        """Plate images per node: n rotations, twice that with the mirror."""
-        return self.symmetry if self.mirror is None else 2 * self.symmetry
+    images: tuple
 
     @property
     def n_collocation(self) -> int:
@@ -344,19 +342,20 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
         keep &= pos <= n_grid
     nodes = keep & (pos % 2 == 0)
     check = keep & (pos % 2 == 1)
-    zn = z[nodes]
+    zn, at = z[nodes], pos[nodes]
+    images = ((zn, at),) if b.mirror is None else ((zn, at), (b.mirror * np.conj(zn), -at))
     # log|d(z^n)/du|; for n = 1 the z^(n-1) factor is 1, also at a node at 0
     log_zn = (n - 1) * np.log(np.abs(zn)) if n > 1 else 0.0
     log_speed = math.log(n) + log_zn + np.log(np.abs(dz[nodes]))
     return Discretization(
         nodes=zn,
-        pos=pos[nodes],
+        pos=at,
         diagonal=log_speed - np.log1p(-np.abs(zn) ** (2 * n)),
         check=z[check],
         check_pos=pos[check],
         n_grid=n_grid,
         symmetry=n,
-        mirror=b.mirror,
+        images=images,
     )
 
 
@@ -426,15 +425,6 @@ def _offset_table(n_grid: int) -> np.ndarray:
     return table
 
 
-def _images(d: Discretization):
-    """Each node's plate images as (points, half-step positions): the
-    nodes themselves and, with a mirror, their mirror images at -pos."""
-    images = [(d.nodes, d.pos)]
-    if d.mirror is not None:
-        images.append((d.mirror * np.conj(d.nodes), -d.pos))
-    return images
-
-
 def _block_rows(n_cols: int) -> int:
     """Rows per block of an O(n^2) evaluation over n_cols columns, so
     that each temporary holds about _BLOCK_ENTRIES entries."""
@@ -445,8 +435,8 @@ def _kernel(d: Discretization) -> np.ndarray:
     """Nystrom matrix: the potential at each node (rows) of unit density
     at each node (cols).
 
-    Entry (i, j) sums over the node's images (itself, and its mirror
-    image at position -pos_j when d.mirror is set):
+    Entry (i, j) sums over the node's images in d.images (itself, and
+    with a mirror its mirror image at position -pos_j):
 
         h * (G_n(z_i, zeta) - 1/2 log(4 sin^2((u_i - v)/2))) + 1/2 R(u_i - v),
 
@@ -466,14 +456,13 @@ def _kernel(d: Discretization) -> np.ndarray:
     size, period = d.n_collocation, 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
     table = _offset_table(d.n_grid)
-    images = _images(d)
     A = np.empty((size, size))
     step = _block_rows(size)
     for start in range(0, size, step):
         stop = min(start + step, size)
         rows = slice(start, stop)
         own = np.arange(stop - start)
-        for k, (zeta, at) in enumerate(images):
+        for k, (zeta, at) in enumerate(d.images):
             with np.errstate(divide="ignore"):
                 part = _green(d.nodes[rows], zeta[start:], d.symmetry)
             part *= h
@@ -500,22 +489,21 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
 
     The terms of _kernel's entries that depend only on the half-step
     offset are a circular convolution of the offset table with psi
-    spread on the grid, each image of a node at its own position; one
-    rfft and irfft give them at every position.  A check point never
-    meets a node image (they sit at odd and even positions), so only
-    h * sum_images G_n(check, zeta) psi is left, which is summed block
-    by block without building a check matrix.
+    spread on the grid, each of d.images at its own positions; one rfft
+    and irfft give them at every position.  A check point never meets a
+    node image (they sit at odd and even positions), so only
+    h * sum over d.images of G_n(check, zeta) psi is left, which is
+    summed block by block without building a check matrix.
     """
     period = 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
-    images = _images(d)
     spread = np.zeros(period)
-    for _, at in images:
+    for _, at in d.images:
         spread += np.bincount(at % period, weights=psi, minlength=period)
     spectrum = np.fft.rfft(_offset_table(d.n_grid)[:period])
     u = np.fft.irfft(spectrum * np.fft.rfft(spread), n=period)[d.check_pos]
-    sources = np.concatenate([zeta for zeta, _ in images])
-    weights = np.tile(h * psi, len(images))
+    sources = np.concatenate([zeta for zeta, _ in d.images])
+    weights = np.tile(h * psi, len(d.images))
     step = _block_rows(len(weights))
     for start in range(0, len(d.check), step):
         rows = slice(start, start + step)
@@ -526,16 +514,17 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
 def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     d = discretize(b, p)
     A = _kernel(d)
+    # the one finiteness scan of A: lstsq's own would raise a bare ValueError
     if not np.all(np.isfinite(A)):
         raise SolverError("non-finite entries in the Nystrom matrix")
     # a rank-zero matrix gives psi = 0, which the capacity test rejects
     psi = scipy.linalg.lstsq(
-        A, np.ones(d.n_collocation), cond=_RANK_RTOL, lapack_driver="gelsy"
+        A, np.ones(d.n_collocation), cond=_RANK_RTOL, check_finite=False, lapack_driver="gelsy"
     )[0]
     del A
 
     h = 2.0 * math.pi / d.n_grid
-    capacity = -2.0 * math.pi * d.order * h * float(np.sum(psi))
+    capacity = -2.0 * math.pi * (d.symmetry * len(d.images)) * h * float(np.sum(psi))
     if not math.isfinite(capacity) or capacity <= 0.0:
         raise SolverError(f"solver produced nonpositive capacity {capacity}")
 

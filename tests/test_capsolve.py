@@ -14,11 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypcap import capsolve
 from hypcap.capsolve import (
     DEFAULT_TOL_POLYGON,
     DEFAULT_TOL_SMOOTH,
     BoundarySet,
     ConfigurationError,
+    SolverError,
     SolverParams,
     _CirclePiece,
     _check_potential,
@@ -91,13 +93,14 @@ def _has_vertex_axis(vertices):
     )
 
 
-def _unfold(points, d):
-    """points of the half sector and their mirror images across the
-    sector's bisector (d.mirror * conj(z), turned by one rotation), each
-    point on the bisector once: the sector that a mirror half stands for."""
-    if d.mirror is None:
+def _unfold(points, b):
+    """points of the half sector of plate b and their mirror images across
+    the sector's bisector (b.mirror * conj(z), turned by one rotation),
+    each point on the bisector once: the sector that a mirror half stands
+    for."""
+    if b.mirror is None:
         return points
-    images = cmath.exp(2j * math.pi / d.symmetry) * d.mirror * np.conj(points)
+    images = cmath.exp(2j * math.pi / b.symmetry) * b.mirror * np.conj(points)
     return np.concatenate([points, images[np.abs(images - points) > 1e-12]])
 
 
@@ -114,18 +117,19 @@ def _reflected_sum(z, sources):
     return np.sum(np.log(np.abs(z - q)) - np.log(np.abs(1.0 - np.conj(q) * z)), axis=2)
 
 
-def _reference_kernel(z, pos, d):
+def _reference_kernel(z, pos, d, mirror):
     """Nystrom matrix of the points z at half-step positions pos, entry
-    by entry: over each node image, h G_n (or its diagonal limit where
-    the offset is 0) plus the offset terms 1/2 R - h log|2 sin|, with G_n
-    in complex arithmetic."""
+    by entry: over each node image (the node, and with the plate's
+    mirror its image mirror * conj(node) at -pos), h G_n (or its diagonal
+    limit where the offset is 0) plus the offset terms 1/2 R - h log|2 sin|,
+    with G_n in complex arithmetic."""
     period = 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
     offset = 0.5 * _kress_weights(d.n_grid)
     offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
     images = [(d.nodes, d.pos)]
-    if d.mirror is not None:
-        images.append((d.mirror * np.conj(d.nodes), -d.pos))
+    if mirror is not None:
+        images.append((mirror * np.conj(d.nodes), -d.pos))
     A = np.zeros((len(z), d.n_collocation))
     for zeta, at in images:
         delta = (pos[:, None] - at[None, :]) % period
@@ -268,7 +272,7 @@ class TestSymmetry:
         # they are one side's
         half = discretize(b, p)
         assert half.n_collocation == sym.n_collocation
-        assert len(_unfold(half.nodes, half)) == 2 * sym.n_collocation - 1
+        assert len(_unfold(half.nodes, b)) == 2 * sym.n_collocation - 1
         assert full.n_collocation == m * (2 * sym.n_collocation - 1)
 
     @pytest.mark.parametrize("vertices", [RHOMBUS, STAR3], ids=["rhombus", "star-3"])
@@ -366,10 +370,10 @@ class TestSymmetry:
         n = b.symmetry
         sector = discretize(b, SolverParams())
         full = discretize(replace(b, symmetry=1, mirror=None), SolverParams())
-        assert (sector.mirror is not None) == _has_vertex_axis(vertices)
+        assert (len(sector.images) == 2) == _has_vertex_axis(vertices)
         for part, whole in (
-            (_unfold(sector.nodes, sector), full.nodes),
-            (_unfold(sector.check, sector), full.check),
+            (_unfold(sector.nodes, b), full.nodes),
+            (_unfold(sector.check, b), full.check),
         ):
             turned = np.concatenate([part * cmath.exp(2j * math.pi * j / n) for j in range(n)])
             assert len(turned) == len(whole)
@@ -616,7 +620,7 @@ class TestNystrom:
     @KERNEL_PLATES
     def test_kernel_matches_reference_and_is_symmetric(self, b):
         d = discretize(b, SolverParams())
-        A, ref = _kernel(d), _reference_kernel(d.nodes, d.pos, d)
+        A, ref = _kernel(d), _reference_kernel(d.nodes, d.pos, d, b.mirror)
         assert np.array_equal(A, A.T)
         # _kernel evaluates one triangle and mirrors it, so it may differ
         # from the reference by the reference's own asymmetry: rounding of
@@ -634,7 +638,7 @@ class TestNystrom:
         psi = np.linalg.solve(_kernel(d), np.ones(d.n_collocation))
         np.testing.assert_allclose(
             _check_potential(d, psi),
-            _reference_kernel(d.check, d.check_pos, d) @ psi,
+            _reference_kernel(d.check, d.check_pos, d, b.mirror) @ psi,
             rtol=0,
             atol=1e-13,
         )
@@ -780,8 +784,7 @@ class TestDiscretize:
         # neither collocates nor checks there
         d = discretize(b, SolverParams())
         circle = np.exp(2j * np.pi * np.arange(512) / 512)
-        images = [d.nodes] if d.mirror is None else [d.nodes, d.mirror * np.conj(d.nodes)]
-        for zeta in images:
+        for zeta, _ in d.images:
             assert np.max(np.abs(_green(circle, zeta, d.symmetry))) <= 1e-14
 
 
@@ -851,6 +854,27 @@ class TestValidation:
         BoundarySet((_CirclePiece(0.5, 0.4999989),))
         with pytest.raises(GeometryError):
             BoundarySet((_CirclePiece(0.5, 0.4999999),))
+
+    def test_non_finite_matrix_raises_solver_error(self, monkeypatch):
+        # the solver's own finiteness scan, not lstsq's bare ValueError,
+        # rejects a NaN in the Nystrom matrix
+        def poisoned(d):
+            A = _kernel(d)
+            A[0, -1] = math.nan
+            return A
+
+        monkeypatch.setattr(capsolve, "_kernel", poisoned)
+        with pytest.raises(SolverError, match="non-finite entries"):
+            cap_polygon(regular_polygon(4, 0.5))
+
+    def test_zero_density_raises_solver_error(self, monkeypatch):
+        # a rank-zero solve gives psi = 0, and so capacity 0
+        def zero(a, b, **kwargs):
+            return np.zeros(a.shape[1]), np.empty(0), 0, np.zeros(a.shape[1])
+
+        monkeypatch.setattr(capsolve.scipy.linalg, "lstsq", zero)
+        with pytest.raises(SolverError, match=r"nonpositive capacity -?0\.0$"):
+            cap_polygon(regular_polygon(4, 0.5))
 
     def test_report_counts(self):
         # the system is square: one unknown per circle node

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcap import experiments
+from hypcap import capsolve, experiments
 from hypcap.capsolve import DEFAULT_TOL_POLYGON, BoundarySet, cap_polygon
 from hypcap.condenser import ref_cap_area, ref_cap_perim
 from hypcap.experiments import DEFAULT_POLYGON_ROWS, DEFAULT_TRIANGLE_ROWS, INCONCLUSIVE
@@ -130,6 +130,24 @@ def test_area_sequence_beyond_pi():
 def test_degenerate_row_recorded_as_error(name):
     bad, good = DEGENERATE_RUNS[name]()
     assert bad.error and not bad.passed()
+    assert good.error is None and good.passed()
+
+
+def test_solver_error_recorded_as_row_error(monkeypatch):
+    # a NaN in the first Nystrom matrix fails its row alone: the same
+    # triangle in the next row solves as usual
+    kernel, calls = capsolve._kernel, []
+
+    def poisoned_once(d):
+        A = kernel(d)
+        if not calls:
+            A[0, 0] = math.nan
+        calls.append(d)
+        return A
+
+    monkeypatch.setattr(capsolve, "_kernel", poisoned_once)
+    bad, good = experiments.run_triangle_conjecture([DEFAULT_TRIANGLE_ROWS[0]] * 2)
+    assert "non-finite entries in the Nystrom matrix" in bad.error and not bad.passed()
     assert good.error is None and good.passed()
 
 
