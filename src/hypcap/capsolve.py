@@ -34,7 +34,7 @@ Discretization (Kress, Numer. Math. 58, 1990):
   (psi = 0 there).  Kept, such nodes would round onto the vertex and
   onto each other, and the log of their zero distance is not finite.
 * Collocating at the kept nodes gives a square system, solved by
-  least squares (gelsy, with a rank cutoff of 1e-12 relative).
+  least squares (gelsy at its default cutoff: every level has full rank).
 
 A plate with n-fold rotational symmetry about 0 has an n-periodic
 density.  The solver then discretizes one sector, parametrised by u in
@@ -62,10 +62,11 @@ node: n, or 2n with the mirror.
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
 evaluated by the same product quadrature, the weights taken at
-half-step offsets.  A level converges when it is below tol; refinement
-doubles the nodes per side.  A plate without symmetry starts at
-SolverParams.nodes_per_side per side, a symmetry-reduced one at twice
-that (see solve_capacity).
+half-step offsets.  A level converges when it is below tol and the
+capacity is positive and finite (too coarse a level near the unit
+circle can give a negative one); refinement doubles the nodes per side.
+A plate without symmetry starts at SolverParams.nodes_per_side per
+side, a symmetry-reduced one at twice that (see solve_capacity).
 
 Evaluation.  The matrix and the potential at the midpoints are the two
 O(n^2) steps of a level.  Both sum over the images that discretize
@@ -108,7 +109,6 @@ __all__ = [
     "solve_capacity",
 ]
 
-_RANK_RTOL = 1e-12
 # order of Kress's sigmoidal grading on polygon sides
 _GRADING_ORDER = 6
 # nodes this close to a side end (in the side parameter) are dropped
@@ -295,12 +295,10 @@ def _kress_grading(s: np.ndarray, p: int):
     return a / total, np.minimum(a, b) / total, dtau
 
 
-@functools.lru_cache(maxsize=None)
 def _kress_weights(n_grid: int) -> np.ndarray:
     """Kress's product weights R_j(u) for log(4 sin^2((u - u_j)/2)) on
     n_grid = 2N nodes, at the half-step offsets u - u_j = pi k / n_grid,
-    k = 0 .. 2 n_grid - 1 (even k reach nodes, odd k midpoints).  The
-    array is read-only: every caller of one size shares it."""
+    k = 0 .. 2 n_grid - 1 (even k reach nodes, odd k midpoints)."""
     half = n_grid // 2
     k = np.arange(1, half + 1)
     coef = -2.0 * math.pi / (half * k)
@@ -308,9 +306,7 @@ def _kress_weights(n_grid: int) -> np.ndarray:
     # irfft of length 2 n_grid turns these into sum_k coef_k cos(k x)
     spectrum = np.zeros(n_grid + 1)
     spectrum[1 : half + 1] = n_grid * coef
-    weights = np.fft.irfft(spectrum, n=2 * n_grid)
-    weights.setflags(write=False)
-    return weights
+    return np.fft.irfft(spectrum, n=2 * n_grid)
 
 
 def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
@@ -366,7 +362,8 @@ class SolveReport:
     n_collocation counts the unknowns (and rows) of the fitted square
     system: the kept nodes of one sector, of half of it with a mirror.
     boundary_residual is max|u - 1| at the midpoints between those
-    nodes, and converged says it is below the tolerance.
+    nodes, and converged says it is below the tolerance and the
+    capacity is positive and finite.
     """
 
     capacity: float
@@ -415,7 +412,8 @@ def _offset_table(n_grid: int) -> np.ndarray:
     h log|2 sin(pi k / 2 n_grid)| (the log-sine term left out at k = 0,
     where the diagonal limit replaces it), at index k + 2 n_grid for
     -2 n_grid <= k <= 2 n_grid, so that no index needs a modulus.  It
-    is even in k; read-only and shared like _kress_weights."""
+    is even in k, cached per size and read-only, so every level of one
+    size shares it."""
     period = 2 * n_grid
     h = 2.0 * math.pi / n_grid
     offset = 0.5 * _kress_weights(n_grid)
@@ -517,23 +515,21 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
     if not np.all(np.isfinite(A)):
         raise SolverError("non-finite entries in the Nystrom matrix")
-    # a rank-zero matrix gives psi = 0, which the capacity test rejects
+    # A is exactly symmetric: A.T is A in Fortran order, copied untransposed
     psi = scipy.linalg.lstsq(
-        A, np.ones(d.n_collocation), cond=_RANK_RTOL, check_finite=False, lapack_driver="gelsy"
+        A.T, np.ones(d.n_collocation), check_finite=False, lapack_driver="gelsy"
     )[0]
     del A
 
     h = 2.0 * math.pi / d.n_grid
     capacity = -2.0 * math.pi * (d.symmetry * len(d.images)) * h * float(np.sum(psi))
-    if not math.isfinite(capacity) or capacity <= 0.0:
-        raise SolverError(f"solver produced nonpositive capacity {capacity}")
-
     residual = float(np.max(np.abs(_check_potential(d, psi) - 1.0)))
     return SolveReport(
         capacity=capacity,
         boundary_residual=residual,
         n_collocation=d.n_collocation,
-        converged=residual < tol,
+        # a capacity <= 0 (or not finite) marks an under-resolved level
+        converged=residual < tol and 0.0 < capacity < math.inf,
         symmetry=d.symmetry,
     )
 
@@ -552,8 +548,10 @@ def solve_capacity(
     """Capacity of (unit disk, E) with automatic refinement.
 
     Solves at up to max_refine + 1 levels, doubling the nodes per side
-    after each level whose residual is not below tol, and returns the
-    first converged report, else the last (converged=False).  A plate
+    after each level that is not converged, and returns the first
+    converged report, else the last (converged=False).  SolverError is
+    raised at once for a non-finite Nystrom matrix, and after the last
+    level if its capacity is still not positive and finite.  A plate
     with symmetry n > 1 starts one doubling higher: its system is n-fold
     (2n-fold with a mirror) smaller, so the extra level is cheap, and
     sharp regular corners (the 3-gon at r = 0.9) need it to resolve the
@@ -569,6 +567,8 @@ def solve_capacity(
         if report.converged:
             break
         p = p.doubled()
+    if not 0.0 < report.capacity < math.inf:
+        raise SolverError(f"solver produced nonpositive capacity {report.capacity}")
     return report
 
 

@@ -194,6 +194,15 @@ class TestSmoothPlates:
         assert rep.converged
         assert abs(rep.capacity - exact) <= 1e-12 * exact
 
+    def test_near_rim_disk_refines_past_negative_level(self):
+        # the disk comes within 2.7e-3 of the unit circle; its 128-node
+        # level gives capacity -1436.6, which the ladder refines past
+        # instead of raising.  1024 nodes are still short of 1e-6
+        rep = cap_disk(HypDisk(0.3, 6.0))
+        exact = cap_hyp_disk(6.0)
+        assert not rep.converged
+        assert abs(rep.capacity - exact) <= 1e-3 * exact
+
 
 def _euclidean_regular_capacity(m):
     """Logarithmic capacity of the Euclidean regular m-gon of circumradius
@@ -631,6 +640,15 @@ class TestNystrom:
         assert np.all(np.abs(A - ref) <= 1e-13 * scale + np.abs(ref - ref.T))
 
     @KERNEL_PLATES
+    def test_kernel_well_conditioned_at_start_level(self, b):
+        # gelsy runs at its default cutoff, machine epsilon, so the solver
+        # relies on the matrix being far from singular; measured condition
+        # numbers here run from 148 (disk) to 1.05e4 (triangle_2-T)
+        p = SolverParams()
+        d = discretize(b, p.doubled() if b.symmetry > 1 else p)
+        assert np.linalg.cond(_kernel(d)) < 1e8
+
+    @KERNEL_PLATES
     def test_check_potential_matches_reference(self, b):
         # the convolved offset terms plus the blocked Green's sums give
         # the potential of the check rows' matrix, for the level's density
@@ -868,13 +886,18 @@ class TestValidation:
             cap_polygon(regular_polygon(4, 0.5))
 
     def test_zero_density_raises_solver_error(self, monkeypatch):
-        # a rank-zero solve gives psi = 0, and so capacity 0
+        # a rank-zero solve gives psi = 0, and so capacity 0, at every
+        # level: the ladder refines, and its last level raises
+        levels = []
+
         def zero(a, b, **kwargs):
+            levels.append(a.shape)
             return np.zeros(a.shape[1]), np.empty(0), 0, np.zeros(a.shape[1])
 
         monkeypatch.setattr(capsolve.scipy.linalg, "lstsq", zero)
         with pytest.raises(SolverError, match=r"nonpositive capacity -?0\.0$"):
             cap_polygon(regular_polygon(4, 0.5))
+        assert len(levels) == SolverParams().max_refine + 1
 
     def test_report_counts(self):
         # the system is square: one unknown per circle node
