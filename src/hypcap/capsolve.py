@@ -68,9 +68,15 @@ circle can give a negative one); refinement doubles the nodes per side.
 A plate without symmetry starts at SolverParams.nodes_per_side per
 side, a symmetry-reduced one at twice that (see solve_capacity).
 
-Evaluation.  The matrix and the potential at the midpoints are the two
-O(n^2) steps of a level.  Both sum over the images that discretize
-listed, and work in row blocks of about 2^16 entries, so that their
+Evaluation.  What a level needs of its grid and not of the plate, the
+graded side parameter and its speed at every position, the kept node and
+check positions and the offset table with its spectrum, depends only on
+the sides per sector, the nodes per side, whether the plate is a circle
+and whether it has a mirror.  _grid caches it, read-only, per such key:
+every regular plate of one level shares one grid, and discretize only
+evaluates the plate's sides on it.  The matrix and the potential at the
+midpoints are the two O(n^2) steps of a level.  Both sum over the images
+that discretize listed, and work in row blocks of about 2^16 entries, so that their
 temporaries stay in cache.  G_n is evaluated in real arithmetic: with
 a = z^n and b = zeta^n,
 |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2), so
@@ -264,7 +270,9 @@ class Discretization:
     and with a mirror (BoundarySet.mirror, the unit factor of sigma(z) =
     mirror * conj(z)) also (sigma(nodes), -pos); each is summed over the
     n rotations.  diagonal is the limit of the smooth part of the kernel
-    at each node, log|d(z^n)/du| - log(1 - |z|^2n).
+    at each node, log|d(z^n)/du| - log(1 - |z|^2n).  table and spectrum
+    are the grid's offset table and its rfft (see _grid); they, pos and
+    check_pos are the cached grid's read-only arrays.
     """
 
     nodes: np.ndarray
@@ -275,6 +283,8 @@ class Discretization:
     n_grid: int
     symmetry: int
     images: tuple
+    table: np.ndarray
+    spectrum: np.ndarray
 
     @property
     def n_collocation(self) -> int:
@@ -309,6 +319,72 @@ def _kress_weights(n_grid: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=2 * n_grid)
 
 
+def _offset_table(n_grid: int) -> np.ndarray:
+    """The kernel's terms that depend only on the half-step offset k
+    between a point and a node image, 1/2 R(pi k / n_grid) -
+    h log|2 sin(pi k / 2 n_grid)| (the log-sine term left out at k = 0,
+    where the diagonal limit replaces it), at index k + 2 n_grid for
+    -2 n_grid <= k <= 2 n_grid, so that no index needs a modulus.  It
+    is even in k; _grid caches it with the rest of a level's grid."""
+    period = 2 * n_grid
+    h = 2.0 * math.pi / n_grid
+    offset = 0.5 * _kress_weights(n_grid)
+    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
+    return np.concatenate([offset, offset, offset[:1]])
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """What a level needs of its grid and not of the plate (see _grid).
+
+    tau and speed are t = tau(s) and q dtau/ds at the 2 per_side
+    half-step positions of one side; pos and check_pos are the positions
+    of the kept nodes and check points on the sector, which are also
+    their indices among the sector's points; table is _offset_table and
+    spectrum the rfft of one period of it, the check's convolution
+    kernel."""
+
+    tau: np.ndarray
+    speed: np.ndarray
+    pos: np.ndarray
+    check_pos: np.ndarray
+    table: np.ndarray
+    spectrum: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
+    """The grid of a sector of q sides with per_side nodes each: Kress
+    grading of order 6 (uniform speed if smooth), nodes and check points
+    within 1e-9 of a side end dropped (never on a smooth plate), and only
+    u <= pi kept with a mirror.  This is the one cache in capsolve; its
+    arrays are read-only, so every level on the same grid shares them."""
+    n_grid = q * per_side
+    s = math.pi * np.arange(2 * per_side) / per_side
+    if smooth:
+        tau, dtau = s / (2.0 * math.pi), np.full(s.shape, 0.5 / math.pi)
+        keep = np.ones(s.shape, dtype=bool)
+    else:
+        tau, gap, dtau = _kress_grading(s, _GRADING_ORDER)
+        keep = gap >= _VERTEX_GAP
+    pos = np.arange(2 * n_grid)
+    keep = np.tile(keep, q)
+    if mirror:
+        keep &= pos <= n_grid
+    table = _offset_table(n_grid)
+    grid = _Grid(
+        tau=tau,
+        speed=q * dtau,
+        pos=pos[keep & (pos % 2 == 0)],
+        check_pos=pos[keep & (pos % 2 == 1)],
+        table=table,
+        spectrum=np.fft.rfft(table[: 2 * n_grid]),
+    )
+    for array in vars(grid).values():
+        array.setflags(write=False)
+    return grid
+
+
 def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     """Graded nodes and midpoint check points of one sector.
 
@@ -317,41 +393,32 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     on side k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at
     uniform speed, tau(s) = s / 2 pi.  Polygon nodes and check points
     within 1e-9 of a side end in the side parameter are dropped.  With a
-    mirror only the half of the sector with u <= pi is kept.
+    mirror only the half of the sector with u <= pi is kept.  All of that
+    depends on the plate only through q, smooth and mirror, so it comes
+    from the cached _grid; here the sides are evaluated on it.
     """
     n = b.symmetry
     sector = b.pieces[: len(b.pieces) // n]
     q, per_side = len(sector), p.nodes_per_side
-    n_grid = q * per_side
-    s = math.pi * np.arange(2 * per_side) / per_side
-    if b.is_smooth:
-        tau, dtau = s / (2.0 * math.pi), np.full(s.shape, 0.5 / math.pi)
-        keep = np.ones(s.shape, dtype=bool)
-    else:
-        tau, gap, dtau = _kress_grading(s, _GRADING_ORDER)
-        keep = gap >= _VERTEX_GAP
-    z = np.concatenate([piece.point(tau) for piece in sector])
-    dz = np.concatenate([piece.derivative(tau) * (q * dtau) for piece in sector])
-    pos = np.arange(2 * n_grid)
-    keep = np.tile(keep, q)
-    if b.mirror is not None:
-        keep &= pos <= n_grid
-    nodes = keep & (pos % 2 == 0)
-    check = keep & (pos % 2 == 1)
-    zn, at = z[nodes], pos[nodes]
+    g = _grid(q, per_side, b.is_smooth, b.mirror is not None)
+    z = np.concatenate([piece.point(g.tau) for piece in sector])
+    dz = np.concatenate([piece.derivative(g.tau) * g.speed for piece in sector])
+    zn, at = z[g.pos], g.pos
     images = ((zn, at),) if b.mirror is None else ((zn, at), (b.mirror * np.conj(zn), -at))
     # log|d(z^n)/du|; for n = 1 the z^(n-1) factor is 1, also at a node at 0
     log_zn = (n - 1) * np.log(np.abs(zn)) if n > 1 else 0.0
-    log_speed = math.log(n) + log_zn + np.log(np.abs(dz[nodes]))
+    log_speed = math.log(n) + log_zn + np.log(np.abs(dz[at]))
     return Discretization(
         nodes=zn,
         pos=at,
         diagonal=log_speed - np.log1p(-np.abs(zn) ** (2 * n)),
-        check=z[check],
-        check_pos=pos[check],
-        n_grid=n_grid,
+        check=z[g.check_pos],
+        check_pos=g.check_pos,
+        n_grid=q * per_side,
         symmetry=n,
         images=images,
+        table=g.table,
+        spectrum=g.spectrum,
     )
 
 
@@ -405,24 +472,6 @@ def _green(z: np.ndarray, zeta: np.ndarray, n: int) -> np.ndarray:
     return ratio
 
 
-@functools.lru_cache(maxsize=None)
-def _offset_table(n_grid: int) -> np.ndarray:
-    """The kernel's terms that depend only on the half-step offset k
-    between a point and a node image, 1/2 R(pi k / n_grid) -
-    h log|2 sin(pi k / 2 n_grid)| (the log-sine term left out at k = 0,
-    where the diagonal limit replaces it), at index k + 2 n_grid for
-    -2 n_grid <= k <= 2 n_grid, so that no index needs a modulus.  It
-    is even in k, cached per size and read-only, so every level of one
-    size shares it."""
-    period = 2 * n_grid
-    h = 2.0 * math.pi / n_grid
-    offset = 0.5 * _kress_weights(n_grid)
-    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
-    table = np.concatenate([offset, offset, offset[:1]])
-    table.setflags(write=False)
-    return table
-
-
 def _block_rows(n_cols: int) -> int:
     """Rows per block of an O(n^2) evaluation over n_cols columns, so
     that each temporary holds about _BLOCK_ENTRIES entries."""
@@ -453,7 +502,7 @@ def _kernel(d: Discretization) -> np.ndarray:
     """
     size, period = d.n_collocation, 2 * d.n_grid
     h = 2.0 * math.pi / d.n_grid
-    table = _offset_table(d.n_grid)
+    table = d.table
     A = np.empty((size, size))
     step = _block_rows(size)
     for start in range(0, size, step):
@@ -487,8 +536,9 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
 
     The terms of _kernel's entries that depend only on the half-step
     offset are a circular convolution of the offset table with psi
-    spread on the grid, each of d.images at its own positions; one rfft
-    and irfft give them at every position.  A check point never meets a
+    spread on the grid, each of d.images at its own positions; the
+    table's rfft is the grid's d.spectrum, so one rfft of the spread
+    density and one irfft give them at every position.  A check point never meets a
     node image (they sit at odd and even positions), so only
     h * sum over d.images of G_n(check, zeta) psi is left, which is
     summed block by block without building a check matrix.
@@ -498,8 +548,7 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
     spread = np.zeros(period)
     for _, at in d.images:
         spread += np.bincount(at % period, weights=psi, minlength=period)
-    spectrum = np.fft.rfft(_offset_table(d.n_grid)[:period])
-    u = np.fft.irfft(spectrum * np.fft.rfft(spread), n=period)[d.check_pos]
+    u = np.fft.irfft(d.spectrum * np.fft.rfft(spread), n=period)[d.check_pos]
     sources = np.concatenate([zeta for zeta, _ in d.images])
     weights = np.tile(h * psi, len(d.images))
     step = _block_rows(len(weights))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .capsolve import ConfigurationError, SolveReport, SolverError, cap_polygon
+from .capsolve import SolveReport, SolverError, cap_polygon
 from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     GeometryError,
@@ -91,8 +91,10 @@ DEFAULT_POLYGON_ROWS = [
 DEFAULT_TABLE_R = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 DEFAULT_TABLE_M = [3, 4, 5, 6, 7]
 
-# what a bad input row can raise; anything else is a bug and propagates
-_ROW_ERRORS = (GeometryError, SolverError, ConfigurationError)
+# what a bad input row can raise; anything else is a bug and propagates.
+# No row passes solver params or a tolerance, so a ConfigurationError is
+# a bug too
+_ROW_ERRORS = (GeometryError, SolverError)
 
 
 @dataclass

@@ -191,16 +191,21 @@ def _measures(sides) -> PolygonMeasures:
     from vertex k to vertex k + 1, in either orientation.
 
     The turn at vertex k is the phase of z'(0) of the side leaving over
-    z'(1) of the side arriving (their moduli, the lengths, move no
-    phase).  Along the whole boundary the vertex turns and the sides'
-    turns dtheta add up to sign * 2 pi, where sign = +-1 is the
-    orientation, so the vertex turns alone sum to sign * (2 pi + area):
-    their sign is the orientation, and each interior angle is
-    pi - sign * turn.  Gauss-Bonnet, area = (m - 2) pi - sum(angles),
-    then reads area = -sign * sum(dtheta), a sum of the sides' own turns
-    that stays exact to rounding however small the plate.
+    z'(1) of the side arriving.  By GeodesicArc's closed form these are
+    (z2 - z1) e^{-i dtheta/2} and (z2 - z1) e^{+i dtheta/2} of the two
+    sides, times 1 / sinc(dtheta / 2 pi) > 0 (|dtheta| < pi), which
+    moves no phase and is left out; all of it is scalar arithmetic.
+    Along the whole boundary the vertex turns and the sides' turns
+    dtheta add up to sign * 2 pi, where sign = +-1 is the orientation, so
+    the vertex turns alone sum to sign * (2 pi + area): their sign is the
+    orientation, and each interior angle is pi - sign * turn.
+    Gauss-Bonnet, area = (m - 2) pi - sum(angles), then reads area =
+    -sign * sum(dtheta), a sum of the sides' own turns that stays exact
+    to rounding however small the plate.
     """
-    turns = [cmath.phase(s.derivative(0) / sides[k - 1].derivative(1)) for k, s in enumerate(sides)]
+    leaving = [(s.z2 - s.z1) * cmath.exp(-0.5j * s.dtheta) for s in sides]
+    arriving = [(s.z2 - s.z1) * cmath.exp(0.5j * s.dtheta) for s in sides]
+    turns = [cmath.phase(leaving[k] / arriving[k - 1]) for k in range(len(sides))]
     sign = math.copysign(1.0, sum(turns))
     area = -sign * sum(s.dtheta for s in sides)
     if area <= 0.0:

@@ -203,6 +203,21 @@ class TestSmoothPlates:
         assert not rep.converged
         assert abs(rep.capacity - exact) <= 1e-3 * exact
 
+    @pytest.mark.parametrize("M", [5.0, 6.0, 7.0, 9.0])
+    @pytest.mark.parametrize("center", [0.0, 0.3])
+    def test_near_rim_disk_within_residual_or_raises(self, center, M):
+        # near the rim the reflected image 1/conj(zeta) of the circle lies
+        # within (1 - r^2)/r of it, closer than the node spacing, so the
+        # disk stays unconverged at 1024 nodes from M = 6 on, centred or
+        # not, and from M = 9 (M = 8 off centre) its last level is still
+        # negative.  A capacity it does return is within its residual:
+        # the measured ratio of the two is at most 0.56
+        try:
+            rep = cap_disk(HypDisk(center, M))
+        except SolverError:
+            return
+        assert abs(rep.capacity / cap_hyp_disk(M) - 1.0) <= rep.boundary_residual
+
 
 def _euclidean_regular_capacity(m):
     """Logarithmic capacity of the Euclidean regular m-gon of circumradius
@@ -766,6 +781,31 @@ class TestNystrom:
 
 
 class TestDiscretize:
+    def test_grid_shared_read_only(self):
+        # the 3-gon and the 6-gon both fit one mirrored side per sector,
+        # so their levels at one size share the cached grid's arrays
+        p = SolverParams().doubled()
+        b3, b6 = (BoundarySet.from_polygon(regular_polygon(m, 0.5)) for m in (3, 6))
+        d3, d6 = discretize(b3, p), discretize(b6, p)
+        grid = capsolve._grid(1, p.nodes_per_side, False, True)
+        for name in ("pos", "check_pos", "table", "spectrum"):
+            assert getattr(d3, name) is getattr(d6, name) is getattr(grid, name)
+        for array in vars(grid).values():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # a second level of the same plate is bit-identical
+        again = discretize(b3, p)
+        for name in ("nodes", "pos", "diagonal", "check", "check_pos", "table", "spectrum"):
+            assert getattr(again, name).tobytes() == getattr(d3, name).tobytes()
+        assert [(z.tobytes(), at.tobytes()) for z, at in again.images] == [
+            (z.tobytes(), at.tobytes()) for z, at in d3.images
+        ]
+        # without the mirror the whole sector is kept: another grid
+        full = discretize(replace(b3, mirror=None), p)
+        assert full.pos is not d3.pos
+        assert full.n_collocation == 2 * d3.n_collocation - 1
+
     def test_zero_grading_uniform(self):
         # a circle plate is not graded: its nodes are equally spaced
         d = discretize(BoundarySet.from_euclid_disk(0.2, 0.3), SolverParams(nodes_per_side=32))

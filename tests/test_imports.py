@@ -2,13 +2,16 @@
 every module must pull in none of scipy's heavier subpackages, whose
 import time dominates a fresh process's first solve.  Each module's
 __all__ is exactly right both ways: every name in it exists, and every
-public function or class the module defines is in it."""
+public function or class the module defines is in it.  Every span the
+benchmark's tracer (perfbench/tracing.py) records still has a callable
+of this checkout to wrap, so a rename cannot turn its metrics null."""
 
 import importlib
 import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,19 @@ def test_all_names_resolve(name):
         and obj.__module__ == name
     }
     assert not defined - set(module.__all__), sorted(defined - set(module.__all__))
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracing.py is run from its source, not imported, so that
+    # nothing is written beside it; its dataclasses need it in sys.modules
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    exec(compile(path.read_text(), str(path), "exec"), vars(tracing))
+    resolved = {}
+    for name, _, module, attr_path in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        resolved[name] = resolved.get(name, False) or callable(owner)
+    assert all(resolved.values()), sorted(n for n, ok in resolved.items() if not ok)
