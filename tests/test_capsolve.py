@@ -27,6 +27,7 @@ from hypcap.capsolve import (
     _green,
     _kernel,
     _kress_weights,
+    _ladder,
     _solve_once,
     cap_disk,
     cap_polygon,
@@ -631,15 +632,57 @@ class TestNystrom:
     )
     def test_kernel_finite_at_every_level(self, b):
         # nodes that the grading rounds onto a vertex would make zero
-        # distances; they are dropped at every level the solver can reach
-        p = SolverParams()
-        if b.symmetry > 1:
-            p = p.doubled()
-        for _ in range(p.max_refine + 1):
+        # distances; they are dropped at every level the solver can reach,
+        # the sqrt 2 levels between the doublings too
+        for p in _ladder(b, SolverParams()):
             d = discretize(b, p)
             assert np.all(np.isfinite(_kernel(d)))
             assert np.all(np.isfinite(_check_potential(d, np.ones(d.n_collocation))))
-            p = p.doubled()
+
+    def test_ladder_levels(self):
+        generic = BoundarySet.from_euclid_disk(0.2, 0.3)
+        sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
+        # a symmetric plate starts one doubling up; both climb by sqrt 2
+        assert [[p.nodes_per_side for p in _ladder(b, SolverParams())] for b in (generic, sym)] == [
+            [128, 182, 256, 362, 512, 724, 1024],
+            [256, 362, 512, 724, 1024, 1448, 2048],
+        ]
+
+    @given(start=st.integers(4, 10**5).map(lambda k: 2 * k), max_refine=st.integers(0, 8))
+    def test_ladder_even_increasing_and_doubling(self, start, max_refine):
+        # every level keeps a node on each side's midpoint, refines, and
+        # every second level is an exact doubling
+        b = BoundarySet.from_euclid_disk(0.0, 0.5)
+        p = SolverParams(nodes_per_side=start, max_refine=max_refine)
+        sizes = [level.nodes_per_side for level in _ladder(b, p)]
+        assert len(sizes) == max_refine + 1
+        assert all(n % 2 == 0 for n in sizes)
+        assert all(lo < hi for lo, hi in zip(sizes, sizes[1:]))
+        assert sizes[::2] == [start * 2**k for k in range(len(sizes[::2]))]
+
+    @pytest.mark.parametrize(
+        "row, unknowns",
+        [(2, 531), (5, 188), (6, 1059)],
+        ids=["triangle_2", "triangle_5", "triangle_6"],
+    )
+    def test_sqrt2_steps_within_residual(self, row, unknowns):
+        # the error model of test_level_change_within_residual on the
+        # sqrt 2 step: on the two needle rows that refine (triangle_2 T
+        # stops at 182 per side, triangle_6 T at 362) and the row with the
+        # largest ratio on a doubling (triangle_5 T, at 128), the capacity
+        # moves by less than a level's residual at every step up to the
+        # one past the converged level; the largest ratio is 0.084
+        # (triangle_5 T, 128 -> 182 per side)
+        b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
+        levels = []
+        for p in _ladder(b, SolverParams()):
+            levels.append(_solve_once(b, p, DEFAULT_TOL_POLYGON))
+            if len(levels) > 1 and levels[-2].converged:
+                break
+        assert levels[-2].converged and levels[-2] == solve_capacity(b)
+        assert levels[-2].n_collocation == unknowns
+        for coarse, fine in zip(levels, levels[1:]):
+            assert abs(coarse.capacity - fine.capacity) <= coarse.boundary_residual
 
     @KERNEL_PLATES
     def test_kernel_matches_reference_and_is_symmetric(self, b):
@@ -659,8 +702,7 @@ class TestNystrom:
         # gelsy runs at its default cutoff, machine epsilon, so the solver
         # relies on the matrix being far from singular; measured condition
         # numbers here run from 148 (disk) to 1.05e4 (triangle_2-T)
-        p = SolverParams()
-        d = discretize(b, p.doubled() if b.symmetry > 1 else p)
+        d = discretize(b, _ladder(b, SolverParams())[0])
         assert np.linalg.cond(_kernel(d)) < 1e8
 
     @KERNEL_PLATES
