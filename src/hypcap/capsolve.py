@@ -69,16 +69,18 @@ side by about sqrt 2, so that two steps double them (see _ladder).
 A plate without symmetry starts at SolverParams.nodes_per_side per
 side, a symmetry-reduced one at twice that (see solve_capacity).
 
-Evaluation.  What a level needs of its grid and not of the plate, the
-graded side parameter and its speed at every position, the kept node and
-check positions and the offset table with its spectrum, depends only on
-the sides per sector, the nodes per side, whether the plate is a circle
-and whether it has a mirror.  _grid caches it, read-only, per such key:
+Evaluation.  A level is one number, its nodes per side (see _ladder).
+What a level needs of its grid and not of the plate, the graded side
+parameter and its speed at every position, the kept node and check
+positions and the offset table with its spectrum, depends only on the
+sides per sector, the nodes per side, whether the plate is a circle and
+whether it has a mirror.  _grid caches it, read-only, per such key:
 every regular plate of one level shares one grid, and discretize only
-evaluates the plate's sides on it.  The matrix and the potential at the
-midpoints are the two O(n^2) steps of a level.  Both sum over the images
-that discretize listed, and work in row blocks of about 2^16 entries, so that their
-temporaries stay in cache.  G_n is evaluated in real arithmetic: with
+evaluates the plate's sides on it and keeps the grid in the
+Discretization it returns.  The matrix and the potential at the
+midpoints are the two O(n^2) steps of a level.  Both sum over the
+images that discretize listed, and work in row blocks of about 2^16
+entries, so that their temporaries stay in cache.  G_n is evaluated in real arithmetic: with
 a = z^n and b = zeta^n,
 |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2), so
 G_n = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2).  The matrix is
@@ -232,65 +234,41 @@ class BoundarySet:
         return BoundarySet(pieces=(_CirclePiece(center, radius),))
 
 
+def _nodes_per_side(per_side: int) -> int:
+    """per_side, if it is an even int of at least 8 (every side needs a
+    node on its midpoint), else ConfigurationError."""
+    if type(per_side) is not int or per_side < 8 or per_side % 2:
+        raise ConfigurationError(f"nodes_per_side must be an even int >= 8, got {per_side!r}")
+    return per_side
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Resolution of the Nystrom discretization.
 
     nodes_per_side is the number of grid nodes per polygon side (or on
     a circle plate) at the first level of a plate without symmetry; it
-    must be even, so that every side has a node on its midpoint.  A
-    symmetry-reduced plate starts at twice that (see _ladder).
-    max_refine is how many times a level that misses the tolerance is
-    retried one sqrt 2 step finer (see _ladder): the default 6 ends at
-    8 times the start.
+    must be an even int, so that every side has a node on its
+    midpoint.  A symmetry-reduced plate starts at twice that (see
+    _ladder).  max_refine is how many times a level that misses the
+    tolerance is retried one sqrt 2 step finer (see _ladder): the
+    default 6 ends at 8 times the start.  solve_capacity turns these
+    into its levels (see _ladder), each one count of nodes per side.
     """
 
     nodes_per_side: int = 128
     max_refine: int = 6
 
     def __post_init__(self):
-        if self.nodes_per_side < 8 or self.nodes_per_side % 2:
-            raise ConfigurationError("nodes_per_side must be an even number of at least 8")
-        if self.max_refine < 0:
-            raise ConfigurationError("max_refine must be nonnegative")
+        _nodes_per_side(self.nodes_per_side)
+        if type(self.max_refine) is not int or self.max_refine < 0:
+            raise ConfigurationError(f"max_refine must be an int >= 0, got {self.max_refine!r}")
 
     def doubled(self) -> "SolverParams":
+        """These parameters at twice the nodes per side.  Outside the
+        tests its one caller is perfbench/make_reference.py, which
+        builds its reference levels with it."""
         return replace(self, nodes_per_side=2 * self.nodes_per_side)
-
-
-@dataclass(frozen=True)
-class Discretization:
-    """Nodes and check points of one level on the sector's grid.
-
-    The sector (the whole boundary for symmetry 1) is parametrised by
-    u in [0, 2 pi) with n_grid equispaced grid nodes.  Positions are
-    counted in half steps of that grid: nodes sit at even positions,
-    check points at the odd ones between them, so a point at position
-    k has u = pi k / n_grid.  nodes are the kept grid nodes (the fitted
-    unknowns and rows); with a mirror only those with u <= pi.  images
-    lists the (points, positions) each node stands for: (nodes, pos),
-    and with a mirror (BoundarySet.mirror, the unit factor of sigma(z) =
-    mirror * conj(z)) also (sigma(nodes), -pos); each is summed over the
-    n rotations.  diagonal is the limit of the smooth part of the kernel
-    at each node, log|d(z^n)/du| - log(1 - |z|^2n).  table and spectrum
-    are the grid's offset table and its rfft (see _grid); they, pos and
-    check_pos are the cached grid's read-only arrays.
-    """
-
-    nodes: np.ndarray
-    pos: np.ndarray
-    diagonal: np.ndarray
-    check: np.ndarray
-    check_pos: np.ndarray
-    n_grid: int
-    symmetry: int
-    images: tuple
-    table: np.ndarray
-    spectrum: np.ndarray
-
-    @property
-    def n_collocation(self) -> int:
-        return len(self.nodes)
 
 
 def _kress_grading(s: np.ndarray, p: int):
@@ -321,31 +299,21 @@ def _kress_weights(n_grid: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=2 * n_grid)
 
 
-def _offset_table(n_grid: int) -> np.ndarray:
-    """The kernel's terms that depend only on the half-step offset k
-    between a point and a node image, 1/2 R(pi k / n_grid) -
-    h log|2 sin(pi k / 2 n_grid)| (the log-sine term left out at k = 0,
-    where the diagonal limit replaces it), at index k + 2 n_grid for
-    -2 n_grid <= k <= 2 n_grid, so that no index needs a modulus.  It
-    is even in k; _grid caches it with the rest of a level's grid."""
-    period = 2 * n_grid
-    h = 2.0 * math.pi / n_grid
-    offset = 0.5 * _kress_weights(n_grid)
-    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
-    return np.concatenate([offset, offset, offset[:1]])
-
-
 @dataclass(frozen=True)
 class _Grid:
     """What a level needs of its grid and not of the plate (see _grid).
 
-    tau and speed are t = tau(s) and q dtau/ds at the 2 per_side
-    half-step positions of one side; pos and check_pos are the positions
-    of the kept nodes and check points on the sector, which are also
-    their indices among the sector's points; table is _offset_table and
-    spectrum the rfft of one period of it, the check's convolution
-    kernel."""
+    The sector is parametrised by u in [0, 2 pi) with n_grid equispaced
+    grid nodes.  Positions are counted in half steps of that grid: nodes
+    sit at even positions, check points at the odd ones between them, so
+    a point at position k has u = pi k / n_grid.  tau and speed are
+    t = tau(s) and q dtau/ds at the 2 per_side half-step positions of
+    one side; pos and check_pos are the positions of the kept nodes and
+    check points on the sector, which are also their indices among the
+    sector's points; table is the offset table and spectrum the rfft of
+    one period of it, the check's convolution kernel."""
 
+    n_grid: int
     tau: np.ndarray
     speed: np.ndarray
     pos: np.ndarray
@@ -359,9 +327,19 @@ def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
     """The grid of a sector of q sides with per_side nodes each: Kress
     grading of order 6 (uniform speed if smooth), nodes and check points
     within 1e-9 of a side end dropped (never on a smooth plate), and only
-    u <= pi kept with a mirror.  This is the one cache in capsolve; its
-    arrays are read-only, so every level on the same grid shares them."""
+    u <= pi kept with a mirror.
+
+    The offset table holds the kernel's terms that depend only on the
+    half-step offset k between a point and a node image,
+    1/2 R(pi k / n_grid) - h log|2 sin(pi k / 2 n_grid)| (the log-sine
+    term left out at k = 0, where the diagonal limit replaces it), at
+    index k + 2 n_grid for -2 n_grid <= k <= 2 n_grid, so that no index
+    needs a modulus; it is even in k.
+
+    This is the one cache in capsolve; its arrays are read-only, so
+    every level on the same grid shares them."""
     n_grid = q * per_side
+    period = 2 * n_grid
     s = math.pi * np.arange(2 * per_side) / per_side
     if smooth:
         tau, dtau = s / (2.0 * math.pi), np.full(s.shape, 0.5 / math.pi)
@@ -369,40 +347,71 @@ def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
     else:
         tau, gap, dtau = _kress_grading(s, _GRADING_ORDER)
         keep = gap >= _VERTEX_GAP
-    pos = np.arange(2 * n_grid)
+    pos = np.arange(period)
     keep = np.tile(keep, q)
     if mirror:
         keep &= pos <= n_grid
-    table = _offset_table(n_grid)
-    grid = _Grid(
+    h = 2.0 * math.pi / n_grid
+    offset = 0.5 * _kress_weights(n_grid)
+    offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
+    arrays = dict(
         tau=tau,
         speed=q * dtau,
         pos=pos[keep & (pos % 2 == 0)],
         check_pos=pos[keep & (pos % 2 == 1)],
-        table=table,
-        spectrum=np.fft.rfft(table[: 2 * n_grid]),
+        table=np.concatenate([offset, offset, offset[:1]]),
+        spectrum=np.fft.rfft(offset),
     )
-    for array in vars(grid).values():
+    for array in arrays.values():
         array.setflags(write=False)
-    return grid
+    return _Grid(n_grid=n_grid, **arrays)
 
 
-def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
-    """Graded nodes and midpoint check points of one sector.
+@dataclass(frozen=True)
+class Discretization:
+    """Nodes and check points of one level on the sector's grid.
 
-    Each of the sector's q = m / n sides gets p.nodes_per_side grid
-    nodes with Kress grading of order 6, t = tau(s) with s = q u - 2 pi k
-    on side k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at
-    uniform speed, tau(s) = s / 2 pi.  Polygon nodes and check points
-    within 1e-9 of a side end in the side parameter are dropped.  With a
-    mirror only the half of the sector with u <= pi is kept.  All of that
+    grid is the level's cached _Grid (the sector is the whole boundary
+    for symmetry 1), with the node positions grid.pos and the check
+    positions grid.check_pos.  images lists the (points, positions) each
+    kept node stands for: first (nodes, grid.pos), the nodes being the
+    fitted unknowns and rows (with a mirror only those with u <= pi),
+    and with a mirror (BoundarySet.mirror, the unit factor of sigma(z) =
+    mirror * conj(z)) also (sigma(nodes), -grid.pos); each is summed
+    over the n = symmetry rotations.  diagonal is the limit of the
+    smooth part of the kernel at each node,
+    log|d(z^n)/du| - log(1 - |z|^2n), and check holds the check points.
+    """
+
+    grid: _Grid
+    images: tuple
+    diagonal: np.ndarray
+    check: np.ndarray
+    symmetry: int
+
+    @property
+    def n_collocation(self) -> int:
+        return len(self.grid.pos)
+
+
+def discretize(b: BoundarySet, per_side: int) -> Discretization:
+    """Graded nodes and midpoint check points of one sector, at the
+    level of per_side nodes per side: an even int of at least 8, else
+    ConfigurationError.
+
+    Each of the sector's q = m / n sides gets per_side grid nodes with
+    Kress grading of order 6, t = tau(s) with s = q u - 2 pi k on side
+    k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at uniform
+    speed, tau(s) = s / 2 pi.  Polygon nodes and check points within
+    1e-9 of a side end in the side parameter are dropped.  With a mirror
+    only the half of the sector with u <= pi is kept.  All of that
     depends on the plate only through q, smooth and mirror, so it comes
-    from the cached _grid; here the sides are evaluated on it.
+    from the cached _grid, which the Discretization holds; here the
+    sides are evaluated on it.
     """
     n = b.symmetry
     sector = b.pieces[: len(b.pieces) // n]
-    q, per_side = len(sector), p.nodes_per_side
-    g = _grid(q, per_side, b.is_smooth, b.mirror is not None)
+    g = _grid(len(sector), _nodes_per_side(per_side), b.is_smooth, b.mirror is not None)
     z = np.concatenate([piece.point(g.tau) for piece in sector])
     dz = np.concatenate([piece.derivative(g.tau) * g.speed for piece in sector])
     zn, at = z[g.pos], g.pos
@@ -411,16 +420,11 @@ def discretize(b: BoundarySet, p: SolverParams) -> Discretization:
     log_zn = (n - 1) * np.log(np.abs(zn)) if n > 1 else 0.0
     log_speed = math.log(n) + log_zn + np.log(np.abs(dz[at]))
     return Discretization(
-        nodes=zn,
-        pos=at,
+        grid=g,
+        images=images,
         diagonal=log_speed - np.log1p(-np.abs(zn) ** (2 * n)),
         check=z[g.check_pos],
-        check_pos=g.check_pos,
-        n_grid=q * per_side,
         symmetry=n,
-        images=images,
-        table=g.table,
-        spectrum=g.spectrum,
     )
 
 
@@ -502,9 +506,10 @@ def _kernel(d: Discretization) -> np.ndarray:
     their transposes copied below.  Each block holds about
     _BLOCK_ENTRIES entries, so that its temporaries stay in cache.
     """
-    size, period = d.n_collocation, 2 * d.n_grid
-    h = 2.0 * math.pi / d.n_grid
-    table = d.table
+    nodes, pos = d.images[0]
+    size, period = d.n_collocation, 2 * d.grid.n_grid
+    h = 2.0 * math.pi / d.grid.n_grid
+    table = d.grid.table
     A = np.empty((size, size))
     step = _block_rows(size)
     for start in range(0, size, step):
@@ -513,11 +518,11 @@ def _kernel(d: Discretization) -> np.ndarray:
         own = np.arange(stop - start)
         for k, (zeta, at) in enumerate(d.images):
             with np.errstate(divide="ignore"):
-                part = _green(d.nodes[rows], zeta[start:], d.symmetry)
+                part = _green(nodes[rows], zeta[start:], d.symmetry)
             part *= h
-            part += table[np.subtract.outer(d.pos[rows] + period, at[start:])]
+            part += table[np.subtract.outer(pos[rows] + period, at[start:])]
             # the node's own image: the singular diagonal takes its limit
-            hit = (d.pos[rows] - at[rows]) % period == 0
+            hit = (pos[rows] - at[rows]) % period == 0
             part[own[hit], own[hit]] = h * d.diagonal[rows][hit] + table[period]
             if k:
                 A[rows, start:] += part
@@ -539,18 +544,18 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
     The terms of _kernel's entries that depend only on the half-step
     offset are a circular convolution of the offset table with psi
     spread on the grid, each of d.images at its own positions; the
-    table's rfft is the grid's d.spectrum, so one rfft of the spread
-    density and one irfft give them at every position.  A check point never meets a
-    node image (they sit at odd and even positions), so only
+    table's rfft is d.grid.spectrum, so one rfft of the spread density
+    and one irfft give them at every position.  A check point never
+    meets a node image (they sit at odd and even positions), so only
     h * sum over d.images of G_n(check, zeta) psi is left, which is
     summed block by block without building a check matrix.
     """
-    period = 2 * d.n_grid
-    h = 2.0 * math.pi / d.n_grid
+    period = 2 * d.grid.n_grid
+    h = 2.0 * math.pi / d.grid.n_grid
     spread = np.zeros(period)
     for _, at in d.images:
         spread += np.bincount(at % period, weights=psi, minlength=period)
-    u = np.fft.irfft(d.spectrum * np.fft.rfft(spread), n=period)[d.check_pos]
+    u = np.fft.irfft(d.grid.spectrum * np.fft.rfft(spread), n=period)[d.grid.check_pos]
     sources = np.concatenate([zeta for zeta, _ in d.images])
     weights = np.tile(h * psi, len(d.images))
     step = _block_rows(len(weights))
@@ -560,8 +565,10 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
     return u
 
 
-def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
-    d = discretize(b, p)
+def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
+    """One level: b solved at per_side nodes per side, converged when
+    its residual is below tol and its capacity positive and finite."""
+    d = discretize(b, per_side)
     A = _kernel(d)
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
     if not np.all(np.isfinite(A)):
@@ -572,7 +579,7 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     )[0]
     del A
 
-    h = 2.0 * math.pi / d.n_grid
+    h = 2.0 * math.pi / d.grid.n_grid
     capacity = -2.0 * math.pi * (d.symmetry * len(d.images)) * h * float(np.sum(psi))
     residual = float(np.max(np.abs(_check_potential(d, psi) - 1.0)))
     return SolveReport(
@@ -585,20 +592,17 @@ def _solve_once(b: BoundarySet, p: SolverParams, tol: float) -> SolveReport:
     )
 
 
-def _ladder(b: BoundarySet, p: SolverParams) -> list[SolverParams]:
-    """The max_refine + 1 levels solve_capacity may solve b at.  With n0
-    the start, p.nodes_per_side or twice that for symmetry n > 1, level
-    k has 2 round(n0 2^(k/2) / 2) nodes per side: even, so that every
-    side keeps a node on its midpoint, and at every even k exactly
-    n0 2^(k/2) (128, 182, 256, 362, 512, ...).  Each step costs about 2x
-    in the kernel and 2.8x in the least squares, against 4x and 8x for
-    a doubling, so a plate that meets the tolerance between two
-    doublings stops there."""
+def _ladder(b: BoundarySet, p: SolverParams) -> list[int]:
+    """The nodes per side of the p.max_refine + 1 levels solve_capacity
+    may solve b at.  With n0 the start, p.nodes_per_side or twice that
+    for symmetry n > 1, level k has 2 round(n0 2^(k/2) / 2) nodes per
+    side: even, so that every side keeps a node on its midpoint, and at
+    every even k exactly n0 2^(k/2) (128, 182, 256, 362, 512, ...).
+    Each step costs about 2x in the kernel and 2.8x in the least
+    squares, against 4x and 8x for a doubling, so a plate that meets the
+    tolerance between two doublings stops there."""
     start = 2 * p.nodes_per_side if b.symmetry > 1 else p.nodes_per_side
-    return [
-        replace(p, nodes_per_side=2 * round(start * 2 ** (k / 2) / 2))
-        for k in range(p.max_refine + 1)
-    ]
+    return [2 * round(start * 2 ** (k / 2) / 2) for k in range(p.max_refine + 1)]
 
 
 # default residual tolerances.  Twice the sampled residual, the verdict
@@ -626,8 +630,8 @@ def solve_capacity(
     """
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
-    for level in _ladder(b, p or SolverParams()):
-        report = _solve_once(b, level, tol)
+    for per_side in _ladder(b, p or SolverParams()):
+        report = _solve_once(b, per_side, tol)
         if report.converged:
             break
     if not 0.0 < report.capacity < math.inf:

@@ -124,13 +124,14 @@ def _reference_kernel(z, pos, d, mirror):
     mirror its image mirror * conj(node) at -pos), h G_n (or its diagonal
     limit where the offset is 0) plus the offset terms 1/2 R - h log|2 sin|,
     with G_n in complex arithmetic."""
-    period = 2 * d.n_grid
-    h = 2.0 * math.pi / d.n_grid
-    offset = 0.5 * _kress_weights(d.n_grid)
+    period = 2 * d.grid.n_grid
+    h = 2.0 * math.pi / d.grid.n_grid
+    offset = 0.5 * _kress_weights(d.grid.n_grid)
     offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
-    images = [(d.nodes, d.pos)]
+    nodes, at = d.images[0]
+    images = [(nodes, at)]
     if mirror is not None:
-        images.append((mirror * np.conj(d.nodes), -d.pos))
+        images.append((mirror * np.conj(nodes), -at))
     A = np.zeros((len(z), d.n_collocation))
     for zeta, at in images:
         delta = (pos[:, None] - at[None, :]) % period
@@ -287,17 +288,16 @@ class TestSymmetry:
         # solve_capacity starts the two at different node counts, so the
         # oracle compares one level at equal nodes per side
         b = BoundarySet.from_polygon(regular_polygon(m, r))
-        p = SolverParams(nodes_per_side=256)
-        sym = _solve_once(b, p, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, symmetry=1, mirror=None), p, DEFAULT_TOL_POLYGON)
+        sym = _solve_once(b, 256, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, symmetry=1, mirror=None), 256, DEFAULT_TOL_POLYGON)
         assert (sym.symmetry, full.symmetry) == (m, 1)
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
         # half a side of the nodes; mirrored, with the on-axis node once,
         # they are one side's
-        half = discretize(b, p)
+        half = discretize(b, 256)
         assert half.n_collocation == sym.n_collocation
-        assert len(_unfold(half.nodes, b)) == 2 * sym.n_collocation - 1
+        assert len(_unfold(half.images[0][0], b)) == 2 * sym.n_collocation - 1
         assert full.n_collocation == m * (2 * sym.n_collocation - 1)
 
     @pytest.mark.parametrize("vertices", [RHOMBUS, STAR3], ids=["rhombus", "star-3"])
@@ -305,9 +305,8 @@ class TestSymmetry:
         # sectors of several sides, with the mirror taken off: the orbit
         # kernel's weights fold the whole boundary's over the rotations
         b = replace(BoundarySet.from_polygon(HypPolygon.from_vertices(vertices)), mirror=None)
-        p = SolverParams(nodes_per_side=128)
-        sym = _solve_once(b, p, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, symmetry=1), p, DEFAULT_TOL_POLYGON)
+        sym = _solve_once(b, 128, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, symmetry=1), 128, DEFAULT_TOL_POLYGON)
         assert sym.symmetry > 1 and full.n_collocation == sym.symmetry * sym.n_collocation
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
@@ -330,9 +329,9 @@ class TestSymmetry:
         # than half a sector when the sector's middle is a side's
         # midpoint (an odd number of sides), which is its own image
         b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
-        p = SolverParams()
-        half = _solve_once(b, p, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, symmetry=1, mirror=None), p, DEFAULT_TOL_POLYGON)
+        per_side = SolverParams().nodes_per_side
+        half = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, symmetry=1, mirror=None), per_side, DEFAULT_TOL_POLYGON)
         assert b.mirror is not None
         assert abs(half.capacity - full.capacity) <= 1e-13 * full.capacity
         assert half.converged == full.converged
@@ -342,9 +341,9 @@ class TestSymmetry:
     def test_symmetric_plates_start_one_doubling_higher(self):
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
         generic = BoundarySet.from_polygon(HypPolygon.from_vertices(NEAR_SQUARE))
-        p = SolverParams()
-        assert solve_capacity(sym).n_collocation == discretize(sym, p.doubled()).n_collocation
-        assert solve_capacity(generic).n_collocation == discretize(generic, p).n_collocation
+        start = SolverParams().nodes_per_side
+        assert solve_capacity(sym).n_collocation == discretize(sym, 2 * start).n_collocation
+        assert solve_capacity(generic).n_collocation == discretize(generic, start).n_collocation
 
     @pytest.mark.parametrize(
         "vertices, n",
@@ -393,11 +392,12 @@ class TestSymmetry:
         # half's, mirrored), rotated n times, are the full layout's
         b = BoundarySet.from_polygon(HypPolygon.from_vertices(vertices))
         n = b.symmetry
-        sector = discretize(b, SolverParams())
-        full = discretize(replace(b, symmetry=1, mirror=None), SolverParams())
+        per_side = SolverParams().nodes_per_side
+        sector = discretize(b, per_side)
+        full = discretize(replace(b, symmetry=1, mirror=None), per_side)
         assert (len(sector.images) == 2) == _has_vertex_axis(vertices)
         for part, whole in (
-            (_unfold(sector.nodes, b), full.nodes),
+            (_unfold(sector.images[0][0], b), full.images[0][0]),
             (_unfold(sector.check, b), full.check),
         ):
             turned = np.concatenate([part * cmath.exp(2j * math.pi * j / n) for j in range(n)])
@@ -425,15 +425,15 @@ class TestSymmetry:
         # unknown halved)
         b = BoundarySet.from_polygon(poly)
         n = b.symmetry
-        p = SolverParams(nodes_per_side=32)
-        half, full = discretize(b, p), discretize(replace(b, symmetry=1, mirror=None), p)
+        half, full = discretize(b, 32), discretize(replace(b, symmetry=1, mirror=None), 32)
         big = _kernel(full)
-        sector = 2 * half.n_grid  # half steps per sector
-        local = full.pos % sector
+        half_pos, full_pos = half.grid.pos, full.grid.pos
+        sector = 2 * half.grid.n_grid  # half steps per sector
+        local = full_pos % sector
         image_of = np.minimum(local, sector - local)
-        rows = [np.flatnonzero(full.pos == k)[0] for k in half.pos]
-        folded = n * np.stack([big[rows][:, image_of == k].sum(axis=1) for k in half.pos], axis=1)
-        folded[:, half.pos == half.n_grid] *= 2
+        rows = [np.flatnonzero(full_pos == k)[0] for k in half_pos]
+        folded = n * np.stack([big[rows][:, image_of == k].sum(axis=1) for k in half_pos], axis=1)
+        folded[:, half_pos == half.grid.n_grid] *= 2
         np.testing.assert_allclose(_kernel(half), folded, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -503,9 +503,9 @@ class TestSymmetry:
 
         b = BoundarySet.from_polygon(recenter_triangle(*moved(vertices)))
         assert b.mirror is not None
-        p = SolverParams()
-        half = _solve_once(b, p, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, mirror=None), p, DEFAULT_TOL_POLYGON)
+        per_side = SolverParams().nodes_per_side
+        half = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
+        full = _solve_once(replace(b, mirror=None), per_side, DEFAULT_TOL_POLYGON)
         assert abs(half.capacity - full.capacity) <= 1e-13 * full.capacity
         scalene = moved(vertices[:2] + [(1.0 + push) * vertices[2]])
         assert BoundarySet.from_polygon(recenter_triangle(*scalene)).mirror is None
@@ -634,8 +634,8 @@ class TestNystrom:
         # nodes that the grading rounds onto a vertex would make zero
         # distances; they are dropped at every level the solver can reach,
         # the sqrt 2 levels between the doublings too
-        for p in _ladder(b, SolverParams()):
-            d = discretize(b, p)
+        for per_side in _ladder(b, SolverParams()):
+            d = discretize(b, per_side)
             assert np.all(np.isfinite(_kernel(d)))
             assert np.all(np.isfinite(_check_potential(d, np.ones(d.n_collocation))))
 
@@ -643,7 +643,7 @@ class TestNystrom:
         generic = BoundarySet.from_euclid_disk(0.2, 0.3)
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
         # a symmetric plate starts one doubling up; both climb by sqrt 2
-        assert [[p.nodes_per_side for p in _ladder(b, SolverParams())] for b in (generic, sym)] == [
+        assert [_ladder(b, SolverParams()) for b in (generic, sym)] == [
             [128, 182, 256, 362, 512, 724, 1024],
             [256, 362, 512, 724, 1024, 1448, 2048],
         ]
@@ -654,7 +654,7 @@ class TestNystrom:
         # every second level is an exact doubling
         b = BoundarySet.from_euclid_disk(0.0, 0.5)
         p = SolverParams(nodes_per_side=start, max_refine=max_refine)
-        sizes = [level.nodes_per_side for level in _ladder(b, p)]
+        sizes = _ladder(b, p)
         assert len(sizes) == max_refine + 1
         assert all(n % 2 == 0 for n in sizes)
         assert all(lo < hi for lo, hi in zip(sizes, sizes[1:]))
@@ -675,8 +675,8 @@ class TestNystrom:
         # (triangle_5 T, 128 -> 182 per side)
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
         levels = []
-        for p in _ladder(b, SolverParams()):
-            levels.append(_solve_once(b, p, DEFAULT_TOL_POLYGON))
+        for per_side in _ladder(b, SolverParams()):
+            levels.append(_solve_once(b, per_side, DEFAULT_TOL_POLYGON))
             if len(levels) > 1 and levels[-2].converged:
                 break
         assert levels[-2].converged and levels[-2] == solve_capacity(b)
@@ -686,8 +686,8 @@ class TestNystrom:
 
     @KERNEL_PLATES
     def test_kernel_matches_reference_and_is_symmetric(self, b):
-        d = discretize(b, SolverParams())
-        A, ref = _kernel(d), _reference_kernel(d.nodes, d.pos, d, b.mirror)
+        d = discretize(b, SolverParams().nodes_per_side)
+        A, ref = _kernel(d), _reference_kernel(*d.images[0], d, b.mirror)
         assert np.array_equal(A, A.T)
         # _kernel evaluates one triangle and mirrors it, so it may differ
         # from the reference by the reference's own asymmetry: rounding of
@@ -709,11 +709,11 @@ class TestNystrom:
     def test_check_potential_matches_reference(self, b):
         # the convolved offset terms plus the blocked Green's sums give
         # the potential of the check rows' matrix, for the level's density
-        d = discretize(b, SolverParams())
+        d = discretize(b, SolverParams().nodes_per_side)
         psi = np.linalg.solve(_kernel(d), np.ones(d.n_collocation))
         np.testing.assert_allclose(
             _check_potential(d, psi),
-            _reference_kernel(d.check, d.check_pos, d, b.mirror) @ psi,
+            _reference_kernel(d.check, d.grid.check_pos, d, b.mirror) @ psi,
             rtol=0,
             atol=1e-13,
         )
@@ -826,32 +826,33 @@ class TestDiscretize:
     def test_grid_shared_read_only(self):
         # the 3-gon and the 6-gon both fit one mirrored side per sector,
         # so their levels at one size share the cached grid's arrays
-        p = SolverParams().doubled()
+        per_side = 2 * SolverParams().nodes_per_side
         b3, b6 = (BoundarySet.from_polygon(regular_polygon(m, 0.5)) for m in (3, 6))
-        d3, d6 = discretize(b3, p), discretize(b6, p)
-        grid = capsolve._grid(1, p.nodes_per_side, False, True)
-        for name in ("pos", "check_pos", "table", "spectrum"):
-            assert getattr(d3, name) is getattr(d6, name) is getattr(grid, name)
-        for array in vars(grid).values():
+        d3, d6 = discretize(b3, per_side), discretize(b6, per_side)
+        grid = capsolve._grid(1, per_side, False, True)
+        assert d3.grid is d6.grid is grid
+        for array in (v for v in vars(grid).values() if isinstance(v, np.ndarray)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
         # a second level of the same plate is bit-identical
-        again = discretize(b3, p)
-        for name in ("nodes", "pos", "diagonal", "check", "check_pos", "table", "spectrum"):
+        again = discretize(b3, per_side)
+        assert again.grid is grid
+        for name in ("diagonal", "check"):
             assert getattr(again, name).tobytes() == getattr(d3, name).tobytes()
         assert [(z.tobytes(), at.tobytes()) for z, at in again.images] == [
             (z.tobytes(), at.tobytes()) for z, at in d3.images
         ]
         # without the mirror the whole sector is kept: another grid
-        full = discretize(replace(b3, mirror=None), p)
-        assert full.pos is not d3.pos
+        full = discretize(replace(b3, mirror=None), per_side)
+        assert full.grid.pos is not d3.grid.pos
         assert full.n_collocation == 2 * d3.n_collocation - 1
 
     def test_zero_grading_uniform(self):
         # a circle plate is not graded: its nodes are equally spaced
-        d = discretize(BoundarySet.from_euclid_disk(0.2, 0.3), SolverParams(nodes_per_side=32))
-        gaps = np.abs(np.diff(np.append(d.nodes, d.nodes[0])))
+        d = discretize(BoundarySet.from_euclid_disk(0.2, 0.3), 32)
+        nodes = d.images[0][0]
+        gaps = np.abs(np.diff(np.append(nodes, nodes[0])))
         assert d.n_collocation == 32
         assert np.max(gaps) / np.min(gaps) < 1.0 + 1e-12
 
@@ -859,16 +860,17 @@ class TestDiscretize:
         # Kress grading of order 6 crowds the nodes at the corners, and
         # none sits within 1e-9 of a vertex in the side parameter
         b = BoundarySet.from_polygon(regular_polygon(4, 0.6))
-        d = discretize(replace(b, symmetry=1), SolverParams(nodes_per_side=32))
+        d = discretize(replace(b, symmetry=1), 32)
+        nodes, pos = d.images[0]
         side = b.pieces[0]
-        z = d.nodes[d.pos < 64]
+        z = nodes[pos < 64]
         gaps = np.abs(np.diff(z))
         length = abs(side.derivative(0.0))
         h_uniform = length / 32
         assert np.min(gaps) < h_uniform / 100
         assert np.argmin(gaps) in (0, len(gaps) - 1)
         assert np.max(gaps) > h_uniform
-        assert np.min(np.abs(d.nodes[:, None] - np.array([p.z1 for p in b.pieces]))) > 1e-9 * length
+        assert np.min(np.abs(nodes[:, None] - np.array([p.z1 for p in b.pieces]))) > 1e-9 * length
 
     @pytest.mark.parametrize(
         "b",
@@ -882,7 +884,7 @@ class TestDiscretize:
     def test_reflected_kernel_vanishes_on_unit_circle(self, b):
         # the outer condition holds by construction, so the solver
         # neither collocates nor checks there
-        d = discretize(b, SolverParams())
+        d = discretize(b, SolverParams().nodes_per_side)
         circle = np.exp(2j * np.pi * np.arange(512) / 512)
         for zeta, _ in d.images:
             assert np.max(np.abs(_green(circle, zeta, d.symmetry))) <= 1e-14
@@ -938,6 +940,16 @@ class TestValidation:
             SolverParams(nodes_per_side=129)
         with pytest.raises(ConfigurationError):
             SolverParams(max_refine=-1)
+        # counts must be ints: a float or a bool that passed would fail
+        # later as a bare TypeError, in range() or in numpy's indexing
+        for bad in ({"max_refine": 1.5}, {"max_refine": True}, {"nodes_per_side": 64.0}):
+            with pytest.raises(ConfigurationError):
+                SolverParams(**bad)
+        # discretize guards its one node count the same way
+        b = BoundarySet.from_euclid_disk(0.0, 0.4)
+        for bad in (4, 129, 64.0):
+            with pytest.raises(ConfigurationError):
+                discretize(b, bad)
 
     def test_plate_too_close_to_circle(self):
         with pytest.raises(GeometryError):

@@ -4,10 +4,12 @@ import time dominates a fresh process's first solve.  Each module's
 __all__ is exactly right both ways: every name in it exists, and every
 public function or class the module defines is in it.  Every span the
 benchmark's tracer (perfbench/tracing.py) records still has a callable
-of this checkout to wrap, so a rename cannot turn its metrics null."""
+of this checkout to wrap, so a rename cannot turn its metrics null, and
+a traced solve gives every per-layer metric a finite value."""
 
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +19,9 @@ from pathlib import Path
 import pytest
 
 import hypcap
+from hypcap import capsolve
+from hypcap.experiments import DEFAULT_TRIANGLE_ROWS, recenter_triangle
+from hypcap.hypgeom import regular_polygon
 
 MODULES = (
     "hypcap.capsolve",
@@ -58,13 +63,18 @@ def test_all_names_resolve(name):
     assert not defined - set(module.__all__), sorted(defined - set(module.__all__))
 
 
-def test_tracer_targets_resolve(monkeypatch):
-    # perfbench/tracing.py is run from its source, not imported, so that
-    # nothing is written beside it; its dataclasses need it in sys.modules
+def _tracing(monkeypatch) -> types.ModuleType:
+    """perfbench/tracing.py, run from its source, not imported, so that
+    nothing is written beside it; its dataclasses need it in sys.modules."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     tracing = types.ModuleType("perfbench_tracing")
     monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
     exec(compile(path.read_text(), str(path), "exec"), vars(tracing))
+    return tracing
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    tracing = _tracing(monkeypatch)
     resolved = {}
     for name, _, module, attr_path in tracing.TARGETS:
         owner = importlib.import_module(module)
@@ -72,3 +82,21 @@ def test_tracer_targets_resolve(monkeypatch):
             owner = getattr(owner, part, None)
         resolved[name] = resolved.get(name, False) or callable(owner)
     assert all(resolved.values()), sorted(n for n, ok in resolved.items() if not ok)
+
+
+def test_traced_solves_give_finite_metrics(monkeypatch):
+    # the tracer's contract with the solver: every level runs one
+    # scipy.linalg.lstsq, and a pass with a one-level solve (the 3-gon)
+    # and a refining one (the recentred needle triangle_2, two levels)
+    # gives every per-layer metric a finite number, none null.  The
+    # solves go through the module attribute, which the tracer patches
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        capsolve.cap_polygon(regular_polygon(3, 0.5))
+        capsolve.cap_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]))
+    metrics = tracing.layer_metrics(tracer.spans, tracer.installed_names)
+    bad = {k: v for k, v in metrics.items() if v is None or not math.isfinite(v)}
+    assert not bad, bad
+    assert (metrics["capsolve.solves"], metrics["capsolve.levels"]) == (2, 3)
+    assert metrics["capsolve.lstsq_calls"] == metrics["capsolve.levels"]
