@@ -66,8 +66,26 @@ half-step offsets.  A level converges when it is below tol and the
 capacity is positive and finite (too coarse a level near the unit
 circle can give a negative one); refinement multiplies the nodes per
 side by about sqrt 2, so that two steps double them (see _ladder).
-A plate without symmetry starts at SolverParams.nodes_per_side per
-side, a symmetry-reduced one at twice that (see solve_capacity).
+The ladder starts at SolverParams.nodes_per_side per side for a plate
+without symmetry, at twice that for a symmetry-reduced one.
+
+capacity_error is a dual-weighted-residual estimate (Becker and
+Rannacher, Acta Numerica 10, 2001) of how far the capacity moves when
+the nodes per side are doubled.  The capacity is a linear functional of
+psi whose weights are the right-hand side of the symmetric system, so
+psi is its own adjoint solution, and the check points are exactly the
+new nodes of the doubled grid, at trapezoid weight h / 2.  So, to first
+order,
+
+    cap(2N) - cap(N) = Delta = -pi k h sum_mid psi~(mid) (1 - u(mid)),
+
+with u the potential at the check points, psi~ the trigonometric
+interpolant of the node density there and k the images per node times
+the symmetry; capacity_error is |Delta|.  solve_capacity first solves
+one sqrt 2 step below the ladder's start (90 per side, 182 with
+symmetry) and keeps that level when it converges and its
+capacity_error is at most 1e-7 of the capacity; otherwise it climbs the
+ladder on the residual alone.
 
 Evaluation.  A level is one number, its nodes per side (see _ladder).
 What a level needs of its grid and not of the plate, the graded side
@@ -253,7 +271,9 @@ class SolverParams:
     _ladder).  max_refine is how many times a level that misses the
     tolerance is retried one sqrt 2 step finer (see _ladder): the
     default 6 ends at 8 times the start.  solve_capacity turns these
-    into its levels (see _ladder), each one count of nodes per side.
+    into its levels (see _ladder), each one count of nodes per side,
+    and tries one early level below the start first, so that a solve
+    runs at most max_refine + 2 levels.
     """
 
     nodes_per_side: int = 128
@@ -436,11 +456,16 @@ class SolveReport:
     system: the kept nodes of one sector, of half of it with a mirror.
     boundary_residual is max|u - 1| at the midpoints between those
     nodes, and converged says it is below the tolerance and the
-    capacity is positive and finite.
+    capacity is positive and finite.  capacity_error is the estimated
+    change of the capacity at twice the nodes per side (see the module
+    docstring).  A report of the early level, one sqrt 2 step below the
+    ladder's start, is returned only if it converged and its
+    capacity_error is at most 1e-7 of the capacity.
     """
 
     capacity: float
     boundary_residual: float
+    capacity_error: float
     n_collocation: int
     converged: bool
     symmetry: int
@@ -538,8 +563,9 @@ def _kernel(d: Discretization) -> np.ndarray:
     return A
 
 
-def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
-    """Potential of the density psi at the check points (the midpoints).
+def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Potential of the density psi at the check points (the midpoints),
+    and the trigonometric interpolant of psi there.
 
     The terms of _kernel's entries that depend only on the half-step
     offset are a circular convolution of the offset table with psi
@@ -548,26 +574,35 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> np.ndarray:
     and one irfft give them at every position.  A check point never
     meets a node image (they sit at odd and even positions), so only
     h * sum over d.images of G_n(check, zeta) psi is left, which is
-    summed block by block without building a check matrix.
+    summed block by block without building a check matrix.  The spread
+    density's spectrum, cut at the node grid's Nyquist frequency, gives
+    the interpolant by one more irfft.
     """
     period = 2 * d.grid.n_grid
     h = 2.0 * math.pi / d.grid.n_grid
     spread = np.zeros(period)
     for _, at in d.images:
         spread += np.bincount(at % period, weights=psi, minlength=period)
-    u = np.fft.irfft(d.grid.spectrum * np.fft.rfft(spread), n=period)[d.grid.check_pos]
+    spectrum = np.fft.rfft(spread)
+    u = np.fft.irfft(d.grid.spectrum * spectrum, n=period)[d.grid.check_pos]
+    # spread's spectrum repeats the node grid's: one copy, doubled for the
+    # twice-as-fine samples, interpolates (the node grid's Nyquist term
+    # vanishes at the midpoints)
+    density = np.fft.irfft(2.0 * spectrum[: d.grid.n_grid // 2], n=period)[d.grid.check_pos]
     sources = np.concatenate([zeta for zeta, _ in d.images])
     weights = np.tile(h * psi, len(d.images))
     step = _block_rows(len(weights))
     for start in range(0, len(d.check), step):
         rows = slice(start, start + step)
         u[rows] += _green(d.check[rows], sources, d.symmetry) @ weights
-    return u
+    return u, density
 
 
 def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     """One level: b solved at per_side nodes per side, converged when
-    its residual is below tol and its capacity positive and finite."""
+    its residual is below tol and its capacity positive and finite, with
+    the capacity error estimated from the check (see the module
+    docstring)."""
     d = discretize(b, per_side)
     A = _kernel(d)
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
@@ -580,11 +615,15 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     del A
 
     h = 2.0 * math.pi / d.grid.n_grid
-    capacity = -2.0 * math.pi * (d.symmetry * len(d.images)) * h * float(np.sum(psi))
-    residual = float(np.max(np.abs(_check_potential(d, psi) - 1.0)))
+    weight = -2.0 * math.pi * (d.symmetry * len(d.images)) * h  # of each unknown
+    capacity = weight * float(np.sum(psi))
+    u, density = _check_potential(d, psi)
+    residual = float(np.max(np.abs(u - 1.0)))
     return SolveReport(
         capacity=capacity,
         boundary_residual=residual,
+        # the doubled grid's new nodes are the check points, at weight h / 2
+        capacity_error=abs(0.5 * weight * float(density @ (1.0 - u))),
         n_collocation=d.n_collocation,
         # a capacity <= 0 (or not finite) marks an under-resolved level
         converged=residual < tol and 0.0 < capacity < math.inf,
@@ -605,12 +644,18 @@ def _ladder(b: BoundarySet, p: SolverParams) -> list[int]:
     return [2 * round(start * 2 ** (k / 2) / 2) for k in range(p.max_refine + 1)]
 
 
-# default residual tolerances.  Twice the sampled residual, the verdict
-# slack, bounds the capacity error (tests/test_capsolve.py checks this on
-# published plates); the residual alone does not at the sharpest regular
-# corners (seq_area_c3_m3 moves 1.64x it to the next level)
+# default residual tolerances, which a level must meet to converge.  The
+# verdict slack is twice the capacity error, not the residual; twice the
+# residual still bounds the error on published plates (tests/test_capsolve.py),
+# but the residual alone does not at the sharpest regular corners
+# (seq_area_c3_m3 moves 1.64x it to the next level)
 DEFAULT_TOL_POLYGON = 2e-3
 DEFAULT_TOL_SMOOTH = 1e-6
+# the early level is kept when its capacity error is at most this share
+# of the capacity: seven digits, far inside the 5e-4 the anchor tests ask
+# of a solve; the published plates that stop there lie within 9e-8 of a
+# 4x-finer reference
+_EARLY_STOP_RTOL = 1e-7
 
 
 def solve_capacity(
@@ -620,7 +665,10 @@ def solve_capacity(
 
     Solves at up to max_refine + 1 levels of _ladder, each about sqrt 2
     finer per side than the last, until one converges, and returns the
-    first converged report, else the last (converged=False).
+    first converged report, else the last (converged=False).  Before
+    the ladder it solves the early level, one sqrt 2 step below the
+    ladder's start (unless that is below 8 per side), and returns it if
+    it converges with a capacity error of at most 1e-7 of the capacity.
     SolverError is raised at once for a non-finite Nystrom matrix, and
     after the last level if its capacity is still not positive and
     finite.  A plate with symmetry n > 1 starts one doubling higher: its
@@ -630,7 +678,13 @@ def solve_capacity(
     """
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
-    for per_side in _ladder(b, p or SolverParams()):
+    ladder = _ladder(b, p or SolverParams())
+    early = 2 * round(ladder[0] / math.sqrt(8))  # even, one sqrt 2 step down
+    if early >= 8:
+        report = _solve_once(b, early, tol)
+        if report.converged and report.capacity_error <= _EARLY_STOP_RTOL * report.capacity:
+            return report
+    for per_side in ladder:
         report = _solve_once(b, per_side, tol)
         if report.converged:
             break

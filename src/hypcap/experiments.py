@@ -5,19 +5,22 @@ checks comes from the plate it solved: _solve solves and measures the
 plate alone, at the solver's default tolerance, and checks both disk
 theorems, the equal-area disk below its capacity and the equal-perimeter
 disk above; bounds rows add the upper bound's two forms.  values hold
-each capacity beside its boundary residual, "capacity" and "residual";
-conjecture rows (X = T for triangles, P for polygons) hold "cap_X",
-"residual_X", the regular competitor's "cap_X0" and "residual_X0", their
+each capacity beside its boundary residual and its capacity error,
+"capacity", "residual" and "error"; conjecture rows (X = T for
+triangles, P for polygons) hold "cap_X", "residual_X", "error_X", the
+regular competitor's "cap_X0", "residual_X0" and "error_X0", their
 "slack", the matched measure of both ("area_X" and "area_X0", or
 "perimeter_X" and "perimeter_X0") and the competitor's "regular_radius".
 So a row stores every number its verdicts compare (a sequence's previous
 row and the table's cell rows hold the rest).  Every verdict on a solved
 capacity follows one rule: it is True or False when the compared values
-differ by more than the slack, twice the largest boundary residual of
-the solves compared, and "inconclusive-within-residual" otherwise.  A
-verdict over several comparisons is False if any of them is, else
-inconclusive if any of them is, else True.  Closed-form checks keep
-their own rounding tolerances.
+differ by more than the slack, and "inconclusive-within-error"
+otherwise.  The slack is the error model of the solves compared: twice
+the sum of their capacity errors (each the estimated change of the
+capacity at twice the nodes, see capsolve), plus 1e-10 of the sum of
+their capacities for rounding.  A verdict over several comparisons is
+False if any of them is, else inconclusive if any of them is, else
+True.  Closed-form checks keep their own rounding tolerances.
 
 Default inputs mirror the published experiments: ten triangle vertex
 triples, seven irregular polygons, the 9 x 5 regular-polygon grid, and
@@ -58,7 +61,7 @@ __all__ = [
     "run_triangle_conjecture",
 ]
 
-INCONCLUSIVE = "inconclusive-within-residual"
+INCONCLUSIVE = "inconclusive-within-error"
 
 # published triangle experiments: vertex triples
 DEFAULT_TRIANGLE_ROWS = [
@@ -100,7 +103,7 @@ _ROW_ERRORS = (GeometryError, SolverError)
 @dataclass
 class ExperimentRow:
     """One record of an experiment run.  Each solved capacity in values
-    has its boundary residual beside it (see _solve)."""
+    has its boundary residual and capacity error beside it (see _solve)."""
 
     id: str
     inputs: dict
@@ -116,12 +119,16 @@ class ExperimentRow:
 
 
 def _slack(*reports: SolveReport) -> float:
-    """Verdict slack: twice the largest boundary residual of the solves."""
-    return 2.0 * max(r.boundary_residual for r in reports)
+    """Verdict slack: twice the sum of the solves' capacity errors, plus
+    1e-10 of the sum of their capacities for rounding.  Each capacity
+    error estimates the change to the doubled level; twice it covers a
+    level four times finer on every published plate (worst 0.59 of the
+    slack)."""
+    return sum(2.0 * r.capacity_error + 1e-10 * r.capacity for r in reports)
 
 
 def _ordered_verdict(larger: float, smaller: float, slack: float):
-    """Three-valued check of larger >= smaller with residual slack."""
+    """Three-valued check of larger >= smaller with slack."""
     if abs(larger - smaller) <= slack:
         return INCONCLUSIVE
     return bool(larger > smaller)
@@ -135,16 +142,16 @@ def _all_hold(verdicts):
     return INCONCLUSIVE if INCONCLUSIVE in verdicts else True
 
 
-def _solve(plate, names=("capacity", "residual")):
+def _solve(plate, names=("capacity", "residual", "error")):
     """Solve one plate: the report, the values and verdicts every solved
     row carries, and the plate's PolygonMeasures.  The plate alone fixes
     the solve, at the solver's default tolerance, and both disk bounds,
     ref_cap_area(area) <= cap <= ref_cap_perim(perimeter); names key the
-    capacity and its residual."""
+    capacity, its residual and its capacity error."""
     rep, pm = cap_polygon(plate), polygon_measures(plate)
     cap, slack = rep.capacity, _slack(rep)
     bounds = {"perimeter_bound": ref_cap_perim(pm.perimeter), "area_bound": ref_cap_area(pm.area)}
-    values = {names[0]: cap, names[1]: rep.boundary_residual} | bounds
+    values = dict(zip(names, (cap, rep.boundary_residual, rep.capacity_error))) | bounds
     verdicts = {
         "converged": bool(rep.converged),
         "within_perimeter_bound": _ordered_verdict(bounds["perimeter_bound"], cap, slack),
@@ -191,7 +198,8 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_abo
         rid_i = rid.format(i=i + 1, m=m)
         inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
         try:
-            rep, values, verdicts, pm = _solve(build(vs), (f"cap_{x}", f"residual_{x}"))
+            keys = (f"cap_{x}", f"residual_{x}", f"error_{x}")
+            rep, values, verdicts, pm = _solve(build(vs), keys)
             c = getattr(pm, measure)
             r0 = radius(m, c)
             competitor = regular_polygon(m, r0)
@@ -201,7 +209,8 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_abo
             continue
         cap, cap0, slack = rep.capacity, rep_0.capacity, _slack(rep, rep_0)
         values |= {
-            f"cap_{x}0": cap0, f"residual_{x}0": rep_0.boundary_residual, "slack": slack,
+            f"cap_{x}0": cap0, f"residual_{x}0": rep_0.boundary_residual,
+            f"error_{x}0": rep_0.capacity_error, "slack": slack,
             f"{measure}_{x}": c, f"{measure}_{x}0": c0, "regular_radius": r0,
         }
         verdicts["both_converged"] = verdicts.pop("converged") and bool(rep_0.converged)

@@ -3,11 +3,12 @@
 Each driver runs on a few cheap published inputs; no row may carry an
 error or a False verdict, and each row has the driver's exact verdict
 keys, the capacities the benchmark reads, and beside every stored
-capacity its residual ("capacity" and "residual", or "cap_X" and
-"residual_X").  Bad input rows are recorded as row errors, while any
-other exception is a bug and must propagate.  The full published sweep
-runs once; every verdict on a solved capacity must follow the
-residual-slack rule and be recomputable from the values the rows store.
+capacity its residual and capacity error ("capacity", "residual" and
+"error", or "cap_X", "residual_X" and "error_X").  Bad input rows are
+recorded as row errors, while any other exception is a bug and must
+propagate.  The full published sweep runs once; every verdict on a
+solved capacity must follow the capacity-error slack rule and be
+recomputable from the values the rows store.
 """
 
 import cmath
@@ -110,10 +111,11 @@ def test_driver_rows_pass(name):
         assert all(v is not False for v in row.verdicts.values()), (row.id, row.verdicts)
         if row.verdicts.keys() & {"converged", "both_converged"}:
             assert capacities <= row.values.keys(), (row.id, row.values)
-        # every stored capacity has its residual: capacity -> residual,
-        # cap_T0 -> residual_T0
+        # every stored capacity has its residual and its capacity error:
+        # capacity -> residual and error, cap_T0 -> residual_T0 and error_T0
         for key in filter(re.compile(r"cap(acity|_\w+)$").match, row.values):
-            assert re.sub("^cap(acity)?", "residual", key) in row.values, (row.id, key)
+            for name in ("residual", "error"):
+                assert re.sub("^cap(acity)?", name, key) in row.values, (row.id, key, name)
 
 
 def test_area_sequence_beyond_pi():
@@ -166,7 +168,7 @@ def test_capacity_verdicts_inconclusive_within_slack(name, monkeypatch):
     solve = experiments.cap_polygon
 
     def unresolved(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), boundary_residual=1e3)
+        return dataclasses.replace(solve(*args, **kwargs), capacity_error=1e3)
 
     monkeypatch.setattr(experiments, "cap_polygon", unresolved)
     for row in REDUCED_RUNS[name]():
@@ -279,27 +281,29 @@ def published_rows():
     return [row for name in SOLVING_DRIVERS for row in getattr(experiments, f"run_{name}")()]
 
 
-def _slack(*residuals):
-    """The drivers' slack rule applied to stored residuals."""
-    return experiments._slack(*(SimpleNamespace(boundary_residual=r) for r in residuals))
+def _slack(*solves):
+    """The drivers' slack rule applied to stored (capacity, error) pairs."""
+    return experiments._slack(
+        *(SimpleNamespace(capacity=cap, capacity_error=err) for cap, err in solves)
+    )
 
 
 def _capacity_verdicts(row, rows_by_id, previous):
     """Every capacity verdict of a published row, recomputed from the
-    values and residuals stored in the rows alone."""
+    values and capacity errors stored in the rows alone."""
     v, verdict = row.values, experiments._ordered_verdict
     if row.id.startswith("triangle_"):
-        cap, res = v["cap_T"], v["residual_T"]
+        cap, own = v["cap_T"], (v["cap_T"], v["error_T"])
         out = {
             "capacity_not_below_equilateral": verdict(
-                cap, v["cap_T0"], _slack(res, v["residual_T0"])
+                cap, v["cap_T0"], _slack(own, (v["cap_T0"], v["error_T0"]))
             )
         }
     elif row.id.startswith("polygon_"):
-        cap, res = v["cap_P"], v["residual_P"]
+        cap, own = v["cap_P"], (v["cap_P"], v["error_P"])
         out = {
             "capacity_not_above_regular": verdict(
-                v["cap_P0"], cap, _slack(res, v["residual_P0"])
+                v["cap_P0"], cap, _slack(own, (v["cap_P0"], v["error_P0"]))
             )
         }
     elif row.id == "table_monotonicity":
@@ -311,7 +315,7 @@ def _capacity_verdicts(row, rows_by_id, previous):
                 verdict(
                     b.values["capacity"],
                     a.values["capacity"],
-                    _slack(a.values["residual"], b.values["residual"]),
+                    _slack(*((c.values["capacity"], c.values["error"]) for c in (a, b))),
                 )
                 for a, b in pairs
             )
@@ -325,20 +329,20 @@ def _capacity_verdicts(row, rows_by_id, previous):
             ),
         }
     else:
-        cap, res = v["capacity"], v["residual"]
+        cap, own = v["capacity"], (v["capacity"], v["error"])
         out = {}
         if row.id.startswith("bounds_"):
             out["sandwich"] = experiments._all_hold(
-                [verdict(cap, v["lower"], _slack(res)), verdict(v["upper"], cap, _slack(res))]
+                [verdict(cap, v["lower"], _slack(own)), verdict(v["upper"], cap, _slack(own))]
             )
         if "previous_capacity" in v:
-            pair = _slack(res, previous.values["residual"])
+            pair = _slack(own, (previous.values["capacity"], previous.values["error"]))
             if row.id.startswith("seq_area_"):
                 out["decreasing_in_m"] = verdict(v["previous_capacity"], cap, pair)
             else:
                 out["increasing_in_m"] = verdict(cap, v["previous_capacity"], pair)
-    out["within_perimeter_bound"] = verdict(v["perimeter_bound"], cap, _slack(res))
-    out["above_area_bound"] = verdict(cap, v["area_bound"], _slack(res))
+    out["within_perimeter_bound"] = verdict(v["perimeter_bound"], cap, _slack(own))
+    out["above_area_bound"] = verdict(cap, v["area_bound"], _slack(own))
     return out
 
 
@@ -390,6 +394,7 @@ def test_published_sweep(published_rows):
             assert row.verdicts.get(key, True) is True, (row.id, key)
         if INCONCLUSIVE in row.verdicts.values():
             inconclusive.add(row.id)
-    # triangle_5 and polygon_m4_2 differ from their competitors by less
-    # than the slack (ROADMAP item 2)
-    assert inconclusive <= {"triangle_5", "polygon_m4_2"}
+    # triangle_5 differs from its competitor by less than the slack
+    # (ROADMAP item 3); polygon_m4_2, inconclusive under the residual
+    # slack, is decided under the capacity-error slack
+    assert inconclusive <= {"triangle_5"}

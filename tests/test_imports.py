@@ -86,8 +86,9 @@ def test_tracer_targets_resolve(monkeypatch):
 
 def test_traced_solves_give_finite_metrics(monkeypatch):
     # the tracer's contract with the solver: every level runs one
-    # scipy.linalg.lstsq, and a pass with a one-level solve (the 3-gon)
-    # and a refining one (the recentred needle triangle_2, two levels)
+    # scipy.linalg.lstsq, and a pass with a one-level solve (the 3-gon,
+    # kept at its early level) and a refining one (the recentred needle
+    # triangle_2: the early level, the start and one sqrt 2 step)
     # gives every per-layer metric a finite number, none null.  The
     # solves go through the module attribute, which the tracer patches
     tracing = _tracing(monkeypatch)
@@ -98,5 +99,5 @@ def test_traced_solves_give_finite_metrics(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans, tracer.installed_names)
     bad = {k: v for k, v in metrics.items() if v is None or not math.isfinite(v)}
     assert not bad, bad
-    assert (metrics["capsolve.solves"], metrics["capsolve.levels"]) == (2, 3)
+    assert (metrics["capsolve.solves"], metrics["capsolve.levels"]) == (2, 4)
     assert metrics["capsolve.lstsq_calls"] == metrics["capsolve.levels"]
