@@ -62,12 +62,11 @@ node: n, or 2n with the mirror.
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
 evaluated by the same product quadrature, the weights taken at
-half-step offsets.  A level converges when it is below tol and the
-capacity is positive and finite (too coarse a level near the unit
-circle can give a negative one); refinement multiplies the nodes per
-side by about sqrt 2, so that two steps double them (see _ladder).
-The ladder starts at SolverParams.nodes_per_side per side for a plate
-without symmetry, at twice that for a symmetry-reduced one.
+half-step offsets.  Refinement multiplies the nodes per side by about
+sqrt 2, so that two steps double them (see _ladder).  The ladder starts
+one such step below SolverParams.nodes_per_side per side for a plate
+without symmetry (90 below 128), below twice that for a
+symmetry-reduced one (182 below 256).
 
 capacity_error is a dual-weighted-residual estimate (Becker and
 Rannacher, Acta Numerica 10, 2001) of how far the capacity moves when
@@ -81,11 +80,15 @@ order,
 
 with u the potential at the check points, psi~ the trigonometric
 interpolant of the node density there and k the images per node times
-the symmetry; capacity_error is |Delta|.  solve_capacity first solves
-one sqrt 2 step below the ladder's start (90 per side, 182 with
-symmetry) and keeps that level when it converges and its
-capacity_error is at most 1e-7 of the capacity; otherwise it climbs the
-ladder on the residual alone.
+the symmetry; capacity_error is |Delta|.
+
+Every level converges by one rule: its residual is below tol, its
+capacity is positive and finite (too coarse a level near the unit
+circle can give a negative one), and its capacity_error is at most 1e-6
+of the capacity.  solve_capacity returns the first level of the ladder
+that converges, so a converged capacity carries its own estimate of six
+digits.  The residual stays in the rule because Delta can cross zero
+between two levels, where it reads far less than the change.
 
 Evaluation.  A level is one number, its nodes per side (see _ladder).
 What a level needs of its grid and not of the plate, the graded side
@@ -197,8 +200,9 @@ class BoundarySet:
     boundary is always the unit circle, implicit.
 
     symmetry is the order n of the rotation group about 0 that maps the
-    piece list onto itself, piece k onto piece k + m/n; the solver fits
-    one sector of m/n pieces with the orbit-summed kernel.  A mirror z ->
+    piece list onto itself, piece k onto piece k + m/n, a Python int >= 1
+    (not a bool); the solver fits one sector of m/n pieces with the
+    orbit-summed kernel.  A mirror z ->
     mirror * conj(z) that maps vertex k onto vertex -k halves the sector.
     from_polygon derives both, vertex 0 first on a mirror axis; disks
     and generic plates take neither.
@@ -222,7 +226,9 @@ class BoundarySet:
         # geodesic sides are fixed by their endpoints, so the corners
         # decide the symmetries; a circle piece admits only n = 1, no mirror
         m, n = len(self.pieces), self.symmetry
-        if n != 1 and (n < 1 or m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)):
+        if type(n) is not int or n < 1:
+            raise GeometryError(f"symmetry must be an int >= 1, got {n!r}")
+        if n != 1 and (m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)):
             raise GeometryError(f"plate does not have {n}-fold rotational symmetry about 0")
         if self.mirror is not None and (
             self.is_smooth or not _mirrors_onto_itself([p.z1 for p in self.pieces], self.mirror)
@@ -267,13 +273,12 @@ class SolverParams:
     nodes_per_side is the number of grid nodes per polygon side (or on
     a circle plate) at the first level of a plate without symmetry; it
     must be an even int, so that every side has a node on its
-    midpoint.  A symmetry-reduced plate starts at twice that (see
-    _ladder).  max_refine is how many times a level that misses the
-    tolerance is retried one sqrt 2 step finer (see _ladder): the
-    default 6 ends at 8 times the start.  solve_capacity turns these
-    into its levels (see _ladder), each one count of nodes per side,
-    and tries one early level below the start first, so that a solve
-    runs at most max_refine + 2 levels.
+    midpoint.  A symmetry-reduced plate starts at twice that.
+    solve_capacity turns these into its levels (see _ladder), each one
+    count of nodes per side: the first one sqrt 2 step below the start,
+    then the start, then max_refine steps of about sqrt 2 above it (the
+    default 6 ends at 8 times the start), so that a solve runs at most
+    max_refine + 2 levels.
     """
 
     nodes_per_side: int = 128
@@ -455,12 +460,10 @@ class SolveReport:
     n_collocation counts the unknowns (and rows) of the fitted square
     system: the kept nodes of one sector, of half of it with a mirror.
     boundary_residual is max|u - 1| at the midpoints between those
-    nodes, and converged says it is below the tolerance and the
-    capacity is positive and finite.  capacity_error is the estimated
-    change of the capacity at twice the nodes per side (see the module
-    docstring).  A report of the early level, one sqrt 2 step below the
-    ladder's start, is returned only if it converged and its
-    capacity_error is at most 1e-7 of the capacity.
+    nodes.  capacity_error is the estimated change of the capacity at
+    twice the nodes per side (see the module docstring).  converged says
+    that the residual is below the tolerance, the capacity positive and
+    finite, and capacity_error at most 1e-6 of the capacity.
     """
 
     capacity: float
@@ -599,10 +602,11 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
-    """One level: b solved at per_side nodes per side, converged when
-    its residual is below tol and its capacity positive and finite, with
-    the capacity error estimated from the check (see the module
-    docstring)."""
+    """One level: b solved at per_side nodes per side, with the capacity
+    error estimated from the check (see the module docstring).  It has
+    converged when its residual is below tol, its capacity is positive
+    and finite, and its capacity error is at most 1e-6 of the capacity:
+    the one rule by which solve_capacity accepts a level."""
     d = discretize(b, per_side)
     A = _kernel(d)
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
@@ -619,43 +623,47 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     capacity = weight * float(np.sum(psi))
     u, density = _check_potential(d, psi)
     residual = float(np.max(np.abs(u - 1.0)))
+    # the doubled grid's new nodes are the check points, at weight h / 2
+    error = abs(0.5 * weight * float(density @ (1.0 - u)))
+    # a capacity <= 0 (or not finite) marks an under-resolved level
+    converged = residual < tol and 0.0 < capacity < math.inf and error <= _CAPACITY_RTOL * capacity
     return SolveReport(
         capacity=capacity,
         boundary_residual=residual,
-        # the doubled grid's new nodes are the check points, at weight h / 2
-        capacity_error=abs(0.5 * weight * float(density @ (1.0 - u))),
+        capacity_error=error,
         n_collocation=d.n_collocation,
-        # a capacity <= 0 (or not finite) marks an under-resolved level
-        converged=residual < tol and 0.0 < capacity < math.inf,
+        converged=converged,
         symmetry=d.symmetry,
     )
 
 
 def _ladder(b: BoundarySet, p: SolverParams) -> list[int]:
-    """The nodes per side of the p.max_refine + 1 levels solve_capacity
-    may solve b at.  With n0 the start, p.nodes_per_side or twice that
-    for symmetry n > 1, level k has 2 round(n0 2^(k/2) / 2) nodes per
-    side: even, so that every side keeps a node on its midpoint, and at
-    every even k exactly n0 2^(k/2) (128, 182, 256, 362, 512, ...).
-    Each step costs about 2x in the kernel and 2.8x in the least
-    squares, against 4x and 8x for a doubling, so a plate that meets the
-    tolerance between two doublings stops there."""
+    """The nodes per side of the levels solve_capacity may solve b at:
+    p.max_refine + 2 rungs from one sqrt 2 step below the start, those
+    below 8 per side dropped.  With n0 the start, p.nodes_per_side or
+    twice that for symmetry n > 1, rung k has 2 round(n0 2^((k-1)/2) / 2)
+    nodes per side: even, so that every side keeps a node on its
+    midpoint, and at every odd k exactly n0 2^((k-1)/2) (90, 128, 182,
+    256, 362, ...).  Each step costs about 2x in the kernel and 2.8x in
+    the least squares, against 4x and 8x for a doubling, so a plate that
+    converges between two doublings stops there."""
     start = 2 * p.nodes_per_side if b.symmetry > 1 else p.nodes_per_side
-    return [2 * round(start * 2 ** (k / 2) / 2) for k in range(p.max_refine + 1)]
+    rungs = (2 * round(start * 2 ** ((k - 1) / 2) / 2) for k in range(p.max_refine + 2))
+    return [per_side for per_side in rungs if per_side >= 8]
 
 
-# default residual tolerances, which a level must meet to converge.  The
-# verdict slack is twice the capacity error, not the residual; twice the
-# residual still bounds the error on published plates (tests/test_capsolve.py),
-# but the residual alone does not at the sharpest regular corners
-# (seq_area_c3_m3 moves 1.64x it to the next level)
+# default residual tolerances, which a level must meet to converge.  On
+# its own the residual bounds the capacity error only loosely:
+# seq_area_c3_m3 meets 2e-3 at 256 per side while 1.1e-4 of its capacity
+# off.  It stays in the rule because the capacity error estimate can
+# cross zero: triangle_2 T at 128 per side reads 0.32 of the change, and
+# its residual fails there
 DEFAULT_TOL_POLYGON = 2e-3
 DEFAULT_TOL_SMOOTH = 1e-6
-# the early level is kept when its capacity error is at most this share
-# of the capacity: seven digits, far inside the 5e-4 the anchor tests ask
-# of a solve; the published plates that stop there lie within 9e-8 of a
-# 4x-finer reference
-_EARLY_STOP_RTOL = 1e-7
+# a level converges only when its capacity error is also at most this
+# share of the capacity: six digits, 500x inside the 5e-4 that the anchor
+# tests ask of a solve
+_CAPACITY_RTOL = 1e-6
 
 
 def solve_capacity(
@@ -663,28 +671,18 @@ def solve_capacity(
 ) -> SolveReport:
     """Capacity of (unit disk, E) with automatic refinement.
 
-    Solves at up to max_refine + 1 levels of _ladder, each about sqrt 2
-    finer per side than the last, until one converges, and returns the
-    first converged report, else the last (converged=False).  Before
-    the ladder it solves the early level, one sqrt 2 step below the
-    ladder's start (unless that is below 8 per side), and returns it if
-    it converges with a capacity error of at most 1e-7 of the capacity.
-    SolverError is raised at once for a non-finite Nystrom matrix, and
-    after the last level if its capacity is still not positive and
-    finite.  A plate with symmetry n > 1 starts one doubling higher: its
-    system is n-fold (2n-fold with a mirror) smaller, so the extra level
-    is cheap, and sharp regular corners (the 3-gon at r = 0.9) need it
-    to resolve the capacity to the accuracy the residual promises.
+    Solves at the levels of _ladder, each about sqrt 2 finer per side
+    than the last, until one converges (its residual below tol and its
+    capacity error at most 1e-6 of its capacity), and returns the first
+    converged report, else the last (converged=False).  SolverError is
+    raised at once for a non-finite Nystrom matrix, and after the last
+    level if its capacity is still not positive and finite.  A plate
+    with symmetry n > 1 starts one doubling higher: its system is n-fold
+    (2n-fold with a mirror) smaller, so the extra level is cheap.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
-    ladder = _ladder(b, p or SolverParams())
-    early = 2 * round(ladder[0] / math.sqrt(8))  # even, one sqrt 2 step down
-    if early >= 8:
-        report = _solve_once(b, early, tol)
-        if report.converged and report.capacity_error <= _EARLY_STOP_RTOL * report.capacity:
-            return report
-    for per_side in ladder:
+    for per_side in _ladder(b, p or SolverParams()):
         report = _solve_once(b, per_side, tol)
         if report.converged:
             break

@@ -20,7 +20,12 @@ the sum of their capacity errors (each the estimated change of the
 capacity at twice the nodes, see capsolve), plus 1e-10 of the sum of
 their capacities for rounding.  A verdict over several comparisons is
 False if any of them is, else inconclusive if any of them is, else
-True.  Closed-form checks keep their own rounding tolerances.
+True.  Closed-form checks keep their own rounding tolerances.  A row's
+"converged" verdict ("both_converged" on conjecture rows, for the plate
+and its competitor) states what capsolve's converged does: the boundary
+residual met the tolerance and the capacity error is at most 1e-6 of
+the capacity, so each converged capacity carries six digits by its own
+estimate.
 
 Default inputs mirror the published experiments: ten triangle vertex
 triples, seven irregular polygons, the 9 x 5 regular-polygon grid, and

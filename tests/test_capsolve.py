@@ -105,12 +105,6 @@ def _unfold(points, b):
     return np.concatenate([points, images[np.abs(images - points) > 1e-12]])
 
 
-def _early_level(b):
-    """The nodes per side of the level solve_capacity tries first, one
-    sqrt 2 step below the start of the ladder (128, 256 with symmetry)."""
-    return 182 if b.symmetry > 1 else 90
-
-
 def _levels_solved(b, monkeypatch, p=None):
     """The nodes per side of each level that solve_capacity(b, p) solves."""
     levels, solve = [], capsolve._solve_once
@@ -359,16 +353,16 @@ class TestSymmetry:
         assert full.n_collocation == b.symmetry * (2 * half.n_collocation - odd)
 
     def test_symmetric_plates_start_one_doubling_higher(self, monkeypatch):
-        # the early level sits one sqrt 2 step below each start: 182 per
+        # the first rung sits one sqrt 2 step below each start: 182 per
         # side below a symmetric plate's 256, 90 below a generic one's 128.
         # The 3-gon at r = 0.5 and the near-square stop there; the 3-gon
-        # at r = 0.9 is refused there (capacity error 1.7e-5 relative) and
-        # stops at its start
+        # at r = 0.9 has a capacity error of 1.7e-5, 3.4e-6 and 5.3e-7 of
+        # its capacity on its first three rungs, and stops at the third
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
         generic = BoundarySet.from_polygon(HypPolygon.from_vertices(NEAR_SQUARE))
         sharp = BoundarySet.from_polygon(regular_polygon(3, 0.9))
         start = SolverParams().nodes_per_side
-        for b, levels in ((sym, [182]), (generic, [90]), (sharp, [182, 2 * start])):
+        for b, levels in ((sym, [182]), (generic, [90]), (sharp, [182, 2 * start, 362])):
             assert _levels_solved(b, monkeypatch) == levels
             assert solve_capacity(b).n_collocation == discretize(b, levels[-1]).n_collocation
 
@@ -471,10 +465,19 @@ class TestSymmetry:
             (BoundarySet.from_polygon(regular_polygon(6, 0.5)), 4),
             (BoundarySet.from_polygon(regular_polygon(3, 0.5)), 0),
             (BoundarySet.from_euclid_disk(0.0, 0.4), 2),
+            (BoundarySet.from_polygon(regular_polygon(3, 0.5)), 3.0),
+            (BoundarySet.from_polygon(regular_polygon(3, 0.5)), True),
+            (BoundarySet.from_euclid_disk(0.0, 0.4), 1.0),
+            (BoundarySet.from_euclid_disk(0.0, 0.4), True),
         ],
-        ids=["rhombus-4", "near-square-2", "hexagon-4", "triangle-0", "disk-2"],
+        ids=[
+            "rhombus-4", "near-square-2", "hexagon-4", "triangle-0", "disk-2", "triangle-float",
+            "triangle-bool", "disk-float", "disk-bool",
+        ],
     )
     def test_false_symmetry_rejected(self, b, n):
+        # the order of a symmetry the plate lacks, and any order that is
+        # not a Python int >= 1 (a float, a bool), is refused
         with pytest.raises(GeometryError):
             replace(b, symmetry=n)
 
@@ -660,8 +663,9 @@ class TestNystrom:
     def test_kernel_finite_at_every_level(self, b):
         # nodes that the grading rounds onto a vertex would make zero
         # distances; they are dropped at every level the solver can reach,
-        # the early level and the sqrt 2 levels between the doublings too
-        for per_side in [_early_level(b), *_ladder(b, SolverParams())]:
+        # the rung below the start and the sqrt 2 rungs between the
+        # doublings too
+        for per_side in _ladder(b, SolverParams()):
             d = discretize(b, per_side)
             assert np.all(np.isfinite(_kernel(d)))
             for values in _check_potential(d, np.ones(d.n_collocation)):
@@ -670,37 +674,43 @@ class TestNystrom:
     def test_ladder_levels(self):
         generic = BoundarySet.from_euclid_disk(0.2, 0.3)
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
-        # a symmetric plate starts one doubling up; both climb by sqrt 2
+        # a symmetric plate starts one doubling up; both begin one sqrt 2
+        # step below their start and climb by sqrt 2
         assert [_ladder(b, SolverParams()) for b in (generic, sym)] == [
-            [128, 182, 256, 362, 512, 724, 1024],
-            [256, 362, 512, 724, 1024, 1448, 2048],
+            [90, 128, 182, 256, 362, 512, 724, 1024],
+            [182, 256, 362, 512, 724, 1024, 1448, 2048],
         ]
 
     @given(start=st.integers(4, 10**5).map(lambda k: 2 * k), max_refine=st.integers(0, 8))
     def test_ladder_even_increasing_and_doubling(self, start, max_refine):
-        # every level keeps a node on each side's midpoint, refines, and
-        # every second level is an exact doubling
+        # max_refine + 2 rungs from one sqrt 2 step below the start; a
+        # start of 8 drops that rung (6 per side).  Every rung keeps a node
+        # on each side's midpoint, refines, and from the start on every
+        # second rung is an exact doubling
         b = BoundarySet.from_euclid_disk(0.0, 0.5)
         p = SolverParams(nodes_per_side=start, max_refine=max_refine)
         sizes = _ladder(b, p)
-        assert len(sizes) == max_refine + 1
-        assert all(n % 2 == 0 for n in sizes)
+        below = start > 8  # whether the rung below the start is kept
+        assert len(sizes) == max_refine + 1 + below
+        assert all(n % 2 == 0 and n >= 8 for n in sizes)
         assert all(lo < hi for lo, hi in zip(sizes, sizes[1:]))
-        assert sizes[::2] == [start * 2**k for k in range(len(sizes[::2]))]
+        assert not below or abs(sizes[0] - start / math.sqrt(2)) <= 1
+        doublings = sizes[below::2]
+        assert doublings == [start * 2**k for k in range(len(doublings))]
 
     @pytest.mark.parametrize(
         "row, unknowns",
-        [(2, 531), (5, 188), (6, 1059)],
+        [(2, 531), (5, 374), (6, 1497)],
         ids=["triangle_2", "triangle_5", "triangle_6"],
     )
     def test_sqrt2_steps_within_residual(self, row, unknowns):
         # the error model of test_level_change_within_residual on the
         # sqrt 2 step: on the two needle rows that refine (triangle_2 T
-        # stops at 182 per side, triangle_6 T at 362) and the row with the
-        # largest ratio on a doubling (triangle_5 T, at 128), the capacity
-        # moves by less than a level's residual at every step up to the
-        # one past the converged level; the largest ratio is 0.084
-        # (triangle_5 T, 128 -> 182 per side)
+        # stops at 182 per side, triangle_6 T at 512) and the row with the
+        # largest ratio on a doubling (triangle_5 T, at 256), the capacity
+        # moves by less than a level's residual at every step from the
+        # first rung up to the one past the converged level; the largest
+        # ratio is 0.105 (triangle_5 T, 90 -> 128 per side)
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
         levels = []
         for per_side in _ladder(b, SolverParams()):
@@ -729,9 +739,10 @@ class TestNystrom:
     def test_kernel_well_conditioned_at_start_level(self, b):
         # gelsy runs at its default cutoff, machine epsilon, so the solver
         # relies on the matrix being far from singular; measured condition
-        # numbers here run from 148 (disk) to 1.05e4 (triangle_2-T)
-        d = discretize(b, _ladder(b, SolverParams())[0])
-        assert np.linalg.cond(_kernel(d)) < 1e8
+        # numbers here run from 148 (disk) to 1.05e4 (triangle_2-T) at the
+        # start; the rung below it is checked too
+        for per_side in _ladder(b, SolverParams())[:2]:
+            assert np.linalg.cond(_kernel(discretize(b, per_side))) < 1e8
 
     @KERNEL_PLATES
     def test_check_potential_matches_reference(self, b):
@@ -797,32 +808,37 @@ class TestNystrom:
         # moves by less than the start level's residual when refined.  On
         # the ten published T plates the largest ratio is 0.11 (triangle_5)
         b = BoundarySet.from_polygon(poly)
-        per_side = _ladder(b, SolverParams())[0]
+        per_side = _ladder(b, SolverParams())[1]  # the start, 128 or 256
         start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side))
         assert start.capacity > 0.0
         assert abs(start.capacity - finer.capacity) <= start.boundary_residual
 
     @pytest.mark.parametrize(
-        "poly",
+        "poly, unknowns",
         [
-            regular_polygon(3, regular_radius_from_area(3, 3.0)),
-            regular_polygon(3, regular_radius_from_perimeter(3, 20.0)),
+            (regular_polygon(3, regular_radius_from_area(3, 3.0)), 499),
+            (regular_polygon(3, regular_radius_from_perimeter(3, 20.0)), 353),
         ],
         ids=["seq_area_c3_m3", "seq_perim_c20_m3"],
     )
-    def test_verdict_slack_covers_sharp_regular_rows(self, poly):
+    def test_verdict_slack_covers_sharp_regular_rows(self, poly, unknowns):
         # the published regular rows with the largest capacity error for
-        # their residual: at 1024 per side the default capacity (at 256
-        # per side, where the early level's capacity error refuses it) is
-        # 0.88 and 0.57 of twice its residual off, more than the residual
-        # alone on the 3-gon at r = 0.96; of the table, sequence and
-        # bounds rows the next is table_r0.9_m3 at 0.22.  The verdict
-        # slack, twice the capacity error, covers it too
+        # their residual: at 1024 per side the capacity at the start, 256
+        # per side, is 0.88 and 0.57 of twice its residual off, more than
+        # the residual alone on the 3-gon at r = 0.96; of the table,
+        # sequence and bounds rows the next is table_r0.9_m3 at 0.22.  Its
+        # verdict slack, twice the capacity error, covers it too.  The
+        # default solve refines until the capacity error is at most 1e-6
+        # of the capacity (1024 and 724 per side, 499 and 353 unknowns);
+        # its slack covers the level at 2048 per side, widened by that
+        # level's own capacity error, at 0.51 of the slack
         b = BoundarySet.from_polygon(poly)
-        start, fine = cap_polygon(poly), _solve_once(b, 1024, DEFAULT_TOL_POLYGON)
-        assert start.n_collocation == discretize(b, 256).n_collocation
+        start, fine = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (256, 1024))
         assert abs(start.capacity - fine.capacity) <= 2.0 * start.boundary_residual
         assert abs(start.capacity - fine.capacity) <= _slack(start)
+        rep, finest = cap_polygon(poly), _solve_once(b, 2048, DEFAULT_TOL_POLYGON)
+        assert rep.converged and rep.n_collocation == unknowns
+        assert abs(rep.capacity - finest.capacity) + finest.capacity_error <= _slack(rep)
 
     @pytest.mark.parametrize(
         "poly",
@@ -837,14 +853,14 @@ class TestNystrom:
     )
     def test_capacity_error_tracks_next_doubling(self, poly):
         # the dual-weighted residual predicts the doubled level's capacity
-        # change: at the early level and the start, where the change is
+        # change: at the first rung and the start, where the change is
         # above 1e-9 of the capacity, capacity_error / |cap(2N) - cap(N)|
         # is 0.8897 (triangle_1 T at 90 per side) to 1.0135 (polygon_4 P
         # at 90).  Nearer the rounding floor it drifts (triangle_1 T reads
         # 0.82 at 182 per side)
         b = BoundarySet.from_polygon(poly)
         ratios = []
-        for per_side in (_early_level(b), _ladder(b, SolverParams())[0]):
+        for per_side in _ladder(b, SolverParams())[:2]:
             coarse, fine = (
                 _solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side)
             )
@@ -857,26 +873,29 @@ class TestNystrom:
     def test_capacity_error_zero_crossing_never_gated(self):
         # triangle_2 T's error changes sign between 90 and 182 per side, so
         # at 128 the estimate reads 0.32 of the change.  Its residual
-        # fails there and at the early level, so neither level's capacity
-        # error decides anything: the solve goes on to 182 per side
+        # fails there and at the first rung, so neither level converges on
+        # its capacity error alone: the solve goes on to 182 per side
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]))
-        early, start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (90, 128, 256))
-        assert not early.converged and not start.converged
+        first, start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (90, 128, 256))
+        assert not first.converged and not start.converged
+        # the residual alone refuses 128 per side: its capacity error meets 1e-6
+        assert start.capacity_error <= 1e-6 * start.capacity
         assert 0.3 <= start.capacity_error / abs(finer.capacity - start.capacity) <= 0.35
         assert solve_capacity(b).n_collocation == discretize(b, 182).n_collocation
 
-    def test_early_level_gate(self, monkeypatch):
-        # the early level is kept when its residual meets the tolerance and
-        # its capacity error is at most 1e-7 of the capacity: polygon_4 P
-        # (522 unknowns, 2.9e-8) stops there, like the regular plates of
-        # test_symmetric_plates_start_one_doubling_higher; triangle_4 T is
-        # refused (1.1e-6) and stops at its start, 188 unknowns
-        assert capsolve._EARLY_STOP_RTOL == 1e-7
+    def test_capacity_error_gate(self, monkeypatch):
+        # a level converges only when its residual meets the tolerance and
+        # its capacity error is at most 1e-6 of the capacity: polygon_4 P
+        # (522 unknowns, 2.9e-8) stops at its first rung, like the regular
+        # plates of test_symmetric_plates_start_one_doubling_higher;
+        # triangle_4 T meets the residual there but is refused on its
+        # capacity error (1.086e-6) and stops at its start, 188 unknowns
+        assert capsolve._CAPACITY_RTOL == 1e-6
         triangle_4 = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]))
         polygon_4 = BoundarySet.from_polygon(HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]))
-        early = _solve_once(triangle_4, 90, DEFAULT_TOL_POLYGON)
-        assert early.converged
-        assert 1e-6 < early.capacity_error / early.capacity < 1.2e-6
+        first = _solve_once(triangle_4, 90, DEFAULT_TOL_POLYGON)
+        assert first.boundary_residual < DEFAULT_TOL_POLYGON and not first.converged
+        assert 1e-6 < first.capacity_error / first.capacity < 1.2e-6
         for b, levels, unknowns in (
             (polygon_4, [90], 522),
             (triangle_4, [90, 128], 188),
@@ -884,11 +903,12 @@ class TestNystrom:
             assert _levels_solved(b, monkeypatch) == levels
             rep = solve_capacity(b)
             assert rep.converged and rep.n_collocation == unknowns
-            assert (rep.capacity_error <= 1e-7 * rep.capacity) == (len(levels) == 1)
+            assert rep.capacity_error <= 1e-6 * rep.capacity
         # a start of 8 per side leaves no even count of at least 8 below
-        # it: the solve starts at the ladder's first level, which converges
+        # it: the solve starts at 8, whose capacity error (2.8e-6 of the
+        # capacity) refuses it, and converges one sqrt 2 step up
         disk = BoundarySet.from_euclid_disk(0.0, 0.5)
-        assert _levels_solved(disk, monkeypatch, SolverParams(nodes_per_side=8)) == [8]
+        assert _levels_solved(disk, monkeypatch, SolverParams(nodes_per_side=8)) == [8, 12]
 
     @pytest.mark.parametrize(
         "poly",
@@ -1125,13 +1145,13 @@ class TestValidation:
         monkeypatch.setattr(capsolve.scipy.linalg, "lstsq", zero)
         with pytest.raises(SolverError, match=r"nonpositive capacity -?0\.0$"):
             cap_polygon(regular_polygon(4, 0.5))
-        # the early level, then the ladder's max_refine + 1
+        # every rung of the ladder: max_refine + 2
         assert len(levels) == SolverParams().max_refine + 2
 
     def test_report_counts(self):
-        # the system is square: one unknown per circle node, at the early
-        # level, 90 nodes
+        # the system is square: one unknown per circle node, at the first
+        # rung, 90 nodes
         b = BoundarySet.from_euclid_disk(0.0, 0.5)
         rep = solve_capacity(b, tol=DEFAULT_TOL_SMOOTH)
-        assert rep.n_collocation == _early_level(b) == 90
+        assert rep.n_collocation == _ladder(b, SolverParams())[0] == 90
         assert rep.symmetry == 1

@@ -392,6 +392,10 @@ def test_published_sweep(published_rows):
         assert all(v is not False for v in row.verdicts.values()), (row.id, row.verdicts)
         for key in ("converged", "both_converged"):
             assert row.verdicts.get(key, True) is True, (row.id, key)
+        # converged means a capacity error of at most 1e-6 of the capacity
+        for key in (k for k in row.values if k.startswith("error")):
+            cap = row.values["capacity" if key == "error" else "cap" + key[len("error") :]]
+            assert row.values[key] <= 1e-6 * cap, (row.id, key, row.values[key] / cap)
         if INCONCLUSIVE in row.verdicts.values():
             inconclusive.add(row.id)
     # triangle_5 differs from its competitor by less than the slack

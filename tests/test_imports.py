@@ -87,8 +87,8 @@ def test_tracer_targets_resolve(monkeypatch):
 def test_traced_solves_give_finite_metrics(monkeypatch):
     # the tracer's contract with the solver: every level runs one
     # scipy.linalg.lstsq, and a pass with a one-level solve (the 3-gon,
-    # kept at its early level) and a refining one (the recentred needle
-    # triangle_2: the early level, the start and one sqrt 2 step)
+    # kept at its first rung) and a refining one (the recentred needle
+    # triangle_2: the first rung, the start and one sqrt 2 step)
     # gives every per-layer metric a finite number, none null.  The
     # solves go through the module attribute, which the tracer patches
     tracing = _tracing(monkeypatch)
