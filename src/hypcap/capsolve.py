@@ -64,9 +64,8 @@ between the grid nodes (those not dropped), with the potential
 evaluated by the same product quadrature, the weights taken at
 half-step offsets.  Refinement multiplies the nodes per side by about
 sqrt 2, so that two steps double them (see _ladder).  The ladder starts
-one such step below SolverParams.nodes_per_side per side for a plate
-without symmetry (90 below 128), below twice that for a
-symmetry-reduced one (182 below 256).
+one such step below SolverParams.nodes_per_side per side (90 below 128),
+for every plate.
 
 capacity_error is a dual-weighted-residual estimate (Becker and
 Rannacher, Acta Numerica 10, 2001) of how far the capacity moves when
@@ -213,6 +212,8 @@ class BoundarySet:
     mirror: complex | None = None
 
     def __post_init__(self):
+        if not self.pieces:
+            raise GeometryError("plate is empty: it has no boundary pieces")
         # hyperbolic distance from 0 is convex along a geodesic, so a
         # side's largest |z| is at one of its ends
         top = max(
@@ -271,9 +272,8 @@ class SolverParams:
     """Resolution of the Nystrom discretization.
 
     nodes_per_side is the number of grid nodes per polygon side (or on
-    a circle plate) at the first level of a plate without symmetry; it
-    must be an even int, so that every side has a node on its
-    midpoint.  A symmetry-reduced plate starts at twice that.
+    a circle plate) at the start level, for every plate; it must be an
+    even int, so that every side has a node on its midpoint.
     solve_capacity turns these into its levels (see _ladder), each one
     count of nodes per side: the first one sqrt 2 step below the start,
     then the start, then max_refine steps of about sqrt 2 above it (the
@@ -538,13 +538,13 @@ def _kernel(d: Discretization) -> np.ndarray:
     size, period = d.n_collocation, 2 * d.grid.n_grid
     h = 2.0 * math.pi / d.grid.n_grid
     table = d.grid.table
-    A = np.empty((size, size))
+    A = np.zeros((size, size))
     step = _block_rows(size)
     for start in range(0, size, step):
         stop = min(start + step, size)
         rows = slice(start, stop)
         own = np.arange(stop - start)
-        for k, (zeta, at) in enumerate(d.images):
+        for zeta, at in d.images:
             with np.errstate(divide="ignore"):
                 part = _green(nodes[rows], zeta[start:], d.symmetry)
             part *= h
@@ -552,10 +552,7 @@ def _kernel(d: Discretization) -> np.ndarray:
             # the node's own image: the singular diagonal takes its limit
             hit = (pos[rows] - at[rows]) % period == 0
             part[own[hit], own[hit]] = h * d.diagonal[rows][hit] + table[period]
-            if k:
-                A[rows, start:] += part
-            else:
-                A[rows, start:] = part
+            A[rows, start:] += part
         # the diagonal block is symmetric to rounding: averaging it with
         # its transpose makes it exactly so; the blocks below it are the
         # transposes of the blocks to its right
@@ -637,18 +634,16 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     )
 
 
-def _ladder(b: BoundarySet, p: SolverParams) -> list[int]:
-    """The nodes per side of the levels solve_capacity may solve b at:
-    p.max_refine + 2 rungs from one sqrt 2 step below the start, those
-    below 8 per side dropped.  With n0 the start, p.nodes_per_side or
-    twice that for symmetry n > 1, rung k has 2 round(n0 2^((k-1)/2) / 2)
-    nodes per side: even, so that every side keeps a node on its
-    midpoint, and at every odd k exactly n0 2^((k-1)/2) (90, 128, 182,
-    256, 362, ...).  Each step costs about 2x in the kernel and 2.8x in
-    the least squares, against 4x and 8x for a doubling, so a plate that
-    converges between two doublings stops there."""
-    start = 2 * p.nodes_per_side if b.symmetry > 1 else p.nodes_per_side
-    rungs = (2 * round(start * 2 ** ((k - 1) / 2) / 2) for k in range(p.max_refine + 2))
+def _ladder(p: SolverParams) -> list[int]:
+    """The nodes per side of the levels solve_capacity may solve a plate
+    at: p.max_refine + 2 rungs from one sqrt 2 step below the start, those
+    below 8 per side dropped.  With n0 = p.nodes_per_side, rung k has
+    2 round(n0 2^((k-1)/2) / 2) nodes per side: even, so that every side
+    keeps a node on its midpoint, and at every odd k exactly n0 2^((k-1)/2)
+    (90, 128, 182, 256, 362, ...).  Each step costs about 2x in the kernel
+    and 2.8x in the least squares, against 4x and 8x for a doubling, so a
+    plate that converges between two doublings stops there."""
+    rungs = (2 * round(p.nodes_per_side * 2 ** ((k - 1) / 2) / 2) for k in range(p.max_refine + 2))
     return [per_side for per_side in rungs if per_side >= 8]
 
 
@@ -676,13 +671,11 @@ def solve_capacity(
     capacity error at most 1e-6 of its capacity), and returns the first
     converged report, else the last (converged=False).  SolverError is
     raised at once for a non-finite Nystrom matrix, and after the last
-    level if its capacity is still not positive and finite.  A plate
-    with symmetry n > 1 starts one doubling higher: its system is n-fold
-    (2n-fold with a mirror) smaller, so the extra level is cheap.
+    level if its capacity is still not positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
-    for per_side in _ladder(b, p or SolverParams()):
+    for per_side in _ladder(p or SolverParams()):
         report = _solve_once(b, per_side, tol)
         if report.converged:
             break

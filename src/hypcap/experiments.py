@@ -190,6 +190,14 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     return HypPolygon.from_vertices([mobius(a, v) for v in vs])
 
 
+def _recentred(vs) -> HypPolygon:
+    """recenter_triangle of a triangle row, GeometryError for a row of
+    other than 3 vertices."""
+    if len(vs) != 3:
+        raise GeometryError(f"triangle row needs 3 vertices, got {len(vs)}")
+    return recenter_triangle(*vs)
+
+
 def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_above):
     """For each vertex list: build the plate, solve it (_solve), build the
     regular m-gon radius(m, c) of the plate's measured c (the measure
@@ -229,9 +237,10 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
     """Compare cap(D, T) against the equilateral triangle T0 of equal area.
 
     Each triple is recentred (recenter_triangle), an isometry, and T0
-    takes the area of the plate solved."""
+    takes the area of the plate solved; a row of other than 3 vertices
+    is a row error."""
     return _run_conjecture(
-        DEFAULT_TRIANGLE_ROWS if rows is None else rows, lambda vs: recenter_triangle(*vs),
+        DEFAULT_TRIANGLE_ROWS if rows is None else rows, _recentred,
         "triangle_{i}", "T", "area", regular_radius_from_area,
         "capacity_not_below_equilateral", True,
     )

@@ -258,13 +258,19 @@ class TestPolygonPlates:
         # a small plate's capacity is 2 pi / log(1 / C r) + O(r^2), C r
         # the logarithmic capacity of the Euclidean regular m-gon of
         # circumradius r: one Richardson step in r^2 on two sharp-cornered
-        # solves must land on the closed form
+        # solves at 182 per side must land on the closed form.  The default
+        # solve stops at 90 per side, within its verdict slack of that
+        # level but 2.5e-9 off the closed form for m = 3
+        plates = [BoundarySet.from_polygon(regular_polygon(m, r)) for r in (1e-3, 1e-4)]
+        pinned = [_solve_once(b, 182, DEFAULT_TOL_POLYGON) for b in plates]
         (r1, c1), (r2, c2) = (
-            (r, math.exp(-2.0 * math.pi / cap_polygon(regular_polygon(m, r)).capacity) / r)
-            for r in (1e-3, 1e-4)
+            (r, math.exp(-2.0 * math.pi / rep.capacity) / r) for r, rep in zip((1e-3, 1e-4), pinned)
         )
         limit = (c2 * r1**2 - c1 * r2**2) / (r1**2 - r2**2)
         assert abs(limit - _euclidean_regular_capacity(m)) <= 1e-10 * limit
+        for b, level in zip(plates, pinned):
+            rep = solve_capacity(b)
+            assert rep.converged and abs(rep.capacity - level.capacity) <= _slack(rep)
 
     def test_euclidean_limit_classic_forms(self):
         g = math.gamma
@@ -299,11 +305,13 @@ class TestSymmetry:
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("m", [3, 4, 6, 8])
     def test_sector_solve_matches_full_solve(self, m, r):
-        # solve_capacity starts the two at different node counts, so the
-        # oracle compares one level at equal nodes per side
+        # one level at equal nodes per side, and the default solves: the
+        # fold does not change where the ladder stops, so the two stop at
+        # the same nodes per side and agree to rounding (measured 3.2e-15)
         b = BoundarySet.from_polygon(regular_polygon(m, r))
+        unreduced = replace(b, symmetry=1, mirror=None)
         sym = _solve_once(b, 256, DEFAULT_TOL_POLYGON)
-        full = _solve_once(replace(b, symmetry=1, mirror=None), 256, DEFAULT_TOL_POLYGON)
+        full = _solve_once(unreduced, 256, DEFAULT_TOL_POLYGON)
         assert (sym.symmetry, full.symmetry) == (m, 1)
         assert abs(sym.capacity - full.capacity) <= 5e-8 * full.capacity
         assert sym.converged == full.converged
@@ -313,6 +321,9 @@ class TestSymmetry:
         assert half.n_collocation == sym.n_collocation
         assert len(_unfold(half.images[0][0], b)) == 2 * sym.n_collocation - 1
         assert full.n_collocation == m * (2 * sym.n_collocation - 1)
+        sym, full = solve_capacity(b), solve_capacity(unreduced)
+        assert full.n_collocation == m * (2 * sym.n_collocation - 1)
+        assert abs(sym.capacity - full.capacity) <= 1e-13 * full.capacity
 
     @pytest.mark.parametrize("vertices", [RHOMBUS, STAR3], ids=["rhombus", "star-3"])
     def test_sector_solve_matches_full_solve_without_mirror(self, vertices):
@@ -352,17 +363,17 @@ class TestSymmetry:
         odd = len(vertices) // b.symmetry % 2
         assert full.n_collocation == b.symmetry * (2 * half.n_collocation - odd)
 
-    def test_symmetric_plates_start_one_doubling_higher(self, monkeypatch):
-        # the first rung sits one sqrt 2 step below each start: 182 per
-        # side below a symmetric plate's 256, 90 below a generic one's 128.
-        # The 3-gon at r = 0.5 and the near-square stop there; the 3-gon
-        # at r = 0.9 has a capacity error of 1.7e-5, 3.4e-6 and 5.3e-7 of
-        # its capacity on its first three rungs, and stops at the third
+    def test_symmetric_and_generic_plates_share_one_ladder(self, monkeypatch):
+        # every plate's first rung sits one sqrt 2 step below the start,
+        # 90 per side below 128.  The 3-gon at r = 0.5 and the near-square
+        # stop there.  The 3-gon at r = 0.9 meets the residual from 128 per
+        # side on, but its capacity error reads 2.4e-4, 7.0e-5, 1.7e-5,
+        # 3.4e-6 and 5.3e-7 of its capacity on its first five rungs: it
+        # stops at the fifth
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
         generic = BoundarySet.from_polygon(HypPolygon.from_vertices(NEAR_SQUARE))
         sharp = BoundarySet.from_polygon(regular_polygon(3, 0.9))
-        start = SolverParams().nodes_per_side
-        for b, levels in ((sym, [182]), (generic, [90]), (sharp, [182, 2 * start, 362])):
+        for b, levels in ((sym, [90]), (generic, [90]), (sharp, [90, 128, 182, 256, 362])):
             assert _levels_solved(b, monkeypatch) == levels
             assert solve_capacity(b).n_collocation == discretize(b, levels[-1]).n_collocation
 
@@ -665,21 +676,16 @@ class TestNystrom:
         # distances; they are dropped at every level the solver can reach,
         # the rung below the start and the sqrt 2 rungs between the
         # doublings too
-        for per_side in _ladder(b, SolverParams()):
+        for per_side in _ladder(SolverParams()):
             d = discretize(b, per_side)
             assert np.all(np.isfinite(_kernel(d)))
             for values in _check_potential(d, np.ones(d.n_collocation)):
                 assert np.all(np.isfinite(values))
 
     def test_ladder_levels(self):
-        generic = BoundarySet.from_euclid_disk(0.2, 0.3)
-        sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
-        # a symmetric plate starts one doubling up; both begin one sqrt 2
-        # step below their start and climb by sqrt 2
-        assert [_ladder(b, SolverParams()) for b in (generic, sym)] == [
-            [90, 128, 182, 256, 362, 512, 724, 1024],
-            [182, 256, 362, 512, 724, 1024, 1448, 2048],
-        ]
+        # one ladder for every plate: one sqrt 2 step below the start, then
+        # up by sqrt 2
+        assert _ladder(SolverParams()) == [90, 128, 182, 256, 362, 512, 724, 1024]
 
     @given(start=st.integers(4, 10**5).map(lambda k: 2 * k), max_refine=st.integers(0, 8))
     def test_ladder_even_increasing_and_doubling(self, start, max_refine):
@@ -687,9 +693,7 @@ class TestNystrom:
         # start of 8 drops that rung (6 per side).  Every rung keeps a node
         # on each side's midpoint, refines, and from the start on every
         # second rung is an exact doubling
-        b = BoundarySet.from_euclid_disk(0.0, 0.5)
-        p = SolverParams(nodes_per_side=start, max_refine=max_refine)
-        sizes = _ladder(b, p)
+        sizes = _ladder(SolverParams(nodes_per_side=start, max_refine=max_refine))
         below = start > 8  # whether the rung below the start is kept
         assert len(sizes) == max_refine + 1 + below
         assert all(n % 2 == 0 and n >= 8 for n in sizes)
@@ -713,7 +717,7 @@ class TestNystrom:
         # ratio is 0.105 (triangle_5 T, 90 -> 128 per side)
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
         levels = []
-        for per_side in _ladder(b, SolverParams()):
+        for per_side in _ladder(SolverParams()):
             levels.append(_solve_once(b, per_side, DEFAULT_TOL_POLYGON))
             if len(levels) > 1 and levels[-2].converged:
                 break
@@ -739,9 +743,10 @@ class TestNystrom:
     def test_kernel_well_conditioned_at_start_level(self, b):
         # gelsy runs at its default cutoff, machine epsilon, so the solver
         # relies on the matrix being far from singular; measured condition
-        # numbers here run from 148 (disk) to 1.05e4 (triangle_2-T) at the
-        # start; the rung below it is checked too
-        for per_side in _ladder(b, SolverParams())[:2]:
+        # numbers here run from 148 (disk) to 2.29e4 (rhombus-no-mirror) at
+        # the start, 128 per side; the rung below it is checked too (up to
+        # 5.26e4, triangle_2-T)
+        for per_side in _ladder(SolverParams())[:2]:
             assert np.linalg.cond(_kernel(discretize(b, per_side))) < 1e8
 
     @KERNEL_PLATES
@@ -787,28 +792,34 @@ class TestNystrom:
                 np.testing.assert_allclose(table @ np.sin(k * v), scale * np.sin(k * u), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "poly",
-        [recenter_triangle(*row) for row in DEFAULT_TRIANGLE_ROWS]
+        "poly, per_side",
+        [(recenter_triangle(*row), 128) for row in DEFAULT_TRIANGLE_ROWS]
         + [
-            regular_polygon(
-                3,
-                equilateral_triangle_radius(
-                    sum(triangle_measures(*DEFAULT_TRIANGLE_ROWS[4]).angles) / 3.0
+            (
+                regular_polygon(
+                    3,
+                    equilateral_triangle_radius(
+                        sum(triangle_measures(*DEFAULT_TRIANGLE_ROWS[4]).angles) / 3.0
+                    ),
                 ),
+                256,
             ),
-            HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[6]),
-            HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]),
-            regular_polygon(4, 0.6),
+            (HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[6]), 128),
+            (HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]), 128),
+            (regular_polygon(4, 0.6), 256),
         ],
         ids=[f"triangle_{i + 1}-T" for i in range(len(DEFAULT_TRIANGLE_ROWS))]
         + ["triangle_5-T0", "polygon_7-P", "polygon_4-P", "4-0.6"],
     )
-    def test_level_change_within_residual(self, poly):
-        # the error model behind the drivers' verdict slack: the capacity
-        # moves by less than the start level's residual when refined.  On
-        # the ten published T plates the largest ratio is 0.11 (triangle_5)
+    def test_level_change_within_residual(self, poly, per_side):
+        # the residual's error model: the capacity moves by less than a
+        # level's residual when refined, here from the start, 128 per side.
+        # On the ten published T plates the largest ratio is 0.11
+        # (triangle_5).  The two regular plates are checked at 256 per
+        # side: at 128, triangle_5 T0 moves 9.47e-4 against a residual of
+        # 8.51e-4, a level its capacity error (7.1e-5 of the capacity)
+        # refuses anyway
         b = BoundarySet.from_polygon(poly)
-        per_side = _ladder(b, SolverParams())[1]  # the start, 128 or 256
         start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side))
         assert start.capacity > 0.0
         assert abs(start.capacity - finer.capacity) <= start.boundary_residual
@@ -860,7 +871,7 @@ class TestNystrom:
         # 0.82 at 182 per side)
         b = BoundarySet.from_polygon(poly)
         ratios = []
-        for per_side in _ladder(b, SolverParams())[:2]:
+        for per_side in _ladder(SolverParams())[:2]:
             coarse, fine = (
                 _solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side)
             )
@@ -887,7 +898,7 @@ class TestNystrom:
         # a level converges only when its residual meets the tolerance and
         # its capacity error is at most 1e-6 of the capacity: polygon_4 P
         # (522 unknowns, 2.9e-8) stops at its first rung, like the regular
-        # plates of test_symmetric_plates_start_one_doubling_higher;
+        # plates of test_symmetric_and_generic_plates_share_one_ladder;
         # triangle_4 T meets the residual there but is refused on its
         # capacity error (1.086e-6) and stops at its start, 188 unknowns
         assert capsolve._CAPACITY_RTOL == 1e-6
@@ -1105,6 +1116,10 @@ class TestValidation:
             with pytest.raises(ConfigurationError):
                 discretize(b, bad)
 
+    def test_empty_plate(self):
+        with pytest.raises(GeometryError, match="plate is empty"):
+            BoundarySet(pieces=())
+
     def test_plate_too_close_to_circle(self):
         with pytest.raises(GeometryError):
             BoundarySet.from_euclid_disk(0.5, 0.4999999)
@@ -1153,5 +1168,5 @@ class TestValidation:
         # rung, 90 nodes
         b = BoundarySet.from_euclid_disk(0.0, 0.5)
         rep = solve_capacity(b, tol=DEFAULT_TOL_SMOOTH)
-        assert rep.n_collocation == _ladder(b, SolverParams())[0] == 90
+        assert rep.n_collocation == _ladder(SolverParams())[0] == 90
         assert rep.symmetry == 1

@@ -135,6 +135,16 @@ def test_degenerate_row_recorded_as_error(name):
     assert good.error is None and good.passed()
 
 
+def test_triangle_row_of_other_than_three_vertices():
+    # a 2- or 4-vertex triangle row is a row error that names its vertex
+    # count; the good row beside them solves
+    rows = [[0.5, -0.5j], [0.5, 0.5j, -0.5, -0.5j], DEFAULT_TRIANGLE_ROWS[3]]
+    *bad, good = experiments.run_triangle_conjecture(rows)
+    for row, count in zip(bad, (2, 4)):
+        assert row.error == f"triangle row needs 3 vertices, got {count}" and not row.passed()
+    assert good.error is None and good.passed()
+
+
 def test_solver_error_recorded_as_row_error(monkeypatch):
     # a NaN in the first Nystrom matrix fails its row alone: the same
     # triangle in the next row solves as usual
