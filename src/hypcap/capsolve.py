@@ -36,28 +36,30 @@ Discretization (Kress, Numer. Math. 58, 1990):
 * Collocating at the kept nodes gives a square system, solved by
   least squares (gelsy at its default cutoff: every level has full rank).
 
-A plate with n-fold rotational symmetry about 0 has an n-periodic
-density.  The solver then discretizes one sector, parametrised by u in
-[0, 2 pi) on its own, with the orbit-summed kernel
+A plate E with n-fold rotational symmetry about 0 is solved as the
+plain plate W = {z^n : z in E}.  With omega = exp(2 pi i / n), the
+products prod_j (z - omega^j zeta) = z^n - zeta^n and
+prod_j (1 - conj(omega^j zeta) z) = 1 - conj(zeta^n) z^n give the one
+identity the fold rests on,
 
-    G_n(z, zeta) = sum_{j<n} G(z, w^j zeta)
-                 = log(|z^n - zeta^n| / |1 - conj(zeta^n) z^n|),  w = exp(2 pi i / n).
+    G_n(z, zeta) = sum_{j<n} G(z, omega^j zeta) = G(z^n, zeta^n),
 
-Its singular part on the sector parameter is again
-1/2 log(4 sin^2((u - v)/2)): of the Kress weights of the whole boundary
-only the terms with k a multiple of n survive the sum over rotations,
-times n, which are the weights of the sector on its own.  The diagonal
-term becomes log|d(z^n)/du| - log(1 - |z|^2n).  When the line through
-0 and a vertex v_0 (first in the side list) is a mirror axis of the
-plate, sigma(z) = (v_0/|v_0|)^2 conj(z) maps vertex k onto vertex -k,
-and so, modulo rotations, the sector's grid position u onto -u.  The
-graded nodes are symmetric too, so the solver fits only the rows and
-columns with u <= pi.  discretize lists once which images stand for a
-node: itself at u, and with the mirror also sigma(z) at -u; each column
-sums over them.  A node at u = pi (a side's midpoint) is its own image:
-its column is doubled and its unknown halved.  The capacity is
--2 pi k (pi / N) sum_j psi_j, with k = n times the images listed per
-node: n, or 2n with the mirror.
+so the n-periodic density of E is that of W, and cap(D, E) =
+n cap(D, W).  discretize makes the change of variables once: it
+parametrises one sector by u in [0, 2 pi) on its own, which w = z^n
+maps once round the boundary of W, and returns the orbit points z^n
+with d(z^n)/du = n z^(n-1) dz/du.  Past it the solver is the method
+above on W; n is left only in the capacity's weight.  When the line
+through 0 and a vertex v_0 (first in the side list) is a mirror axis of
+the plate, sigma(z) = (v_0/|v_0|)^2 conj(z) maps vertex k onto vertex
+-k; on W it is sigma(w) = (v_0/|v_0|)^2n conj(w), which maps the grid
+position u onto -u.  The graded nodes are symmetric too, so the solver
+fits only the rows and columns with u <= pi.  discretize lists once
+which images stand for a node: itself at u, and with the mirror also
+sigma(w) at -u; each column sums over them.  A node at u = pi (a side's
+midpoint) is its own image: its column is doubled and its unknown
+halved.  The capacity is -2 pi k (pi / N) sum_j psi_j, with k = n times
+the images listed per node: n, or 2n with the mirror.
 
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
@@ -100,17 +102,15 @@ evaluates the plate's sides on it and keeps the grid in the
 Discretization it returns.  The matrix and the potential at the
 midpoints are the two O(n^2) steps of a level.  Both sum over the
 images that discretize listed, and work in row blocks of about 2^16
-entries, so that their temporaries stay in cache.  G_n is evaluated in real arithmetic: with
-a = z^n and b = zeta^n,
-|1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2), so
-G_n = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2).  The matrix is
-symmetric, because G_n is, the Kress weights and the log-sine term are
-even in the offset, and the mirror sigma is an isometry of the disk
-with sigma^2 = id, so that G_n(z, sigma zeta) = G_n(sigma z, zeta).
-Only the blocks on and right of the diagonal are evaluated.  At the
-midpoints, the terms that depend only on the offset form one circular
-convolution of a table over the offsets with the density spread on the
-grid, done by FFT; only the G_n sums are evaluated block by block.
+entries, so that their temporaries stay in cache.  G is evaluated in
+real arithmetic (see _green).  The matrix is symmetric, because G is,
+the Kress weights and the log-sine term are even in the offset, and the
+mirror sigma is an isometry of the disk with sigma^2 = id, so that
+G(a, sigma b) = G(sigma a, b).  Only the blocks on and right of the
+diagonal are evaluated.  At the midpoints, the terms that depend only
+on the offset form one circular convolution of a table over the offsets
+with the density spread on the grid, done by FFT; only the G sums are
+evaluated block by block.
 """
 
 from __future__ import annotations
@@ -118,6 +118,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,9 +201,9 @@ class BoundarySet:
 
     symmetry is the order n of the rotation group about 0 that maps the
     piece list onto itself, piece k onto piece k + m/n, a Python int >= 1
-    (not a bool); the solver fits one sector of m/n pieces with the
-    orbit-summed kernel.  A mirror z ->
-    mirror * conj(z) that maps vertex k onto vertex -k halves the sector.
+    (not a bool); the solver fits one sector of m/n pieces, mapped by
+    z -> z^n (see discretize).  A mirror z -> mirror * conj(z) that maps
+    vertex k onto vertex -k halves the sector.
     from_polygon derives both, vertex 0 first on a mirror axis; disks
     and generic plates take neither.
     """
@@ -394,25 +395,23 @@ def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Nodes and check points of one level on the sector's grid.
+    """Nodes and check points of one level, as orbit points w = z^n of
+    the sector's grid (w = z for symmetry 1; see discretize).
 
     grid is the level's cached _Grid (the sector is the whole boundary
     for symmetry 1), with the node positions grid.pos and the check
     positions grid.check_pos.  images lists the (points, positions) each
     kept node stands for: first (nodes, grid.pos), the nodes being the
     fitted unknowns and rows (with a mirror only those with u <= pi),
-    and with a mirror (BoundarySet.mirror, the unit factor of sigma(z) =
-    mirror * conj(z)) also (sigma(nodes), -grid.pos); each is summed
-    over the n = symmetry rotations.  diagonal is the limit of the
-    smooth part of the kernel at each node,
-    log|d(z^n)/du| - log(1 - |z|^2n), and check holds the check points.
+    and with a mirror also their images (mirror^n conj(nodes), -grid.pos).
+    diagonal is the limit of the smooth part of the kernel at each node,
+    log|dw/du| - log(1 - |w|^2), and check holds the check points.
     """
 
     grid: _Grid
     images: tuple
     diagonal: np.ndarray
     check: np.ndarray
-    symmetry: int
 
     @property
     def n_collocation(self) -> int:
@@ -421,8 +420,10 @@ class Discretization:
 
 def discretize(b: BoundarySet, per_side: int) -> Discretization:
     """Graded nodes and midpoint check points of one sector, at the
-    level of per_side nodes per side: an even int of at least 8, else
-    ConfigurationError.
+    level of per_side nodes per side (an even int of at least 8, else
+    ConfigurationError), mapped to the orbit plate w = z^n, n =
+    b.symmetry, with dw/du = n z^(n-1) dz/du.  This is the one place
+    that knows the rotation: past it the solver sees the plain plate W.
 
     Each of the sector's q = m / n sides gets per_side grid nodes with
     Kress grading of order 6, t = tau(s) with s = q u - 2 pi k on side
@@ -432,24 +433,22 @@ def discretize(b: BoundarySet, per_side: int) -> Discretization:
     only the half of the sector with u <= pi is kept.  All of that
     depends on the plate only through q, smooth and mirror, so it comes
     from the cached _grid, which the Discretization holds; here the
-    sides are evaluated on it.
+    sides are evaluated on it.  The mirror z -> mirror conj(z) is
+    w -> mirror^n conj(w) on W.
     """
     n = b.symmetry
     sector = b.pieces[: len(b.pieces) // n]
     g = _grid(len(sector), _nodes_per_side(per_side), b.is_smooth, b.mirror is not None)
     z = np.concatenate([piece.point(g.tau) for piece in sector])
     dz = np.concatenate([piece.derivative(g.tau) * g.speed for piece in sector])
-    zn, at = z[g.pos], g.pos
-    images = ((zn, at),) if b.mirror is None else ((zn, at), (b.mirror * np.conj(zn), -at))
-    # log|d(z^n)/du|; for n = 1 the z^(n-1) factor is 1, also at a node at 0
-    log_zn = (n - 1) * np.log(np.abs(zn)) if n > 1 else 0.0
-    log_speed = math.log(n) + log_zn + np.log(np.abs(dz[at]))
+    # z**0 is exactly 1, so for n = 1 these are z and dz/du themselves
+    w, dw = z[g.pos] ** n, n * z[g.pos] ** (n - 1) * dz[g.pos]
+    images = ((w, g.pos),) if b.mirror is None else ((w, g.pos), (b.mirror**n * np.conj(w), -g.pos))
     return Discretization(
         grid=g,
         images=images,
-        diagonal=log_speed - np.log1p(-np.abs(zn) ** (2 * n)),
-        check=z[g.check_pos],
-        symmetry=n,
+        diagonal=np.log(np.abs(dw)) - np.log1p(-np.abs(w) ** 2),
+        check=z[g.check_pos] ** n,
     )
 
 
@@ -474,26 +473,20 @@ class SolveReport:
     symmetry: int
 
 
-def _green(z: np.ndarray, zeta: np.ndarray, n: int) -> np.ndarray:
-    """Orbit-summed Green's function G_n(z, zeta) at points z (rows) for
-    sources zeta (cols).
+def _green(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Green's function G(a, b) of the unit disk at points a (rows) for
+    sources b (cols): the solver's points are orbit points (see
+    discretize), so this is also the orbit sum G_n.  With the identity
+    |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2),
 
-    The products over the rotations w^j zeta, w = exp(2 pi i / n), are
-    prod_j (z - w^j zeta) = z^n - zeta^n and prod_j (1 - conj(w^j zeta) z)
-    = 1 - conj(zeta^n) z^n, so G_n is the plain disk Green's function of
-    a = z^n and b = zeta^n (n = 1 is that of z and zeta).  With the
-    identity |1 - conj(b) a|^2 = |a - b|^2 + (1 - |a|^2)(1 - |b|^2),
-
-        G_n(z, zeta) = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2),
+        G(a, b) = -1/2 log1p((1 - |a|^2)(1 - |b|^2) / |a - b|^2),
 
     in real arithmetic and without the cancellation in 1 - conj(b) a
-    near the unit circle.  It is symmetric in z and zeta, vanishes on
-    |z| = 1, and is -inf (after a divide-by-zero) where a = b.
+    near the unit circle.  It is symmetric in a and b, vanishes on
+    |a| = 1, and is -inf (after a divide-by-zero) where a = b.
     """
     # contiguous real and imaginary parts: the outer loops over them vectorize
-    (ar, ai), (br, bi) = (
-        (np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)) for w in (z**n, zeta**n)
-    )
+    ar, ai, br, bi = (np.ascontiguousarray(part) for x in (a, b) for part in (x.real, x.imag))
     dist = np.subtract.outer(ar, br)
     np.square(dist, out=dist)
     gap = np.subtract.outer(ai, bi)
@@ -514,22 +507,22 @@ def _block_rows(n_cols: int) -> int:
 
 def _kernel(d: Discretization) -> np.ndarray:
     """Nystrom matrix: the potential at each node (rows) of unit density
-    at each node (cols).
+    at each node (cols), on the orbit points of d.
 
     Entry (i, j) sums over the node's images in d.images (itself, and
     with a mirror its mirror image at position -pos_j):
 
-        h * (G_n(z_i, zeta) - 1/2 log(4 sin^2((u_i - v)/2))) + 1/2 R(u_i - v),
+        h * (G(w_i, zeta) - 1/2 log(4 sin^2((u_i - v)/2))) + 1/2 R(u_i - v),
 
     with trapezoid weight h = 2 pi / n_grid and the Kress weights R.
-    Where a row is the image itself, the bracket takes its limit
-    log|d(z^n)/du| - log(1 - |z|^2n).
+    Where a row is the image itself, the bracket takes its limit, the
+    node's d.diagonal.
 
-    The matrix is symmetric: G_n(z, zeta) = G_n(zeta, z); the Kress
-    weights and the log-sine term are even in the offset u_i - v; and
-    the mirror sigma(z) = mirror * conj(z) is an isometry of the disk
-    with sigma^2 = id, so G_n(z_i, sigma zeta_j) = G_n(sigma z_i, zeta_j)
-    = G_n(zeta_j, sigma z_i), at offset pos_i + pos_j either way.  So
+    The matrix is symmetric: G(w, zeta) = G(zeta, w); the Kress weights
+    and the log-sine term are even in the offset u_i - v; and the mirror
+    sigma is an isometry of the disk with sigma^2 = id, so
+    G(w_i, sigma zeta_j) = G(sigma w_i, zeta_j) = G(zeta_j, sigma w_i),
+    at offset pos_i + pos_j either way.  So
     only the row blocks from the diagonal rightwards are evaluated, and
     their transposes copied below.  Each block holds about
     _BLOCK_ENTRIES entries, so that its temporaries stay in cache.
@@ -546,7 +539,7 @@ def _kernel(d: Discretization) -> np.ndarray:
         own = np.arange(stop - start)
         for zeta, at in d.images:
             with np.errstate(divide="ignore"):
-                part = _green(nodes[rows], zeta[start:], d.symmetry)
+                part = _green(nodes[rows], zeta[start:])
             part *= h
             part += table[np.subtract.outer(pos[rows] + period, at[start:])]
             # the node's own image: the singular diagonal takes its limit
@@ -573,7 +566,7 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
     table's rfft is d.grid.spectrum, so one rfft of the spread density
     and one irfft give them at every position.  A check point never
     meets a node image (they sit at odd and even positions), so only
-    h * sum over d.images of G_n(check, zeta) psi is left, which is
+    h * sum over d.images of G(check, zeta) psi is left, which is
     summed block by block without building a check matrix.  The spread
     density's spectrum, cut at the node grid's Nyquist frequency, gives
     the interpolant by one more irfft.
@@ -594,7 +587,7 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
     step = _block_rows(len(weights))
     for start in range(0, len(d.check), step):
         rows = slice(start, start + step)
-        u[rows] += _green(d.check[rows], sources, d.symmetry) @ weights
+        u[rows] += _green(d.check[rows], sources) @ weights
     return u, density
 
 
@@ -616,7 +609,7 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     del A
 
     h = 2.0 * math.pi / d.grid.n_grid
-    weight = -2.0 * math.pi * (d.symmetry * len(d.images)) * h  # of each unknown
+    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * h  # of each unknown
     capacity = weight * float(np.sum(psi))
     u, density = _check_potential(d, psi)
     residual = float(np.max(np.abs(u - 1.0)))
@@ -630,7 +623,7 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
         capacity_error=error,
         n_collocation=d.n_collocation,
         converged=converged,
-        symmetry=d.symmetry,
+        symmetry=b.symmetry,
     )
 
 
@@ -673,8 +666,8 @@ def solve_capacity(
     raised at once for a non-finite Nystrom matrix, and after the last
     level if its capacity is still not positive and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tolerance must be a positive and finite real, got {tol!r}")
     for per_side in _ladder(p or SolverParams()):
         report = _solve_once(b, per_side, tol)
         if report.converged:

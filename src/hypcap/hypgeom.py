@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,6 +55,14 @@ _COLLINEAR_TOL = 1e-14
 
 class GeometryError(ValueError):
     """Invalid hyperbolic-geometric configuration."""
+
+
+def _vertex_count(m) -> int:
+    """m, if it is an int (Python or numpy, not a bool) of at least 3,
+    else GeometryError."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 3:
+        raise GeometryError(f"polygon needs an int of at least 3 vertices, got {m!r}")
+    return m
 
 
 def _check_in_disk(z: complex, name: str = "point") -> complex:
@@ -243,9 +252,10 @@ class HypPolygon:
         """Polygon through the vertices, in either orientation, if it is
         starlike about 0.
 
-        A side from v to w is radial when conj(v) w is real (v, w and 0
-        collinear, or v = w): some ray meets the boundary in a whole
-        segment, or 0 is on the boundary.  Any other side is a geodesic
+        Two equal consecutive vertices make a degenerate side.  Any other
+        side from v to w is radial when conj(v) w is real (v, w and 0
+        collinear): some ray meets the boundary in a whole segment, or 0
+        is on the boundary.  Any other side is a geodesic
         that misses 0 and meets each ray from 0 at most once, so the
         phase moves monotonically along it, by the principal phase step
         arg(conj(v) w).  The boundary is
@@ -254,9 +264,10 @@ class HypPolygon:
         sign of the sum.
         """
         vs = [_check_in_disk(v, f"vertex {k}") for k, v in enumerate(vertices)]
-        m = len(vs)
-        if m < 3:
-            raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
+        m = _vertex_count(len(vs))
+        for k in range(m):
+            if vs[k] == vs[(k + 1) % m]:
+                raise GeometryError(f"degenerate side: vertices {k} and {(k + 1) % m} coincide")
         # a product, not a quotient: v / w overflows for subnormal w
         ws = [vs[k].conjugate() * vs[(k + 1) % m] for k in range(m)]
         if any(abs(w.imag) <= _COLLINEAR_TOL * abs(w) for w in ws):
@@ -273,6 +284,7 @@ class HypPolygon:
 
 def regular_polygon(m: int, r: float) -> HypPolygon:
     """Regular hyperbolic m-gon with vertices r exp(2 pi i k / m)."""
+    _vertex_count(m)
     if not 0.0 < r < 1.0:
         raise GeometryError(f"vertex radius must be in (0, 1), got {r}")
     vs = [r * cmath.exp(2j * math.pi * k / m) for k in range(m)]
@@ -310,8 +322,7 @@ def regular_radius_from_perimeter(m: int, L: float) -> float:
     the ideal polygon limit, before L/2m reaches 29 and rounds to 1 from
     40 on, long before sh overflows (about 710).
     """
-    if m < 3:
-        raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
+    _vertex_count(m)
     if not 0.0 < L < math.inf:
         raise GeometryError(f"perimeter must be positive and finite, got {L}")
     s = math.sinh(min(0.5 * L / m, 40.0))
@@ -336,8 +347,7 @@ def regular_radius_from_area(m: int, c: float) -> float:
     a ratio of two positive sines with no cancellation.  The attainable
     range (0, (m-2) pi) ends at the ideal polygon, r = 1.
     """
-    if m < 3:
-        raise GeometryError(f"polygon needs at least 3 vertices, got {m}")
+    _vertex_count(m)
     if not 0.0 < c < (m - 2) * math.pi:
         raise GeometryError(f"area {c} outside the attainable range (0, {(m - 2) * math.pi})")
     r = math.sqrt(math.sin(0.5 * c / m) / math.sin(0.5 * (4.0 * math.pi + c) / m))

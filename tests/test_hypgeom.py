@@ -272,8 +272,20 @@ class TestPolygonBasics:
 
     def test_radial_side_rejected(self):
         # consecutive vertices on one ray make a radial boundary segment
-        vs = [0.3, 0.8, 0.8j, -0.8 - 0.8j]
-        with pytest.raises(GeometryError):
+        # (every vertex inside the disk, so that the radial check is the
+        # one that rejects it)
+        vs = [0.3, 0.8, 0.8j, -0.5 - 0.5j]
+        with pytest.raises(GeometryError, match="radial side"):
+            HypPolygon.from_vertices(vs)
+
+    @pytest.mark.parametrize(
+        "vs, k",
+        [([0.5, 0.5, 0.5j, -0.5], 0), ([0.5, 0.5j, -0.5, -0.5], 2), ([0.5, 0.5j, -0.5, 0.5], 3)],
+    )
+    def test_coincident_vertices_rejected(self, vs, k):
+        # a side of zero length is degenerate, not radial; the last
+        # vertex's side runs back to vertex 0
+        with pytest.raises(GeometryError, match=f"vertices {k} and {(k + 1) % 4} coincide"):
             HypPolygon.from_vertices(vs)
 
     def test_deep_dent_still_starlike(self):
@@ -285,10 +297,12 @@ class TestPolygonBasics:
             HypPolygon.from_vertices([0.0, 0.5, 0.5j])
 
     def test_regular_polygon_needs_three_vertices(self):
-        # from_vertices holds the one vertex-count check
-        for m in (0, 1, 2):
+        # one vertex-count check for every constructor: an int (Python or
+        # numpy, not a bool) of at least 3
+        for m in (0, 1, 2, 3.0, 3.5, True, np.float64(4.0), "4"):
             with pytest.raises(GeometryError, match="at least 3 vertices"):
                 regular_polygon(m, 0.5)
+        assert regular_polygon(np.int64(4), 0.5).m == 4
 
     @settings(max_examples=300)
     @given(
@@ -546,6 +560,14 @@ class TestRegularRadiusConstructors:
             regular_radius_from_area(3, math.pi)
         with pytest.raises(GeometryError):
             regular_radius_from_area(4, 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3.5, 4.0, True, np.float64(5.0)])
+    def test_radius_constructors_need_int_vertex_count(self, m):
+        # a 3.5-gon has no radius, whether from its area or its perimeter
+        for radius in (regular_radius_from_area, regular_radius_from_perimeter):
+            with pytest.raises(GeometryError, match="at least 3 vertices"):
+                radius(m, 1.0)
+        assert regular_radius_from_area(np.int64(4), 1.0) == regular_radius_from_area(4, 1.0)
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_area_just_below_ideal_limit(self, m):
