@@ -200,10 +200,11 @@ class BoundarySet:
     boundary is always the unit circle, implicit.
 
     symmetry is the order n of the rotation group about 0 that maps the
-    piece list onto itself, piece k onto piece k + m/n, a Python int >= 1
-    (not a bool); the solver fits one sector of m/n pieces, mapped by
-    z -> z^n (see discretize).  A mirror z -> mirror * conj(z) that maps
-    vertex k onto vertex -k halves the sector.
+    piece list onto itself, piece k onto piece k + m/n, an int >= 1
+    (Python or numpy, not a bool; stored as a Python int); the solver
+    fits one sector of m/n pieces, mapped by z -> z^n (see discretize).
+    A mirror z -> mirror * conj(z) that maps vertex k onto vertex -k
+    halves the sector.
     from_polygon derives both, vertex 0 first on a mirror axis; disks
     and generic plates take neither.
     """
@@ -228,8 +229,10 @@ class BoundarySet:
         # geodesic sides are fixed by their endpoints, so the corners
         # decide the symmetries; a circle piece admits only n = 1, no mirror
         m, n = len(self.pieces), self.symmetry
-        if type(n) is not int or n < 1:
+        if not _is_int(n) or n < 1:
             raise GeometryError(f"symmetry must be an int >= 1, got {n!r}")
+        # stored as a Python int, so that a numpy order maps z -> z^n alike
+        object.__setattr__(self, "symmetry", int(n))
         if n != 1 and (m % n or not _rotates_onto_itself([p.z1 for p in self.pieces], n)):
             raise GeometryError(f"plate does not have {n}-fold rotational symmetry about 0")
         if self.mirror is not None and (
@@ -254,18 +257,22 @@ class BoundarySet:
 
     @staticmethod
     def from_euclid_disk(center: complex, radius: float) -> "BoundarySet":
-        center = complex(center)
         if not 0.0 < radius < math.inf:
             raise GeometryError(f"disk radius must be positive and finite, got {radius}")
-        return BoundarySet(pieces=(_CirclePiece(center, radius),))
+        return BoundarySet(pieces=(_CirclePiece(complex(center), radius),))
+
+
+def _is_int(n) -> bool:
+    """Whether n is an int, Python or numpy, and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _nodes_per_side(per_side: int) -> int:
-    """per_side, if it is an even int of at least 8 (every side needs a
-    node on its midpoint), else ConfigurationError."""
-    if type(per_side) is not int or per_side < 8 or per_side % 2:
+    """per_side as a Python int, if it is an even int of at least 8
+    (every side needs a node on its midpoint), else ConfigurationError."""
+    if not _is_int(per_side) or per_side < 8 or per_side % 2:
         raise ConfigurationError(f"nodes_per_side must be an even int >= 8, got {per_side!r}")
-    return per_side
+    return int(per_side)
 
 
 @dataclass(frozen=True)
@@ -287,7 +294,7 @@ class SolverParams:
 
     def __post_init__(self):
         _nodes_per_side(self.nodes_per_side)
-        if type(self.max_refine) is not int or self.max_refine < 0:
+        if not _is_int(self.max_refine) or self.max_refine < 0:
             raise ConfigurationError(f"max_refine must be an int >= 0, got {self.max_refine!r}")
 
     def doubled(self) -> "SolverParams":
@@ -337,9 +344,13 @@ class _Grid:
     one side; pos and check_pos are the positions of the kept nodes and
     check points on the sector, which are also their indices among the
     sector's points; table is the offset table and spectrum the rfft of
-    one period of it, the check's convolution kernel."""
+    one period of it, the check's convolution kernel.  h = 2 pi / n_grid
+    is the trapezoid weight and period = 2 n_grid the number of half-step
+    positions."""
 
     n_grid: int
+    h: float
+    period: int
     tau: np.ndarray
     speed: np.ndarray
     pos: np.ndarray
@@ -390,7 +401,7 @@ def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
     )
     for array in arrays.values():
         array.setflags(write=False)
-    return _Grid(n_grid=n_grid, **arrays)
+    return _Grid(n_grid=n_grid, h=h, period=period, **arrays)
 
 
 @dataclass(frozen=True)
@@ -528,9 +539,7 @@ def _kernel(d: Discretization) -> np.ndarray:
     _BLOCK_ENTRIES entries, so that its temporaries stay in cache.
     """
     nodes, pos = d.images[0]
-    size, period = d.n_collocation, 2 * d.grid.n_grid
-    h = 2.0 * math.pi / d.grid.n_grid
-    table = d.grid.table
+    size, g = d.n_collocation, d.grid
     A = np.zeros((size, size))
     step = _block_rows(size)
     for start in range(0, size, step):
@@ -540,11 +549,11 @@ def _kernel(d: Discretization) -> np.ndarray:
         for zeta, at in d.images:
             with np.errstate(divide="ignore"):
                 part = _green(nodes[rows], zeta[start:])
-            part *= h
-            part += table[np.subtract.outer(pos[rows] + period, at[start:])]
+            part *= g.h
+            part += g.table[np.subtract.outer(pos[rows] + g.period, at[start:])]
             # the node's own image: the singular diagonal takes its limit
-            hit = (pos[rows] - at[rows]) % period == 0
-            part[own[hit], own[hit]] = h * d.diagonal[rows][hit] + table[period]
+            hit = (pos[rows] - at[rows]) % g.period == 0
+            part[own[hit], own[hit]] = g.h * d.diagonal[rows][hit] + g.table[g.period]
             A[rows, start:] += part
         # the diagonal block is symmetric to rounding: averaging it with
         # its transpose makes it exactly so; the blocks below it are the
@@ -571,19 +580,17 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
     density's spectrum, cut at the node grid's Nyquist frequency, gives
     the interpolant by one more irfft.
     """
-    period = 2 * d.grid.n_grid
-    h = 2.0 * math.pi / d.grid.n_grid
-    spread = np.zeros(period)
+    spread = np.zeros(d.grid.period)
     for _, at in d.images:
-        spread += np.bincount(at % period, weights=psi, minlength=period)
+        spread += np.bincount(at % d.grid.period, weights=psi, minlength=d.grid.period)
     spectrum = np.fft.rfft(spread)
-    u = np.fft.irfft(d.grid.spectrum * spectrum, n=period)[d.grid.check_pos]
+    u = np.fft.irfft(d.grid.spectrum * spectrum, n=d.grid.period)[d.grid.check_pos]
     # spread's spectrum repeats the node grid's: one copy, doubled for the
     # twice-as-fine samples, interpolates (the node grid's Nyquist term
     # vanishes at the midpoints)
-    density = np.fft.irfft(2.0 * spectrum[: d.grid.n_grid // 2], n=period)[d.grid.check_pos]
+    density = np.fft.irfft(2.0 * spectrum[: d.grid.n_grid // 2], n=d.grid.period)[d.grid.check_pos]
     sources = np.concatenate([zeta for zeta, _ in d.images])
-    weights = np.tile(h * psi, len(d.images))
+    weights = np.tile(d.grid.h * psi, len(d.images))
     step = _block_rows(len(weights))
     for start in range(0, len(d.check), step):
         rows = slice(start, start + step)
@@ -608,8 +615,7 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     )[0]
     del A
 
-    h = 2.0 * math.pi / d.grid.n_grid
-    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * h  # of each unknown
+    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * d.grid.h  # of each unknown
     capacity = weight * float(np.sum(psi))
     u, density = _check_potential(d, psi)
     residual = float(np.max(np.abs(u - 1.0)))

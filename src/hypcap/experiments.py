@@ -12,15 +12,26 @@ regular competitor's "cap_X0", "residual_X0" and "error_X0", their
 "slack", the matched measure of both ("area_X" and "area_X0", or
 "perimeter_X" and "perimeter_X0") and the competitor's "regular_radius".
 So a row stores every number its verdicts compare (a sequence's previous
-row and the table's cell rows hold the rest).  Every verdict on a solved
-capacity follows one rule: it is True or False when the compared values
-differ by more than the slack, and "inconclusive-within-error"
-otherwise.  The slack is the error model of the solves compared: twice
-the sum of their capacity errors (each the estimated change of the
-capacity at twice the nodes, see capsolve), plus 1e-10 of the sum of
-their capacities for rounding.  A verdict over several comparisons is
-False if any of them is, else inconclusive if any of them is, else
-True.  Closed-form checks keep their own rounding tolerances.  A row's
+row and the table's cell rows hold the rest).
+
+Every verdict on a solved capacity follows one rule, _at_least(larger,
+smaller).  Each side is a solve or a closed form, and the verdict is
+True or False when the two values differ by more than the slack, and
+"inconclusive-within-error" otherwise.  The slack is the error model of
+the solves compared: twice the sum of their capacity errors (each the
+estimated change of the capacity at twice the nodes, see capsolve), plus
+1e-10 of the sum of their capacities for rounding.  A closed form (a
+disk bound, a bounds row's lower and upper bound) is exact and adds
+nothing to it.  Where a row compares polygons of one shared measure, a
+conjecture's plate with the regular m-gon of its area or perimeter, or
+a sequence's m-gon with its predecessor at fixed area or perimeter, the
+measure fixes the competitor's radius and the direction (_MEASURES): at
+equal area the more symmetric polygon has the smaller capacity, at equal
+perimeter the larger (for plane triangles and quadrilaterals, Polya and
+Szego's theorem).  A verdict over several comparisons is False if any
+of them is, else inconclusive if any of them is, else True.  Checks
+between two closed forms (equal_area, equal_perimeter, rewrites_agree,
+the f1f2 rows) keep their own rounding tolerances.  A row's
 "converged" verdict ("both_converged" on conjecture rows, for the plate
 and its competitor) states what capsolve's converged does: the boundary
 residual met the tolerance and the capacity error is at most 1e-6 of
@@ -132,11 +143,30 @@ def _slack(*reports: SolveReport) -> float:
     return sum(2.0 * r.capacity_error + 1e-10 * r.capacity for r in reports)
 
 
-def _ordered_verdict(larger: float, smaller: float, slack: float):
-    """Three-valued check of larger >= smaller with slack."""
-    if abs(larger - smaller) <= slack:
+def _at_least(larger, smaller):
+    """Three-valued check of larger >= smaller, each a SolveReport or an
+    exact closed-form float, with the _slack of the reports among them."""
+    sides = (larger, smaller)
+    a, b = (x.capacity if isinstance(x, SolveReport) else x for x in sides)
+    if abs(a - b) <= _slack(*(x for x in sides if isinstance(x, SolveReport))):
         return INCONCLUSIVE
-    return bool(larger > smaller)
+    return bool(a > b)
+
+
+# each shared measure, a PolygonMeasures field: the radius of the regular
+# m-gon of that measure, and whether the more symmetric polygon (the
+# regular competitor, a sequence's next m) has the larger capacity
+_MEASURES = {
+    "area": (regular_radius_from_area, False),
+    "perimeter": (regular_radius_from_perimeter, True),
+}
+
+
+def _symmetric_verdict(measure: str, symmetric, other):
+    """_at_least in the direction _MEASURES gives the measure: symmetric
+    above other at fixed perimeter, below it at fixed area."""
+    above = _MEASURES[measure][1]
+    return _at_least(*((symmetric, other) if above else (other, symmetric)))
 
 
 def _all_hold(verdicts):
@@ -154,13 +184,12 @@ def _solve(plate, names=("capacity", "residual", "error")):
     ref_cap_area(area) <= cap <= ref_cap_perim(perimeter); names key the
     capacity, its residual and its capacity error."""
     rep, pm = cap_polygon(plate), polygon_measures(plate)
-    cap, slack = rep.capacity, _slack(rep)
     bounds = {"perimeter_bound": ref_cap_perim(pm.perimeter), "area_bound": ref_cap_area(pm.area)}
-    values = dict(zip(names, (cap, rep.boundary_residual, rep.capacity_error))) | bounds
+    values = dict(zip(names, (rep.capacity, rep.boundary_residual, rep.capacity_error))) | bounds
     verdicts = {
         "converged": bool(rep.converged),
-        "within_perimeter_bound": _ordered_verdict(bounds["perimeter_bound"], cap, slack),
-        "above_area_bound": _ordered_verdict(cap, bounds["area_bound"], slack),
+        "within_perimeter_bound": _at_least(bounds["perimeter_bound"], rep),
+        "above_area_bound": _at_least(rep, bounds["area_bound"]),
     }
     return rep, values, verdicts, pm
 
@@ -198,11 +227,11 @@ def _recentred(vs) -> HypPolygon:
     return recenter_triangle(*vs)
 
 
-def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_above):
+def _run_conjecture(vertex_lists, build, rid, x, measure, key):
     """For each vertex list: build the plate, solve it (_solve), build the
-    regular m-gon radius(m, c) of the plate's measured c (the measure
-    field of its PolygonMeasures), solve that competitor, and check
-    cap(plate) >= cap(competitor) under key (<= if not plate_above).
+    regular m-gon of the plate's measured c (the measure field of its
+    PolygonMeasures, at the _MEASURES radius), solve that competitor, and
+    compare the two capacities under key in the measure's direction.
     equal_<measure> checks the competitor's c0 against c to 1e-12
     relative.  rid formats the row id from i (1-based) and m."""
     out = []
@@ -214,20 +243,19 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, radius, key, plate_abo
             keys = (f"cap_{x}", f"residual_{x}", f"error_{x}")
             rep, values, verdicts, pm = _solve(build(vs), keys)
             c = getattr(pm, measure)
-            r0 = radius(m, c)
+            r0 = _MEASURES[measure][0](m, c)
             competitor = regular_polygon(m, r0)
             rep_0, c0 = cap_polygon(competitor), getattr(polygon_measures(competitor), measure)
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
             out.append(ExperimentRow(id=rid_i, inputs=inputs, error=str(exc)))
             continue
-        cap, cap0, slack = rep.capacity, rep_0.capacity, _slack(rep, rep_0)
         values |= {
-            f"cap_{x}0": cap0, f"residual_{x}0": rep_0.boundary_residual,
-            f"error_{x}0": rep_0.capacity_error, "slack": slack,
+            f"cap_{x}0": rep_0.capacity, f"residual_{x}0": rep_0.boundary_residual,
+            f"error_{x}0": rep_0.capacity_error, "slack": _slack(rep, rep_0),
             f"{measure}_{x}": c, f"{measure}_{x}0": c0, "regular_radius": r0,
         }
         verdicts["both_converged"] = verdicts.pop("converged") and bool(rep_0.converged)
-        verdicts[key] = _ordered_verdict(*((cap, cap0) if plate_above else (cap0, cap)), slack)
+        verdicts[key] = _symmetric_verdict(measure, rep_0, rep)
         verdicts[f"equal_{measure}"] = bool(abs(c - c0) <= 1e-12 * c)
         out.append(ExperimentRow(rid_i, inputs, values, verdicts))
     return out
@@ -241,8 +269,7 @@ def run_triangle_conjecture(rows=None) -> list[ExperimentRow]:
     is a row error."""
     return _run_conjecture(
         DEFAULT_TRIANGLE_ROWS if rows is None else rows, _recentred,
-        "triangle_{i}", "T", "area", regular_radius_from_area,
-        "capacity_not_below_equilateral", True,
+        "triangle_{i}", "T", "area", "capacity_not_below_equilateral",
     )
 
 
@@ -250,8 +277,7 @@ def run_polygon_conjecture(polygons=None) -> list[ExperimentRow]:
     """Compare cap(D, P) against the regular polygon P0 of equal perimeter."""
     return _run_conjecture(
         DEFAULT_POLYGON_ROWS if polygons is None else polygons, HypPolygon.from_vertices,
-        "polygon_m{m}_{i}", "P", "perimeter", regular_radius_from_perimeter,
-        "capacity_not_above_regular", False,
+        "polygon_m{m}_{i}", "P", "perimeter", "capacity_not_above_regular",
     )
 
 
@@ -269,16 +295,11 @@ def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
             values |= {"r": float(r), "m": float(m)}
             out.append(ExperimentRow(rid, {"m": m, "r": float(r)}, values, verdicts))
 
-    def increasing(pairs):
-        return _all_hold(
-            _ordered_verdict(b.capacity, a.capacity, _slack(a, b)) for a, b in pairs
-        )
-
-    mono_m = increasing(
-        (grid[(r, m1)], grid[(r, m2)]) for r in r_list for m1, m2 in zip(m_list, m_list[1:])
+    mono_m = _all_hold(
+        _at_least(grid[(r, b)], grid[(r, a)]) for r in r_list for a, b in zip(m_list, m_list[1:])
     )
-    mono_r = increasing(
-        (grid[(r1, m)], grid[(r2, m)]) for m in m_list for r1, r2 in zip(r_list, r_list[1:])
+    mono_r = _all_hold(
+        _at_least(grid[(b, m)], grid[(a, m)]) for m in m_list for a, b in zip(r_list, r_list[1:])
     )
     out.append(
         ExperimentRow(
@@ -291,22 +312,22 @@ def run_regular_table(m_list=None, r_list=None) -> list[ExperimentRow]:
     return out
 
 
-def _run_sequence(kind: str, c: float, m_range) -> list[ExperimentRow]:
-    decreasing = kind == "area"
-    radius = regular_radius_from_area if decreasing else regular_radius_from_perimeter
+def _run_sequence(measure: str, kind: str, c: float, m_range) -> list[ExperimentRow]:
+    """Regular m-gons of measure c, each compared with its predecessor in
+    the measure's direction; kind names the sequence in ids and inputs."""
+    radius, above = _MEASURES[measure]
+    key = "increasing_in_m" if above else "decreasing_in_m"
     out = []
     prev = None
     for m in m_range:
-        rid = f"seq_{kind}_c{c:g}_m{m}"
         r = radius(m, c)
         rep, values, verdicts, _ = _solve(regular_polygon(m, r))
         values |= {"r": r, "m": float(m)}
         if prev is not None:
             values["previous_capacity"] = prev.capacity
-            key = "decreasing_in_m" if decreasing else "increasing_in_m"
-            larger, smaller = (prev, rep) if decreasing else (rep, prev)
-            verdicts[key] = _ordered_verdict(larger.capacity, smaller.capacity, _slack(rep, prev))
-        out.append(ExperimentRow(rid, {"c": c, "m": m, "kind": kind}, values, verdicts))
+            verdicts[key] = _symmetric_verdict(measure, rep, prev)
+        inputs = {"c": c, "m": m, "kind": kind}
+        out.append(ExperimentRow(f"seq_{kind}_c{c:g}_m{m}", inputs, values, verdicts))
         prev = rep
     return out
 
@@ -315,14 +336,14 @@ def run_sequence_area(c: float = 3.0, m_range=range(3, 9)) -> list[ExperimentRow
     """Regular polygons of fixed hyperbolic area c: capacities should
     decrease with m toward the equal-area disk reference from above.
     regular_radius_from_area checks c for each m, 0 < c < (m - 2) pi."""
-    return _run_sequence("area", c, m_range)
+    return _run_sequence("area", "area", c, m_range)
 
 
 def run_sequence_perim(c: float = 20.0, m_range=range(3, 9)) -> list[ExperimentRow]:
     """Regular polygons of fixed hyperbolic perimeter c: capacities should
     increase with m toward the equal-perimeter circle reference.
     regular_radius_from_perimeter checks c for each m."""
-    return _run_sequence("perim", c, m_range)
+    return _run_sequence("perimeter", "perim", c, m_range)
 
 
 def run_f1f2(c_grid=None) -> list[ExperimentRow]:
@@ -367,15 +388,11 @@ def run_triangle_bounds(s_grid=None) -> list[ExperimentRow]:
         d = 2.0 * math.sin(v / 12.0) ** 2 + math.sqrt(3.0) * math.sin(v / 6.0)
         r_prime = 2.0 * math.sin((math.pi - v) / 6.0)
         upper_area = (12.0 / math.pi) * mu(r_prime, math.sqrt(d * (2.0 - d)))
-        slack = _slack(rep)
         values |= {
             "s": float(s), "lower": lower, "upper": upper,
             "upper_perim_form": upper_perim, "upper_area_form": upper_area,
         }
-        verdicts["sandwich"] = _all_hold([
-            _ordered_verdict(rep.capacity, lower, slack),
-            _ordered_verdict(upper, rep.capacity, slack),
-        ])
+        verdicts["sandwich"] = _all_hold([_at_least(rep, lower), _at_least(upper, rep)])
         verdicts["rewrites_agree"] = all(
             abs(form - upper) <= 1e-12 * upper for form in (upper_perim, upper_area)
         )

@@ -539,9 +539,20 @@ class TestSymmetry:
     )
     def test_false_symmetry_rejected(self, b, n):
         # the order of a symmetry the plate lacks, and any order that is
-        # not a Python int >= 1 (a float, a bool), is refused
+        # not an int >= 1 (a float, a bool), is refused
         with pytest.raises(GeometryError):
             replace(b, symmetry=n)
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (6, 3), (6, 2), (4, 1)])
+    def test_numpy_int_symmetry(self, m, n):
+        # a numpy int order is an int, as hypgeom's vertex count takes it:
+        # the same solve as the Python int gives
+        b = BoundarySet.from_polygon(regular_polygon(m, 0.5))
+        plain = solve_capacity(replace(b, symmetry=n))
+        numpy_int = solve_capacity(replace(b, symmetry=np.int64(n)))
+        assert numpy_int.symmetry == n and numpy_int.capacity == plain.capacity
+        with pytest.raises(GeometryError):
+            replace(b, symmetry=np.int64(0))
 
     @pytest.mark.parametrize(
         "b, mirror",
@@ -1171,9 +1182,22 @@ class TestValidation:
                 SolverParams(**bad)
         # discretize guards its one node count the same way
         b = BoundarySet.from_euclid_disk(0.0, 0.4)
-        for bad in (4, 129, 64.0):
+        for bad in (4, 129, 64.0, True, np.int64(129), np.int64(4)):
             with pytest.raises(ConfigurationError):
                 discretize(b, bad)
+        for bad in ({"nodes_per_side": np.int64(129)}, {"max_refine": np.int64(-1)}):
+            with pytest.raises(ConfigurationError):
+                SolverParams(**bad)
+        # a numpy int is an int, as in hypgeom's vertex count: each gives
+        # the capacity the Python int gives
+        tol = DEFAULT_TOL_SMOOTH
+        for good in ({"nodes_per_side": 128}, {"max_refine": 2}):
+            (key, n), = good.items()
+            want = solve_capacity(b, SolverParams(**good), tol).capacity
+            assert solve_capacity(b, SolverParams(**{key: np.int64(n)}), tol).capacity == want
+        plain, numpy_int = discretize(b, 128), discretize(b, np.int64(128))
+        assert numpy_int.n_collocation == plain.n_collocation == 128
+        assert _solve_once(b, np.int64(128), tol).capacity == _solve_once(b, 128, tol).capacity
 
     def test_empty_plate(self):
         with pytest.raises(GeometryError, match="plate is empty"):
