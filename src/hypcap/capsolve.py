@@ -35,6 +35,8 @@ Discretization (Kress, Numer. Math. 58, 1990):
   onto each other, and the log of their zero distance is not finite.
 * Collocating at the kept nodes gives a square system, solved by
   least squares (gelsy at its default cutoff: every level has full rank).
+  The quadrature's capacity, -2 pi h sum_j psi_j, is then corrected by
+  its own estimated change Delta at twice the nodes (see below).
 
 A plate E with n-fold rotational symmetry about 0 is solved as the
 plain plate W = {z^n : z in E}.  With omega = exp(2 pi i / n), the
@@ -58,8 +60,8 @@ fits only the rows and columns with u <= pi.  discretize lists once
 which images stand for a node: itself at u, and with the mirror also
 sigma(w) at -u; each column sums over them.  A node at u = pi (a side's
 midpoint) is its own image: its column is doubled and its unknown
-halved.  The capacity is -2 pi k (pi / N) sum_j psi_j, with k = n times
-the images listed per node: n, or 2n with the mirror.
+halved.  The quadrature's capacity is -2 pi k (pi / N) sum_j psi_j, with
+k = n times the images listed per node: n, or 2n with the mirror.
 
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
@@ -69,19 +71,23 @@ sqrt 2, so that two steps double them (see _ladder).  The ladder starts
 one such step below SolverParams.nodes_per_side per side (90 below 128),
 for every plate.
 
-capacity_error is a dual-weighted-residual estimate (Becker and
-Rannacher, Acta Numerica 10, 2001) of how far the capacity moves when
-the nodes per side are doubled.  The capacity is a linear functional of
-psi whose weights are the right-hand side of the symmetric system, so
-psi is its own adjoint solution, and the check points are exactly the
-new nodes of the doubled grid, at trapezoid weight h / 2.  So, to first
-order,
+Delta is a dual-weighted-residual estimate (Becker and Rannacher, Acta
+Numerica 10, 2001) of how far the quadrature's capacity Q moves when the
+nodes per side are doubled.  Q is a linear functional of psi whose
+weights are the right-hand side of the symmetric system, so psi is its
+own adjoint solution, and the check points are exactly the new nodes of
+the doubled grid, at trapezoid weight h / 2.  So, to first order,
 
-    cap(2N) - cap(N) = Delta = -pi k h sum_mid psi~(mid) (1 - u(mid)),
+    Q(2N) - Q(N) = Delta = -pi k h sum_mid psi~(mid) (1 - u(mid)),
 
 with u the potential at the check points, psi~ the trigonometric
 interpolant of the node density there and k the images per node times
-the symmetry; capacity_error is |Delta|.
+the symmetry.  The reported capacity is Q + Delta, the adjoint-corrected
+functional (Giles and Suli, Acta Numerica 11, 2002).  It costs nothing
+more, and wherever Delta tracks the change it lies one to two digits
+closer to the finer levels than Q (on a disk, to rounding).
+capacity_error is |Delta|, the size of that correction.  The corrected
+capacity's own error is of higher order, so |Delta| bounds it too.
 
 Every level converges by one rule: its residual is below tol, its
 capacity is positive and finite (too coarse a level near the unit
@@ -470,10 +476,11 @@ class SolveReport:
     n_collocation counts the unknowns (and rows) of the fitted square
     system: the kept nodes of one sector, of half of it with a mirror.
     boundary_residual is max|u - 1| at the midpoints between those
-    nodes.  capacity_error is the estimated change of the capacity at
-    twice the nodes per side (see the module docstring).  converged says
-    that the residual is below the tolerance, the capacity positive and
-    finite, and capacity_error at most 1e-6 of the capacity.
+    nodes.  capacity is the level's quadrature plus Delta, its estimated
+    change at twice the nodes per side (see the module docstring), and
+    capacity_error is |Delta|, the size of that correction.  converged
+    says that the residual is below the tolerance, the capacity positive
+    and finite, and capacity_error at most 1e-6 of the capacity.
     """
 
     capacity: float
@@ -599,11 +606,13 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
-    """One level: b solved at per_side nodes per side, with the capacity
-    error estimated from the check (see the module docstring).  It has
-    converged when its residual is below tol, its capacity is positive
-    and finite, and its capacity error is at most 1e-6 of the capacity:
-    the one rule by which solve_capacity accepts a level."""
+    """One level: b solved at per_side nodes per side.  Its capacity is
+    the quadrature plus Delta, the quadrature's change at twice the nodes
+    estimated from the check, and its capacity error is |Delta| (see the
+    module docstring).  It has converged when its residual is below tol,
+    its capacity is positive and finite, and its capacity error is at
+    most 1e-6 of the capacity: the one rule by which solve_capacity
+    accepts a level."""
     d = discretize(b, per_side)
     A = _kernel(d)
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
@@ -616,11 +625,12 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     del A
 
     weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * d.grid.h  # of each unknown
-    capacity = weight * float(np.sum(psi))
     u, density = _check_potential(d, psi)
     residual = float(np.max(np.abs(u - 1.0)))
     # the doubled grid's new nodes are the check points, at weight h / 2
-    error = abs(0.5 * weight * float(density @ (1.0 - u)))
+    delta = 0.5 * weight * float(density @ (1.0 - u))
+    # the quadrature's capacity, corrected by its own estimated change
+    capacity, error = weight * float(np.sum(psi)) + delta, abs(delta)
     # a capacity <= 0 (or not finite) marks an under-resolved level
     converged = residual < tol and 0.0 < capacity < math.inf and error <= _CAPACITY_RTOL * capacity
     return SolveReport(
@@ -648,10 +658,11 @@ def _ladder(p: SolverParams) -> list[int]:
 
 # default residual tolerances, which a level must meet to converge.  On
 # its own the residual bounds the capacity error only loosely:
-# seq_area_c3_m3 meets 2e-3 at 256 per side while 1.1e-4 of its capacity
-# off.  It stays in the rule because the capacity error estimate can
-# cross zero: triangle_2 T at 128 per side reads 0.32 of the change, and
-# its residual fails there
+# seq_area_c3_m3 meets 2e-3 at 256 per side while its quadrature is
+# 1.1e-4 of its capacity off (7.9e-6 corrected).  It stays in the rule
+# because the capacity error estimate can cross zero: triangle_2 T at 128
+# per side reads 0.32 of the quadrature's change, and its residual fails
+# there
 DEFAULT_TOL_POLYGON = 2e-3
 DEFAULT_TOL_SMOOTH = 1e-6
 # a level converges only when its capacity error is also at most this

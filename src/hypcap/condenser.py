@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .specfun import mu
+from .specfun import _is_real, mu
 
 __all__ = [
     "cap_hyp_disk",
@@ -28,7 +28,7 @@ def cap_hyp_disk(M: float) -> float:
     Mobius invariance.  Written as 2 pi / log1p(2 / expm1(M)), which has
     no cancellation as th(M/2) rounds to 1; where 2 / expm1(M)
     overflows (M below about 1e-308) the log is log 2 - log M."""
-    if not 0.0 < M < math.inf:
+    if not _is_real(M) or not 0.0 < M < math.inf:
         raise ValueError(f"hyperbolic radius must be positive and finite, got {M}")
     q = 2.0 / math.expm1(M)
     log_q = math.log1p(q) if q < math.inf else math.log(2.0) - math.log(M)
@@ -42,7 +42,7 @@ def ref_cap_area(c: float) -> float:
     """Capacity 2 pi / log M1 = 4 pi / log1p(4 pi / c) of the reference
     disk |z| <= 1/M1 of hyperbolic area c, M1 = sqrt(1 + 4 pi / c);
     where 4 pi / c overflows the log is log(4 pi) - log c."""
-    if not 0.0 < c < math.inf:
+    if not _is_real(c) or not 0.0 < c < math.inf:
         raise ValueError(f"ref_cap_area requires 0 < c < inf, got {c}")
     q = 4.0 * math.pi / c
     log_q = math.log1p(q) if q < math.inf else math.log(4.0 * math.pi) - math.log(c)
@@ -54,7 +54,7 @@ def ref_cap_perim(c: float) -> float:
     disk |z| <= 1/M2 of hyperbolic perimeter c, M2 = sqrt(1 + 4 pi^2 /
     c^2) + 2 pi / c; the paper's f1.  Where 2 pi / c overflows, arsh of
     it is log(4 pi) - log c to rounding."""
-    if not 0.0 < c < math.inf:
+    if not _is_real(c) or not 0.0 < c < math.inf:
         raise ValueError(f"ref_cap_perim requires 0 < c < inf, got {c}")
     q = 2.0 * math.pi / c
     log_q = math.asinh(q) if q < math.inf else math.log(4.0 * math.pi) - math.log(c)
@@ -69,7 +69,7 @@ def triangle_bounds_from_s(s: float) -> tuple[float, float]:
     cancellation in 1 - r^2 as s -> 1.  Where s^3 is subnormal or 0 (s
     below about 2.8e-103), mu(s^3) is log 4 - 3 log s, which mu(r) equals
     to 1e-16 far above that."""
-    if not 0.0 < s < 1.0:
+    if not _is_real(s) or not 0.0 < s < 1.0:
         raise ValueError(f"triangle_bounds_from_s requires 0 < s < 1, got {s}")
     r, d, q = s**3, (1.0 - s) * (1.0 + s), math.sqrt(s**4 + s**2 + 1.0)
     upper = 3.0 * math.pi / mu(math.sqrt(3.0) * s / q, d / q)

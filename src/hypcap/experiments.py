@@ -18,8 +18,8 @@ Every verdict on a solved capacity follows one rule, _at_least(larger,
 smaller).  Each side is a solve or a closed form, and the verdict is
 True or False when the two values differ by more than the slack, and
 "inconclusive-within-error" otherwise.  The slack is the error model of
-the solves compared: twice the sum of their capacity errors (each the
-estimated change of the capacity at twice the nodes, see capsolve), plus
+the solves compared: twice the sum of their capacity errors (each |Delta|,
+the size of the correction capsolve adds to a level's quadrature), plus
 1e-10 of the sum of their capacities for rounding.  A closed form (a
 disk bound, a bounds row's lower and upper bound) is exact and adds
 nothing to it.  Where a row compares polygons of one shared measure, a
@@ -137,9 +137,10 @@ class ExperimentRow:
 def _slack(*reports: SolveReport) -> float:
     """Verdict slack: twice the sum of the solves' capacity errors, plus
     1e-10 of the sum of their capacities for rounding.  Each capacity
-    error estimates the change to the doubled level; twice it covers a
-    level four times finer on every published plate (worst 0.59 of the
-    slack)."""
+    error is the size of the correction that estimates the quadrature's
+    change to the doubled level; twice it covers the corrected capacity's
+    distance to a level four times finer on every published plate (worst
+    0.26 of the slack, triangle_10 T; 0.57 before the correction)."""
     return sum(2.0 * r.capacity_error + 1e-10 * r.capacity for r in reports)
 
 

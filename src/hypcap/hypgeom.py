@@ -57,6 +57,11 @@ class GeometryError(ValueError):
     """Invalid hyperbolic-geometric configuration."""
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number, Python or numpy, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _vertex_count(m) -> int:
     """m, if it is an int (Python or numpy, not a bool) of at least 3,
     else GeometryError."""
@@ -116,7 +121,7 @@ class HypDisk:
 
     def __post_init__(self):
         _check_in_disk(self.center, "center")
-        if not 0.0 < self.radius < math.inf:
+        if not _is_real(self.radius) or not 0.0 < self.radius < math.inf:
             raise GeometryError(f"hyperbolic radius must be positive and finite, got {self.radius}")
 
 
@@ -285,7 +290,7 @@ class HypPolygon:
 def regular_polygon(m: int, r: float) -> HypPolygon:
     """Regular hyperbolic m-gon with vertices r exp(2 pi i k / m)."""
     _vertex_count(m)
-    if not 0.0 < r < 1.0:
+    if not _is_real(r) or not 0.0 < r < 1.0:
         raise GeometryError(f"vertex radius must be in (0, 1), got {r}")
     vs = [r * cmath.exp(2j * math.pi * k / m) for k in range(m)]
     return HypPolygon.from_vertices(vs)
@@ -309,7 +314,7 @@ def equilateral_triangle_radius(omega: float) -> float:
     regular_radius_from_area; r -> 1 as omega -> 0 and r -> 0 as
     omega -> pi/3, with no cancellation at either end.
     """
-    if not 0.0 < omega < math.pi / 3.0:
+    if not _is_real(omega) or not 0.0 < omega < math.pi / 3.0:
         raise GeometryError(f"equilateral angle must lie in (0, pi/3), got {omega}")
     return regular_radius_from_area(3, math.pi - 3.0 * omega)
 
@@ -323,7 +328,7 @@ def regular_radius_from_perimeter(m: int, L: float) -> float:
     40 on, long before sh overflows (about 710).
     """
     _vertex_count(m)
-    if not 0.0 < L < math.inf:
+    if not _is_real(L) or not 0.0 < L < math.inf:
         raise GeometryError(f"perimeter must be positive and finite, got {L}")
     s = math.sinh(min(0.5 * L / m, 40.0))
     a = math.sin(math.pi / m)
@@ -348,7 +353,7 @@ def regular_radius_from_area(m: int, c: float) -> float:
     range (0, (m-2) pi) ends at the ideal polygon, r = 1.
     """
     _vertex_count(m)
-    if not 0.0 < c < (m - 2) * math.pi:
+    if not _is_real(c) or not 0.0 < c < (m - 2) * math.pi:
         raise GeometryError(f"area {c} outside the attainable range (0, {(m - 2) * math.pi})")
     r = math.sqrt(math.sin(0.5 * c / m) / math.sin(0.5 * (4.0 * math.pi + c) / m))
     if r > 1.0 - 1e-12:

@@ -17,6 +17,7 @@ package.
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = [
     "mu",
@@ -31,6 +32,11 @@ _AGM_MAX_ITER = 64
 # to 1e-16 there, and s itself soon underflows (0.25 c is 0 for c <= 1e-323)
 # or becomes subnormal (1/ch(c/4) from c = 2836 on) and loses digits.
 _F2_ASYMPTOTIC_S = 1e-8
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number, Python or numpy, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _agm(a: float, b: float) -> float:
@@ -52,8 +58,10 @@ def mu(r: float, rc: float | None = None) -> float:
     there, which costs only O(r^2), and AGM(1, r) stays accurate down to
     the smallest subnormal r.
     """
-    if not 0.0 < r <= 1.0:
+    if not _is_real(r) or not 0.0 < r <= 1.0:
         raise ValueError(f"mu requires 0 < r <= 1, got {r}")
+    if rc is not None and not _is_real(rc):
+        raise ValueError(f"mu requires a real rc, got {rc!r}")
     rc = math.sqrt((1.0 - r) * (1.0 + r)) if rc is None else rc
     if rc == 0.0:
         return 0.0
@@ -69,7 +77,7 @@ def f2(c: float) -> float:
     which stays accurate where th(c/4) rounds to 1; for small and large
     c the asymptotic mu(s) ~ log(4/s) takes over (see _F2_ASYMPTOTIC_S).
     """
-    if not 0.0 < c < math.inf:
+    if not _is_real(c) or not 0.0 < c < math.inf:
         raise ValueError(f"f2 requires 0 < c < inf, got {c}")
     x = 0.25 * c
     t = math.tanh(x)

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from hypcap.capsolve import (
     discretize,
     solve_capacity,
 )
-from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim
+from hypcap.condenser import cap_hyp_disk, ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from hypcap.experiments import (
     DEFAULT_POLYGON_ROWS,
     DEFAULT_TRIANGLE_ROWS,
@@ -59,7 +60,7 @@ from hypcap.hypgeom import (
     regular_radius_from_perimeter,
     triangle_measures,
 )
-from hypcap.specfun import f2
+from hypcap.specfun import f2, mu
 
 SEED = 73301
 
@@ -138,6 +139,16 @@ def _levels_solved(b, monkeypatch, p=None):
         patch.setattr(capsolve, "_solve_once", recorded)
         solve_capacity(b, p)
     return levels
+
+
+def _quadrature_capacity(b, per_side):
+    """The capacity of plate b at per_side nodes per side before its
+    correction: weight * sum(psi), with psi the least-squares density of
+    the level's Nystrom matrix and weight -2 pi k h, k the images per
+    node times the symmetry."""
+    d = discretize(b, per_side)
+    psi = scipy.linalg.lstsq(_kernel(d), np.ones(d.n_collocation), lapack_driver="gelsy")[0]
+    return -2.0 * math.pi * b.symmetry * len(d.images) * d.grid.h * float(np.sum(psi))
 
 
 def _random_points(rng, k):
@@ -223,6 +234,17 @@ class TestSmoothPlates:
             exact = cap_hyp_disk(M)
             assert abs(rep.capacity - exact) / exact < 1e-7
 
+    @pytest.mark.parametrize("M", [0.2, 0.5, 1.0, 2.0, 2.2, 3.0])
+    @pytest.mark.parametrize("center", [0.0, 0.3, 0.5j, -0.4 + 0.2j])
+    def test_corrected_disk_capacity_to_rounding(self, center, M):
+        # on a circle the quadrature converges geometrically, and its
+        # correction Delta leaves the converged capacity within 6.1e-15 of
+        # the closed form over this grid (2.7e-8 uncorrected)
+        rep = cap_disk(HypDisk(center, M))
+        exact = cap_hyp_disk(M)
+        assert rep.converged
+        assert abs(rep.capacity - exact) <= 1e-13 * exact
+
     def test_disk_through_origin(self):
         # the circle's real diameter runs from -0.6 to 0, so one node sits
         # exactly at z = 0
@@ -233,8 +255,9 @@ class TestSmoothPlates:
 
     def test_near_rim_disk_refines_past_negative_level(self):
         # the disk comes within 2.7e-3 of the unit circle; its 128-node
-        # level gives capacity -1436.6, which the ladder refines past
-        # instead of raising.  1024 nodes are still short of 1e-6
+        # level gives capacity -1.6e5, which the ladder refines past
+        # instead of raising.  1024 nodes are still short of 1e-6, though
+        # 1.7e-7 of the capacity off (3.8e-4 uncorrected)
         rep = cap_disk(HypDisk(0.3, 6.0))
         exact = cap_hyp_disk(6.0)
         assert not rep.converged
@@ -248,7 +271,7 @@ class TestSmoothPlates:
         # disk stays unconverged at 1024 nodes from M = 6 on, centred or
         # not, and from M = 9 (M = 8 off centre) its last level is still
         # negative.  A capacity it does return is within its residual:
-        # the measured ratio of the two is at most 0.56
+        # the measured ratio of the two is at most 0.011 (0.51 uncorrected)
         try:
             rep = cap_disk(HypDisk(center, M))
         except SolverError:
@@ -774,10 +797,11 @@ class TestNystrom:
         # the error model of test_level_change_within_residual on the
         # sqrt 2 step: on the two needle rows that refine (triangle_2 T
         # stops at 182 per side, triangle_6 T at 512) and the row with the
-        # largest ratio on a doubling (triangle_5 T, at 256), the capacity
-        # moves by less than a level's residual at every step from the
-        # first rung up to the one past the converged level; the largest
-        # ratio is 0.105 (triangle_5 T, 90 -> 128 per side)
+        # largest ratio on a doubling before the correction (triangle_5 T,
+        # at 256), the capacity moves by less than a level's residual at
+        # every step from the first rung up to the one past the converged
+        # level; the largest ratio is 0.032 (triangle_6 T, 128 -> 182 per
+        # side; 0.105 uncorrected, triangle_5 T, 90 -> 128)
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
         levels = []
         for per_side in _ladder(SolverParams()):
@@ -877,11 +901,12 @@ class TestNystrom:
     def test_level_change_within_residual(self, poly, per_side):
         # the residual's error model: the capacity moves by less than a
         # level's residual when refined, here from the start, 128 per side.
-        # On the ten published T plates the largest ratio is 0.11
-        # (triangle_5).  The two regular plates are checked at 256 per
-        # side: at 128, triangle_5 T0 moves 9.47e-4 against a residual of
-        # 8.51e-4, a level its capacity error (7.1e-5 of the capacity)
-        # refuses anyway
+        # On the ten published T plates the largest ratio is 0.035
+        # (triangle_6; 0.11 uncorrected, triangle_5).  The two regular
+        # plates are checked at 256 per side: at 128, triangle_5 T0's
+        # quadrature moves 9.47e-4 against a residual of 8.51e-4 (its
+        # corrected capacity 4.6e-5), a level its capacity error (7.1e-5 of
+        # the capacity) refuses anyway
         b = BoundarySet.from_polygon(poly)
         start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side))
         assert start.capacity > 0.0
@@ -898,14 +923,15 @@ class TestNystrom:
     def test_verdict_slack_covers_sharp_regular_rows(self, poly, unknowns):
         # the published regular rows with the largest capacity error for
         # their residual: at 1024 per side the capacity at the start, 256
-        # per side, is 0.88 and 0.57 of twice its residual off, more than
-        # the residual alone on the 3-gon at r = 0.96; of the table,
-        # sequence and bounds rows the next is table_r0.9_m3 at 0.22.  Its
-        # verdict slack, twice the capacity error, covers it too.  The
-        # default solve refines until the capacity error is at most 1e-6
-        # of the capacity (1024 and 724 per side, 499 and 353 unknowns);
-        # its slack covers the level at 2048 per side, widened by that
-        # level's own capacity error, at 0.51 of the slack
+        # per side, is 0.063 and 0.024 of twice its residual off (0.88 and
+        # 0.57 uncorrected, more than the residual alone on the 3-gon at
+        # r = 0.96); of the table, sequence and bounds rows the next is
+        # table_r0.9_m3 at 0.005 (0.22).  Its verdict slack, twice the
+        # capacity error, covers it too.  The default solve refines until
+        # the capacity error is at most 1e-6 of the capacity (1024 and 724
+        # per side, 499 and 353 unknowns); its slack covers the level at
+        # 2048 per side, widened by that level's own capacity error, at
+        # 0.016 of the slack (0.51 uncorrected)
         b = BoundarySet.from_polygon(poly)
         start, fine = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (256, 1024))
         assert abs(start.capacity - fine.capacity) <= 2.0 * start.boundary_residual
@@ -926,35 +952,71 @@ class TestNystrom:
         ids=["triangle_4-T", "polygon_4-P", "triangle_1-T", "triangle_7-T", "3-0.9"],
     )
     def test_capacity_error_tracks_next_doubling(self, poly):
-        # the dual-weighted residual predicts the doubled level's capacity
-        # change: at the first rung and the start, where the change is
-        # above 1e-9 of the capacity, capacity_error / |cap(2N) - cap(N)|
-        # is 0.8897 (triangle_1 T at 90 per side) to 1.0135 (polygon_4 P
-        # at 90).  Nearer the rounding floor it drifts (triangle_1 T reads
-        # 0.82 at 182 per side)
+        # the dual-weighted residual predicts the doubled level's change of
+        # the quadrature capacity, the capacity before its correction: at
+        # the first rung and the start, where the change is above 1e-9 of
+        # the capacity, capacity_error / |Q(2N) - Q(N)| is 0.8897
+        # (triangle_1 T at 90 per side) to 1.0135 (polygon_4 P at 90).
+        # Nearer the rounding floor it drifts (triangle_1 T reads 0.82 at
+        # 182 per side)
         b = BoundarySet.from_polygon(poly)
         ratios = []
         for per_side in _ladder(SolverParams())[:2]:
-            coarse, fine = (
-                _solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (per_side, 2 * per_side)
-            )
-            change = abs(fine.capacity - coarse.capacity)
+            coarse = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
+            change = abs(_quadrature_capacity(b, 2 * per_side) - _quadrature_capacity(b, per_side))
             if change > 1e-9 * coarse.capacity:
                 ratios.append(coarse.capacity_error / change)
         assert ratios
         assert all(0.88 <= ratio <= 1.02 for ratio in ratios), ratios
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]),
+            HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]),
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[0]),
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[6]),
+            regular_polygon(3, 0.9),
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]),
+        ],
+        ids=[
+            "triangle_4-T", "polygon_4-P", "triangle_1-T", "triangle_7-T", "3-0.9", "triangle_2-T",
+        ],
+    )
+    def test_corrected_capacity_nearer_finer_level(self, poly):
+        # a level's capacity is its quadrature plus Delta, the estimate of
+        # the quadrature's change at twice the nodes.  At the first rung
+        # and the start the corrected capacity is never farther from the
+        # level four times finer than the quadrature is, and at least 5x
+        # nearer where Delta tracks the change (the band of
+        # test_capacity_error_tracks_next_doubling): 8.3x on triangle_1 T
+        # at 90 per side, 54x on triangle_4 T, 133x on polygon_4 P.  Where
+        # Delta does not track, triangle_2 T, it reads 4.7x at 90 per side
+        # (0.78 of the change) and 1.5x at 128 (0.32, the zero crossing)
+        b = BoundarySet.from_polygon(poly)
+        for per_side in _ladder(SolverParams())[:2]:
+            level = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
+            quadrature = _quadrature_capacity(b, per_side)
+            finer = _solve_once(b, 4 * per_side, DEFAULT_TOL_POLYGON).capacity
+            change = abs(_quadrature_capacity(b, 2 * per_side) - quadrature)
+            ratio = level.capacity_error / change
+            tracks = change > 1e-9 * level.capacity and 0.88 <= ratio <= 1.02
+            gain = abs(quadrature - finer) / abs(level.capacity - finer)
+            assert gain >= (5.0 if tracks else 1.0), (per_side, gain)
+
     def test_capacity_error_zero_crossing_never_gated(self):
         # triangle_2 T's error changes sign between 90 and 182 per side, so
-        # at 128 the estimate reads 0.32 of the change.  Its residual
-        # fails there and at the first rung, so neither level converges on
-        # its capacity error alone: the solve goes on to 182 per side
+        # at 128 the estimate reads 0.32 of the quadrature's change.  Its
+        # residual fails there and at the first rung, so neither level
+        # converges on its capacity error alone: the solve goes on to 182
+        # per side
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]))
-        first, start, finer = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (90, 128, 256))
+        first, start = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (90, 128))
         assert not first.converged and not start.converged
         # the residual alone refuses 128 per side: its capacity error meets 1e-6
         assert start.capacity_error <= 1e-6 * start.capacity
-        assert 0.3 <= start.capacity_error / abs(finer.capacity - start.capacity) <= 0.35
+        change = abs(_quadrature_capacity(b, 256) - _quadrature_capacity(b, 128))
+        assert 0.3 <= start.capacity_error / change <= 0.35
         assert solve_capacity(b).n_collocation == discretize(b, 182).n_collocation
 
     def test_capacity_error_gate(self, monkeypatch):
@@ -998,8 +1060,9 @@ class TestNystrom:
     def test_verdict_slack_covers_finer_reference(self, poly, monkeypatch):
         # the verdict slack of a default solve covers the level four times
         # finer, widened by that level's own capacity error (its sign is
-        # not reported); the measured worst over the 100 published solves
-        # is 0.59 of the slack, and these plates read 0.50-0.57
+        # not reported); on the corrected capacities the measured worst
+        # over the 100 published solves is 0.26 of the slack (triangle_10
+        # T), and these plates read 0.005-0.034 (0.50-0.53 uncorrected)
         b = BoundarySet.from_polygon(poly)
         rep = solve_capacity(b)
         per_side = _levels_solved(b, monkeypatch)[-1]
@@ -1142,7 +1205,26 @@ NAN_INPUTS = {
     "euclid_center": (lambda x: BoundarySet.from_euclid_disk(x, 0.3), "plate boundary reaches"),
     "sequence_area": (lambda x: run_sequence_area(x), "outside the attainable range"),
     "sequence_perim": (lambda x: run_sequence_perim(x), "perimeter must"),
+    "mu": (lambda x: mu(x), "mu requires"),
+    "triangle_bounds": (lambda x: triangle_bounds_from_s(x), "triangle_bounds_from_s requires"),
+    "area_radius": (lambda x: regular_radius_from_area(3, x), "outside the attainable range"),
+    "equilateral_radius": (lambda x: equilateral_triangle_radius(x), "equilateral angle"),
+    "regular_radius": (lambda x: regular_polygon(3, x), "vertex radius"),
 }
+
+# the guards of a real radius, measure, modulus or tolerance, and mu's
+# complementary modulus (which has no range to check): a bool is not
+# real there, although True would pass as 1.0, and a complex or a string
+# would fail later as a bare TypeError
+REAL_INPUTS = {
+    name: NAN_INPUTS[name]
+    for name in (
+        "disk_radius", "perimeter_radius", "cap_hyp_disk", "ref_cap_area", "ref_cap_perim", "f2",
+        "run_f1f2", "tol", "sequence_area", "sequence_perim", "mu", "triangle_bounds",
+        "area_radius", "equilateral_radius", "regular_radius",
+    )
+} | {"mu_rc": (lambda x: mu(0.5, x), "mu requires a real rc")}
+NOT_REAL = {"true": True, "numpy-true": np.True_, "complex": 0.5 + 0j, "string": "0.5"}
 
 
 class TestValidation:
@@ -1165,6 +1247,13 @@ class TestValidation:
     )
     def test_nan_input_rejected(self, name, bad):
         call, message = NAN_INPUTS[name]
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
+    @pytest.mark.parametrize("name", REAL_INPUTS)
+    @pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL)
+    def test_non_real_input_rejected(self, name, bad):
+        call, message = REAL_INPUTS[name]
         with pytest.raises(ValueError, match=message):
             call(bad)
 
