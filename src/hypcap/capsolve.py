@@ -124,13 +124,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .hypgeom import GeometryError, HypDisk, HypPolygon, hyp_disk_to_euclid
+from .hypgeom import _check_in_disk, _is_int, _is_real
 
 __all__ = [
     "BoundarySet",
@@ -263,14 +263,9 @@ class BoundarySet:
 
     @staticmethod
     def from_euclid_disk(center: complex, radius: float) -> "BoundarySet":
-        if not 0.0 < radius < math.inf:
-            raise GeometryError(f"disk radius must be positive and finite, got {radius}")
-        return BoundarySet(pieces=(_CirclePiece(complex(center), radius),))
-
-
-def _is_int(n) -> bool:
-    """Whether n is an int, Python or numpy, and not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if not _is_real(radius) or not 0.0 < radius < math.inf:
+            raise GeometryError(f"disk radius must be positive and finite, got {radius!r}")
+        return BoundarySet(pieces=(_CirclePiece(_check_in_disk(center, "center"), radius),))
 
 
 def _nodes_per_side(per_side: int) -> int:
@@ -682,8 +677,14 @@ def solve_capacity(
     converged report, else the last (converged=False).  SolverError is
     raised at once for a non-finite Nystrom matrix, and after the last
     level if its capacity is still not positive and finite.
+
+    The default tol is the polygon residual tolerance, DEFAULT_TOL_POLYGON,
+    for every plate: solve_capacity does not look at the plate to choose
+    it.  A circle plate passed here directly is held to the disk residual
+    tolerance only when the caller passes DEFAULT_TOL_SMOOTH, as cap_disk
+    does.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+    if not _is_real(tol) or not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be a positive and finite real, got {tol!r}")
     for per_side in _ladder(p or SolverParams()):
         report = _solve_once(b, per_side, tol)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .specfun import _is_real, mu
+from .hypgeom import _is_real
+from .specfun import mu
 
 __all__ = [
     "cap_hyp_disk",

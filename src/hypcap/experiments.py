@@ -53,6 +53,7 @@ from .condenser import ref_cap_area, ref_cap_perim, triangle_bounds_from_s
 from .hypgeom import (
     GeometryError,
     HypPolygon,
+    _check_in_disk,
     hyp_dist,
     hyp_midpoint,
     mobius,
@@ -212,8 +213,10 @@ def recenter_triangle(v1: complex, v2: complex, v3: complex) -> HypPolygon:
     moving the input by an isometry first moves a with it, and the
     result differs only by a rotation (or reflection) about 0: where the
     input triangle sits does not change the recentred plate's vertex moduli.
+    A vertex that is not a point of the disk raises GeometryError, which
+    names it vertex 0, 1 or 2 (hypgeom's point rule).
     """
-    vs = (v1, v2, v3)
+    vs = [_check_in_disk(v, f"vertex {k}") for k, v in enumerate((v1, v2, v3))]
     side = [hyp_dist(vs[k - 1], vs[k]) for k in range(3)]  # sides k and k + 1 meet at vertex k
     k = next((k for k in (2, 0, 1) if math.isclose(side[k], side[k - 2], rel_tol=1e-12)), 2)
     a = hyp_midpoint(hyp_midpoint(vs[k - 2], vs[k - 1]), vs[k])
@@ -234,12 +237,15 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, key):
     PolygonMeasures, at the _MEASURES radius), solve that competitor, and
     compare the two capacities under key in the measure's direction.
     equal_<measure> checks the competitor's c0 against c to 1e-12
-    relative.  rid formats the row id from i (1-based) and m."""
+    relative.  rid formats the row id from i (1-based) and m.  A vertex
+    that is not a point of the disk makes a row error that names it
+    (HypPolygon.from_vertices and recenter_triangle check every vertex).
+    A solved row's inputs hold each vertex as [re, im], a row error's the
+    vertices as given."""
     out = []
     for i, vs in enumerate(vertex_lists):
         m = len(vs)
         rid_i = rid.format(i=i + 1, m=m)
-        inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
         try:
             keys = (f"cap_{x}", f"residual_{x}", f"error_{x}")
             rep, values, verdicts, pm = _solve(build(vs), keys)
@@ -248,8 +254,9 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, key):
             competitor = regular_polygon(m, r0)
             rep_0, c0 = cap_polygon(competitor), getattr(polygon_measures(competitor), measure)
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
-            out.append(ExperimentRow(id=rid_i, inputs=inputs, error=str(exc)))
+            out.append(ExperimentRow(id=rid_i, inputs={"vertices": list(vs)}, error=str(exc)))
             continue
+        inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
         values |= {
             f"cap_{x}0": rep_0.capacity, f"residual_{x}0": rep_0.boundary_residual,
             f"error_{x}0": rep_0.capacity_error, "slack": _slack(rep, rep_0),

@@ -16,6 +16,16 @@ construction, exactly and from the phase steps between its vertices,
 that its plate is starlike about 0: that validates the vertex list as a
 simple, counterclockwise boundary.  Every side, diameter or not, is one
 closed form (GeodesicArc).
+
+Every value the package takes from outside is one of three kinds, and
+each kind has one rule, written here once: a real (a radius, an area,
+a perimeter, a modulus, a tolerance) is a Python or numpy real and not
+a bool (_is_real); a count is a Python or numpy integral and not a bool
+(_is_int); a point is a Python or numpy number and not a bool, with
+|z| < 1 (_check_in_disk, which returns it as a complex).  A string,
+None, a container or a 0-d array is none of them.  The guards of every
+module (hypgeom, specfun, condenser, capsolve and experiments) call
+these rules and add only the range of their own parameter.
 """
 
 from __future__ import annotations
@@ -62,19 +72,24 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_int(n) -> bool:
+    """Whether n is an int, Python or numpy, and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _check_in_disk(z, name: str) -> complex:
+    """z as a complex, if it is a number, Python or numpy and not a bool,
+    with |z| < 1 (NaN fails), else GeometryError."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Number) or not abs(z) < 1.0:
+        raise GeometryError(f"{name} {z!r} is not inside the unit disk")
+    return complex(z)
+
+
 def _vertex_count(m) -> int:
-    """m, if it is an int (Python or numpy, not a bool) of at least 3,
-    else GeometryError."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 3:
+    """m, if it is an int of at least 3 (_is_int), else GeometryError."""
+    if not _is_int(m) or m < 3:
         raise GeometryError(f"polygon needs an int of at least 3 vertices, got {m!r}")
     return m
-
-
-def _check_in_disk(z: complex, name: str = "point") -> complex:
-    z = complex(z)
-    if not abs(z) < 1.0:  # NaN fails too
-        raise GeometryError(f"{name} {z} is not inside the unit disk")
-    return z
 
 
 def hyp_dist(x: complex, y: complex) -> float:
@@ -105,7 +120,7 @@ def hyp_midpoint(x: complex, y: complex) -> complex:
     """Hyperbolic midpoint of the geodesic segment from x to y: mobius(x, .)
     sends y to w, and its inverse mobius(-x, .) sends back the point
     th(artanh|w| / 2) w / |w| halfway from 0 to w."""
-    w = mobius(x, y)
+    w = mobius(x, _check_in_disk(y, "y"))  # mobius checks only the modulus of its z
     if w == 0:
         return complex(x)
     t = math.tanh(0.5 * math.atanh(abs(w)))

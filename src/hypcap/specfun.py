@@ -17,7 +17,8 @@ package.
 from __future__ import annotations
 
 import math
-import numbers
+
+from .hypgeom import _is_real
 
 __all__ = [
     "mu",
@@ -34,13 +35,8 @@ _AGM_MAX_ITER = 64
 _F2_ASYMPTOTIC_S = 1e-8
 
 
-def _is_real(x) -> bool:
-    """Whether x is a real number, Python or numpy, and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
+    """Arithmetic-geometric mean of positive a and b."""
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= _AGM_RTOL * a:
             break

@@ -51,6 +51,7 @@ from hypcap.hypgeom import (
     HypDisk,
     HypPolygon,
     equilateral_triangle_radius,
+    geodesic_arc,
     hyp_disk_to_euclid,
     hyp_dist,
     hyp_midpoint,
@@ -1004,6 +1005,45 @@ class TestNystrom:
             gain = abs(quadrature - finer) / abs(level.capacity - finer)
             assert gain >= (5.0 if tracks else 1.0), (per_side, gain)
 
+    @pytest.mark.parametrize("per_side", [64, 90])
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            recenter_triangle(*DEFAULT_TRIANGLE_ROWS[0]),
+            HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]),
+            HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[1]),
+        ],
+        ids=["triangle_1-T", "polygon_4-P", "polygon_2-P-mirror"],
+    )
+    def test_capacity_error_one_sided(self, poly, per_side):
+        # Delta's one-sided relation (Becker and Rannacher, 2001).  Level
+        # 2N's kept nodes are level N's kept nodes and check points, so the
+        # density prolongs to P psi: psi(N) at the old nodes and its
+        # trigonometric interpolant, Delta's density, at the old check
+        # points.  With A = A(2N), psi(2N) = A^-1 1, e = psi(2N) - P psi,
+        # r = 1 - A P psi (the residual 1 - u, of the same sign as in
+        # Delta) and c = -2 pi k h(2N) < 0, symmetry of A gives
+        #     cap(2N) - c sum(P psi) - c (P psi)^T r = c e^T A e,
+        # which is >= 0 when A is negative definite (largest eigenvalue
+        # -4.4e-4 to -6.7e-3 here).  The left side is 1.4e-10 to 5.1e-7 of
+        # the capacity; with r = A P psi - 1 the first term changes sign
+        # and the relation fails on three of these six cases
+        b = BoundarySet.from_polygon(poly)
+        coarse, fine = discretize(b, per_side), discretize(b, 2 * per_side)
+        old = np.concatenate([coarse.grid.pos, coarse.grid.check_pos])
+        assert np.array_equal(fine.grid.pos, 2 * np.sort(old))
+        ones = np.ones(coarse.n_collocation)
+        psi = scipy.linalg.lstsq(_kernel(coarse), ones, lapack_driver="gelsy")[0]
+        _, density = _check_potential(coarse, psi)
+        prolonged = np.concatenate([psi, density])[np.argsort(old)]
+        A = _kernel(fine)
+        assert np.linalg.eigvalsh(A).max() < 0.0
+        psi_fine = scipy.linalg.lstsq(A, np.ones(fine.n_collocation), lapack_driver="gelsy")[0]
+        c = -2.0 * math.pi * b.symmetry * len(fine.images) * fine.grid.h
+        cap = c * float(np.sum(psi_fine))
+        delta_full = c * float(prolonged @ (1.0 - A @ prolonged))
+        assert cap - c * float(np.sum(prolonged)) - delta_full >= -1e-12 * cap
+
     def test_capacity_error_zero_crossing_never_gated(self):
         # triangle_2 T's error changes sign between 90 and 182 per side, so
         # at 128 the estimate reads 0.32 of the quadrature's change.  Its
@@ -1202,7 +1242,7 @@ NAN_INPUTS = {
     "run_f1f2": (lambda x: run_f1f2([x]), "ref_cap_perim requires"),
     "tol": (lambda x: cap_polygon(regular_polygon(4, 0.5), tol=x), "tolerance must"),
     "euclid_radius": (lambda x: BoundarySet.from_euclid_disk(0.0, x), "radius must be positive"),
-    "euclid_center": (lambda x: BoundarySet.from_euclid_disk(x, 0.3), "plate boundary reaches"),
+    "euclid_center": (lambda x: BoundarySet.from_euclid_disk(x, 0.3), "unit disk"),
     "sequence_area": (lambda x: run_sequence_area(x), "outside the attainable range"),
     "sequence_perim": (lambda x: run_sequence_perim(x), "perimeter must"),
     "mu": (lambda x: mu(x), "mu requires"),
@@ -1220,11 +1260,30 @@ REAL_INPUTS = {
     name: NAN_INPUTS[name]
     for name in (
         "disk_radius", "perimeter_radius", "cap_hyp_disk", "ref_cap_area", "ref_cap_perim", "f2",
-        "run_f1f2", "tol", "sequence_area", "sequence_perim", "mu", "triangle_bounds",
-        "area_radius", "equilateral_radius", "regular_radius",
+        "run_f1f2", "tol", "euclid_radius", "sequence_area", "sequence_perim", "mu",
+        "triangle_bounds", "area_radius", "equilateral_radius", "regular_radius",
     )
 } | {"mu_rc": (lambda x: mu(0.5, x), "mu requires a real rc")}
 NOT_REAL = {"true": True, "numpy-true": np.True_, "complex": 0.5 + 0j, "string": "0.5"}
+
+# the guards of a point of the disk (mobius's array z keeps its own
+# check): each takes a number, Python or numpy, and nothing else.
+# complex() would parse the string and take the bools as 0 or 1, and a
+# list or None would fail later as a bare TypeError
+POINT_INPUTS = {
+    name: NAN_INPUTS[name]
+    for name in ("disk_center", "hyp_dist", "mobius", "hyp_midpoint", "euclid_center")
+} | {
+    "vertex": (lambda x: HypPolygon.from_vertices([x, 0.5j, -0.5, -0.5j]), "unit disk"),
+    "geodesic_arc": (lambda x: geodesic_arc(0.1, x), "unit disk"),
+    "recenter_triangle": (lambda x: recenter_triangle(0.1, 0.2j, x), "unit disk"),
+}
+NOT_POINT = {"none": None, "string": "0.5", "true": True, "numpy-true": np.True_, "list": [0.5]}
+NUMPY_POINTS = {
+    "numpy-float": np.float64(0.25),
+    "numpy-complex": np.complex64(0.25 - 0.25j),
+    "numpy-int": np.int64(0),
+}
 
 
 class TestValidation:
@@ -1256,6 +1315,24 @@ class TestValidation:
         call, message = REAL_INPUTS[name]
         with pytest.raises(ValueError, match=message):
             call(bad)
+
+    @pytest.mark.parametrize("name", POINT_INPUTS)
+    @pytest.mark.parametrize("bad", NOT_POINT.values(), ids=NOT_POINT)
+    def test_non_point_input_rejected(self, name, bad):
+        call, message = POINT_INPUTS[name]
+        with pytest.raises(GeometryError, match=message):
+            call(bad)
+
+    @pytest.mark.parametrize("name", POINT_INPUTS)
+    @pytest.mark.parametrize("good", NUMPY_POINTS.values(), ids=NUMPY_POINTS)
+    def test_numpy_point_accepted(self, name, good):
+        # every numpy number passes the point guard, as a Python one does;
+        # a vertex at 0 is refused after it, by the starlike check
+        call, _ = POINT_INPUTS[name]
+        try:
+            call(good)
+        except GeometryError as exc:
+            assert name == "vertex" and good == 0 and "radial side" in str(exc), exc
 
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):

@@ -89,14 +89,34 @@ CONJECTURES = {
     "polygon_conjecture": ("polygon_", "P", "perimeter", "capacity_not_above_regular"),
 }
 
+# each conjecture driver beside a degenerate row, rows with a vertex that
+# is not a point of the disk (None and a string that complex() rejects,
+# strings that it parses, and a bool it would take as the vertex 0) with
+# the vertex each row error names, and a good row
 DEGENERATE_RUNS = {
-    # three points on a diameter: recentred, every side is radial
-    "triangle_conjecture": lambda: experiments.run_triangle_conjecture(
-        rows=[(0.1, 0.2, 0.3), DEFAULT_TRIANGLE_ROWS[3]]
+    "triangle_conjecture": (
+        experiments.run_triangle_conjecture,
+        # three points on a diameter: recentred, every side is radial
+        (0.1, 0.2, 0.3),
+        [
+            ((None, 0.1, 0.2), 0),
+            (("abc", 0.1, 0.2), 0),
+            (("0.6", "0.2-0.5j", "-0.3-0.5j"), 0),
+            ((0.6, 0.2 - 0.5j, False), 2),
+        ],
+        DEFAULT_TRIANGLE_ROWS[3],
     ),
-    # consecutive vertices coincide
-    "polygon_conjecture": lambda: experiments.run_polygon_conjecture(
-        polygons=[[0.5, 0.5, 0.3j, -0.5], DEFAULT_POLYGON_ROWS[0]]
+    "polygon_conjecture": (
+        experiments.run_polygon_conjecture,
+        # consecutive vertices coincide
+        [0.5, 0.5, 0.3j, -0.5],
+        [
+            ([None, 0.5j, -0.5, -0.5j], 0),
+            (["abc", 0.5j, -0.5, -0.5j], 0),
+            (["0.5", "0.5j", "-0.5", "-0.5j"], 0),
+            ([0.5, 0.5j, False, -0.5j], 2),
+        ],
+        DEFAULT_POLYGON_ROWS[0],
     ),
 }
 
@@ -130,9 +150,19 @@ def test_area_sequence_beyond_pi():
 
 @pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
 def test_degenerate_row_recorded_as_error(name):
-    bad, good = DEGENERATE_RUNS[name]()
-    assert bad.error and not bad.passed()
+    run, degenerate_row, malformed_rows, good_row = DEGENERATE_RUNS[name]
+    rows = [degenerate_row, *(row for row, _ in malformed_rows), good_row]
+    degenerate, *malformed, good = run(rows)
+    for bad in (degenerate, *malformed):
+        assert bad.error and not bad.passed()
+    # a vertex that is not a point is named, as from_vertices names it,
+    # and the row keeps its vertices as given
+    for bad, (row, k) in zip(malformed, malformed_rows):
+        assert bad.error == f"vertex {k} {row[k]!r} is not inside the unit disk"
+        assert bad.inputs == {"vertices": list(row)}
+    # the good row solves, and keeps each vertex as [re, im]
     assert good.error is None and good.passed()
+    assert good.inputs == {"vertices": [[z.real, z.imag] for z in map(complex, good_row)]}
 
 
 def test_triangle_row_of_other_than_three_vertices():
