@@ -16,12 +16,13 @@ log|z| / log a fixes the sign.
 Discretization (Kress, Numer. Math. 58, 1990):
 
 * The boundary is parametrised by u in [0, 2 pi) with 2N equispaced
-  grid nodes u_j = pi j / N.  Each polygon side gets its own stretch of u
-  with Kress's sigmoidal grading of order p = 6, which clusters nodes
-  at the corners like a p-th power; a circle plate is one smooth piece
-  at uniform speed.  A piece gives the solver z(t) and z'(t) = dz/dt,
-  t in [0, 1]; with s = q u - 2 pi k on piece k of q and t = tau(s),
-  dz/du = z'(t) q dtau/ds.  The unknown is psi = sigma |dz/du|.
+  grid nodes u_j = pi j / N.  Each polygon side gets its own stretch of u,
+  n_k of the 2N nodes on side k, with Kress's sigmoidal grading of order
+  p = 6, which clusters nodes at the corners like a p-th power; a circle
+  plate is one smooth piece at uniform speed.  A piece gives the solver
+  z(t) and z'(t) = dz/dt, t in [0, 1]; with s running over [0, 2 pi) on
+  piece k at ds/du = 2N / n_k and t = tau(s), dz/du = z'(t) (2N / n_k)
+  dtau/ds.  The unknown is psi = sigma |dz/du|.
 * The log|z - zeta| part is split as 1/2 log(4 sin^2((u - v)/2)) plus
   a smooth remainder.  The singular part gets Kress's trigonometric
   product weights
@@ -66,10 +67,16 @@ k = n times the images listed per node: n, or 2n with the mirror.
 boundary_residual is the largest |potential - 1| at the midpoints
 between the grid nodes (those not dropped), with the potential
 evaluated by the same product quadrature, the weights taken at
-half-step offsets.  Refinement multiplies the nodes per side by about
-sqrt 2, so that two steps double them (see _ladder).  The ladder starts
-one such step below SolverParams.nodes_per_side per side (90 below 128),
-for every plate.
+half-step offsets.  The rungs of the refinement ladder multiply the
+nodes per side by about sqrt 2, so that two steps double them (see
+_ladder); the ladder starts one such step below
+SolverParams.nodes_per_side per side (90 below 128), for every plate.
+Each corner of the fitted sector climbs it on its own, and side k takes
+the finer rung of its end corners k and k + 1, so a needle corner
+refines its own two sides and not the mild ones (see solve_capacity).
+The Kress weights, the offset table, the FFT check and Delta's check
+points all live on the one uniform u grid, so uneven counts change only
+each side's speed.
 
 Delta is a dual-weighted-residual estimate (Becker and Rannacher, Acta
 Numerica 10, 2001) of how far the quadrature's capacity Q moves when the
@@ -86,26 +93,36 @@ the symmetry.  The reported capacity is Q + Delta, the adjoint-corrected
 functional (Giles and Suli, Acta Numerica 11, 2002).  It costs nothing
 more, and wherever Delta tracks the change it lies one to two digits
 closer to the finer levels than Q (on a disk, to rounding).
-capacity_error is |Delta|, the size of that correction.  The corrected
-capacity's own error is of higher order, so |Delta| bounds it too.
+
+Delta is split by corner: each check point's term goes to the nearer
+end vertex of its side, Delta = sum_v Delta_v over the sector corners
+(with a mirror, a kept point's term stands for its image too, and half
+of it goes to the image corner).  capacity_error is sum_v |Delta_v|.
+It is never below |Delta|, and it is |Delta| when the sector has one
+corner (a folded regular plate) or is a circle, which skip the split.
+The sum is needed because uneven counts let the corners' terms cancel:
+triangle_5 T at 182, 128 and 182 per side reads |Delta| 2.6e-7 of its
+capacity but lies 1.4e-6 off its level at 1024 per side, and the sum
+reads 4.6e-6.  The corrected capacity's own error is of higher order,
+so capacity_error bounds it too.
 
 Every level converges by one rule: its residual is below tol, its
 capacity is positive and finite (too coarse a level near the unit
 circle can give a negative one), and its capacity_error is at most 1e-6
-of the capacity.  solve_capacity returns the first level of the ladder
-that converges, so a converged capacity carries its own estimate of six
+of the capacity.  solve_capacity returns the first level that
+converges, so a converged capacity carries its own estimate of six
 digits.  The residual stays in the rule because Delta can cross zero
 between two levels, where it reads far less than the change.
 
-Evaluation.  A level is one number, its nodes per side (see _ladder).
-What a level needs of its grid and not of the plate, the graded side
-parameter and its speed at every position, the kept node and check
-positions and the offset table with its spectrum, depends only on the
-sides per sector, the nodes per side, whether the plate is a circle and
-whether it has a mirror.  _grid caches it, read-only, per such key:
-every regular plate of one level shares one grid, and discretize only
-evaluates the plate's sides on it and keeps the grid in the
-Discretization it returns.  The matrix and the potential at the
+Evaluation.  A level is a tuple of nodes per sector side (see
+solve_capacity).  What a level needs of its grid and not of the plate,
+the graded side parameter and its speed at every position, the kept
+node and check positions with each check point's corner, and the offset
+table with its spectrum, depends only on that tuple, whether the plate
+is a circle and whether it has a mirror.  _grid caches it, read-only,
+per such key: every regular plate of one level shares one grid, and
+discretize only evaluates the plate's sides on it and keeps the grid in
+the Discretization it returns.  The matrix and the potential at the
 midpoints are the two O(n^2) steps of a level.  Both sum over the
 images that discretize listed, and work in row blocks of about 2^16
 entries, so that their temporaries stay in cache.  G is evaluated in
@@ -281,13 +298,13 @@ class SolverParams:
     """Resolution of the Nystrom discretization.
 
     nodes_per_side is the number of grid nodes per polygon side (or on
-    a circle plate) at the start level, for every plate; it must be an
-    even int, so that every side has a node on its midpoint.
-    solve_capacity turns these into its levels (see _ladder), each one
-    count of nodes per side: the first one sqrt 2 step below the start,
-    then the start, then max_refine steps of about sqrt 2 above it (the
-    default 6 ends at 8 times the start), so that a solve runs at most
-    max_refine + 2 levels.
+    a circle plate) at the start rung, for every plate; it must be an
+    even int, so that every side has a node on its midpoint.  _ladder
+    turns these into the rungs each sector corner climbs: the first one
+    sqrt 2 step below the start, then the start, then max_refine steps
+    of about sqrt 2 above it (the default 6 ends at 8 times the start).
+    A plate whose sector has one corner runs at most max_refine + 2
+    levels; with q corners, at most q (max_refine + 1) + 1.
     """
 
     nodes_per_side: int = 128
@@ -338,31 +355,36 @@ class _Grid:
     """What a level needs of its grid and not of the plate (see _grid).
 
     The sector is parametrised by u in [0, 2 pi) with n_grid equispaced
-    grid nodes.  Positions are counted in half steps of that grid: nodes
-    sit at even positions, check points at the odd ones between them, so
-    a point at position k has u = pi k / n_grid.  tau and speed are
-    t = tau(s) and q dtau/ds at the 2 per_side half-step positions of
-    one side; pos and check_pos are the positions of the kept nodes and
+    grid nodes, shares[k] of them on side k.  Positions are counted in
+    half steps of that grid: nodes sit at even positions, check points at
+    the odd ones between them, so a point at position k has u =
+    pi k / n_grid.  tau[k] and speed[k] are t = tau(s) and
+    (n_grid / shares[k]) dtau/ds at the 2 shares[k] half-step positions
+    of side k; pos and check_pos are the positions of the kept nodes and
     check points on the sector, which are also their indices among the
-    sector's points; table is the offset table and spectrum the rfft of
-    one period of it, the check's convolution kernel.  h = 2 pi / n_grid
-    is the trapezoid weight and period = 2 n_grid the number of half-step
-    positions."""
+    sector's points, and corner is the sector corner nearer each check
+    point, the start k of its side k in the side's first half, else its
+    end k + 1 (mod the sides); table is the offset table and spectrum the
+    rfft of one period of it, the check's convolution kernel.
+    h = 2 pi / n_grid is the trapezoid weight and period = 2 n_grid the
+    number of half-step positions."""
 
+    shares: tuple
     n_grid: int
     h: float
     period: int
-    tau: np.ndarray
-    speed: np.ndarray
+    tau: tuple
+    speed: tuple
     pos: np.ndarray
     check_pos: np.ndarray
+    corner: np.ndarray
     table: np.ndarray
     spectrum: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
-    """The grid of a sector of q sides with per_side nodes each: Kress
+def _grid(shares: tuple, smooth: bool, mirror: bool) -> _Grid:
+    """The grid of a sector whose side k has shares[k] nodes: Kress
     grading of order 6 (uniform speed if smooth), nodes and check points
     within 1e-9 of a side end dropped (never on a smooth plate), and only
     u <= pi kept with a mirror.
@@ -376,33 +398,39 @@ def _grid(q: int, per_side: int, smooth: bool, mirror: bool) -> _Grid:
 
     This is the one cache in capsolve; its arrays are read-only, so
     every level on the same grid shares them."""
-    n_grid = q * per_side
+    q, n_grid = len(shares), sum(shares)
     period = 2 * n_grid
-    s = math.pi * np.arange(2 * per_side) / per_side
-    if smooth:
-        tau, dtau = s / (2.0 * math.pi), np.full(s.shape, 0.5 / math.pi)
-        keep = np.ones(s.shape, dtype=bool)
-    else:
-        tau, gap, dtau = _kress_grading(s, _GRADING_ORDER)
-        keep = gap >= _VERTEX_GAP
+    tau, speed, keep, corner = [], [], [], []
+    for k, share in enumerate(shares):
+        s = math.pi * np.arange(2 * share) / share
+        if smooth:
+            t, dtau = s / (2.0 * math.pi), np.full(s.shape, 0.5 / math.pi)
+            kept = np.ones(s.shape, dtype=bool)
+        else:
+            t, gap, dtau = _kress_grading(s, _GRADING_ORDER)
+            kept = gap >= _VERTEX_GAP
+        tau.append(t)
+        speed.append(n_grid / share * dtau)
+        keep.append(kept)
+        corner.append(np.where(np.arange(2 * share) < share, k, (k + 1) % q))
     pos = np.arange(period)
-    keep = np.tile(keep, q)
+    keep = np.concatenate(keep)
     if mirror:
         keep &= pos <= n_grid
+    check = keep & (pos % 2 == 1)
     h = 2.0 * math.pi / n_grid
     offset = 0.5 * _kress_weights(n_grid)
     offset[1:] -= h * np.log(2.0 * np.sin(math.pi / period * np.arange(1, period)))
     arrays = dict(
-        tau=tau,
-        speed=q * dtau,
         pos=pos[keep & (pos % 2 == 0)],
-        check_pos=pos[keep & (pos % 2 == 1)],
+        check_pos=pos[check],
+        corner=np.concatenate(corner)[check],
         table=np.concatenate([offset, offset, offset[:1]]),
         spectrum=np.fft.rfft(offset),
     )
-    for array in arrays.values():
+    for array in [*tau, *speed, *arrays.values()]:
         array.setflags(write=False)
-    return _Grid(n_grid=n_grid, h=h, period=period, **arrays)
+    return _Grid(shares, n_grid, h, period, tuple(tau), tuple(speed), **arrays)
 
 
 @dataclass(frozen=True)
@@ -430,32 +458,50 @@ class Discretization:
         return len(self.grid.pos)
 
 
-def discretize(b: BoundarySet, per_side: int) -> Discretization:
+def _shares(per_side, q: int, mirror: bool) -> tuple:
+    """per_side as a tuple of q node counts, one per sector side: an int
+    (_nodes_per_side) on every side, or a tuple of q of them that a
+    mirror maps onto itself (side k onto side q - 1 - k); else
+    ConfigurationError."""
+    if not isinstance(per_side, tuple):
+        return (_nodes_per_side(per_side),) * q
+    shares = tuple(map(_nodes_per_side, per_side))
+    if len(shares) != q or (mirror and shares != shares[::-1]):
+        raise ConfigurationError(f"need {q} counts of nodes per side, mirrored, got {per_side!r}")
+    return shares
+
+
+def discretize(b: BoundarySet, per_side) -> Discretization:
     """Graded nodes and midpoint check points of one sector, at the
-    level of per_side nodes per side (an even int of at least 8, else
-    ConfigurationError), mapped to the orbit plate w = z^n, n =
-    b.symmetry, with dw/du = n z^(n-1) dz/du.  This is the one place
+    level of per_side nodes per side, mapped to the orbit plate w = z^n,
+    n = b.symmetry, with dw/du = n z^(n-1) dz/du.  This is the one place
     that knows the rotation: past it the solver sees the plain plate W.
 
-    Each of the sector's q = m / n sides gets per_side grid nodes with
-    Kress grading of order 6, t = tau(s) with s = q u - 2 pi k on side
-    k, so dz/du = z'(t) q dtau/ds; a circle plate gets them at uniform
-    speed, tau(s) = s / 2 pi.  Polygon nodes and check points within
-    1e-9 of a side end in the side parameter are dropped.  With a mirror
-    only the half of the sector with u <= pi is kept.  All of that
-    depends on the plate only through q, smooth and mirror, so it comes
-    from the cached _grid, which the Discretization holds; here the
-    sides are evaluated on it.  The mirror z -> mirror conj(z) is
+    per_side is one count for every side of the sector, or a tuple of
+    one count per side (see _shares); each is an even int of at least 8,
+    else ConfigurationError.  Side k of the sector's q = m / n sides
+    gets its n_k grid nodes on its own stretch of the one uniform u grid
+    of n_grid = sum n_k nodes, with Kress grading of order 6: t = tau(s)
+    with s running over [0, 2 pi) on the side at ds/du = n_grid / n_k, so
+    dz/du = z'(t) (n_grid / n_k) dtau/ds (n_k = n_grid / q on every side
+    of a uniform level).  A circle plate gets its nodes at uniform speed,
+    tau(s) = s / 2 pi.  Polygon nodes and check points within 1e-9 of a
+    side end in the side parameter are dropped.  With a mirror only the
+    half of the sector with u <= pi is kept.  All of that depends on the
+    plate only through the counts, smooth and mirror, so it comes from
+    the cached _grid, which the Discretization holds; here the sides are
+    evaluated on it.  The mirror z -> mirror conj(z) is
     w -> mirror^n conj(w) on W.
     """
     n = b.symmetry
     sector = b.pieces[: len(b.pieces) // n]
-    g = _grid(len(sector), _nodes_per_side(per_side), b.is_smooth, b.mirror is not None)
-    z = np.concatenate([piece.point(g.tau) for piece in sector])
-    dz = np.concatenate([piece.derivative(g.tau) * g.speed for piece in sector])
+    mirror = b.mirror is not None
+    g = _grid(_shares(per_side, len(sector), mirror), b.is_smooth, mirror)
+    z = np.concatenate([piece.point(t) for piece, t in zip(sector, g.tau)])
+    dz = np.concatenate([piece.derivative(t) * v for piece, t, v in zip(sector, g.tau, g.speed)])
     # z**0 is exactly 1, so for n = 1 these are z and dz/du themselves
     w, dw = z[g.pos] ** n, n * z[g.pos] ** (n - 1) * dz[g.pos]
-    images = ((w, g.pos),) if b.mirror is None else ((w, g.pos), (b.mirror**n * np.conj(w), -g.pos))
+    images = ((w, g.pos),) if not mirror else ((w, g.pos), (b.mirror**n * np.conj(w), -g.pos))
     return Discretization(
         grid=g,
         images=images,
@@ -472,10 +518,14 @@ class SolveReport:
     system: the kept nodes of one sector, of half of it with a mirror.
     boundary_residual is max|u - 1| at the midpoints between those
     nodes.  capacity is the level's quadrature plus Delta, its estimated
-    change at twice the nodes per side (see the module docstring), and
-    capacity_error is |Delta|, the size of that correction.  converged
-    says that the residual is below the tolerance, the capacity positive
-    and finite, and capacity_error at most 1e-6 of the capacity.
+    change at twice the nodes per side (see the module docstring).
+    corner_error holds |Delta_v| for each sector corner v, the start of
+    side v, with its share of Delta from the check points nearer it; a
+    sector of one corner, or a circle, has the one entry |Delta|.
+    capacity_error is their sum: never below |Delta|, and |Delta| with
+    one corner.  converged says that the residual is below the
+    tolerance, the capacity positive and finite, and capacity_error at
+    most 1e-6 of the capacity.
     """
 
     capacity: float
@@ -484,6 +534,7 @@ class SolveReport:
     n_collocation: int
     converged: bool
     symmetry: int
+    corner_error: tuple
 
 
 def _green(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -600,14 +651,15 @@ def _check_potential(d: Discretization, psi: np.ndarray) -> tuple[np.ndarray, np
     return u, density
 
 
-def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
-    """One level: b solved at per_side nodes per side.  Its capacity is
-    the quadrature plus Delta, the quadrature's change at twice the nodes
-    estimated from the check, and its capacity error is |Delta| (see the
-    module docstring).  It has converged when its residual is below tol,
-    its capacity is positive and finite, and its capacity error is at
-    most 1e-6 of the capacity: the one rule by which solve_capacity
-    accepts a level."""
+def _solve_once(b: BoundarySet, per_side, tol: float) -> SolveReport:
+    """One level: b solved at per_side nodes per side, one count or a
+    tuple of one per sector side (see discretize).  Its capacity is the
+    quadrature plus Delta, the quadrature's change at twice the nodes
+    estimated from the check, and its capacity error is the sum of
+    Delta's corner shares |Delta_v| (see the module docstring).  It has
+    converged when its residual is below tol, its capacity is positive
+    and finite, and its capacity error is at most 1e-6 of the capacity:
+    the one rule by which solve_capacity accepts a level."""
     d = discretize(b, per_side)
     A = _kernel(d)
     # the one finiteness scan of A: lstsq's own would raise a bare ValueError
@@ -619,13 +671,25 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
     )[0]
     del A
 
-    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * d.grid.h  # of each unknown
+    g = d.grid
+    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * g.h  # of each unknown
     u, density = _check_potential(d, psi)
     residual = float(np.max(np.abs(u - 1.0)))
+    miss = 1.0 - u
     # the doubled grid's new nodes are the check points, at weight h / 2
-    delta = 0.5 * weight * float(density @ (1.0 - u))
+    delta = 0.5 * weight * float(density @ miss)
+    corners = (delta,)
+    if len(g.shares) > 1:
+        # Delta split by the corner nearer each check point; with a mirror
+        # a kept point stands for its image too, whose corner is the image
+        # -k of its own corner k
+        corners = np.bincount(g.corner, weights=density * miss, minlength=len(g.shares))
+        if len(d.images) > 1:
+            corners = 0.5 * (corners + corners[-np.arange(len(g.shares))])
+        corners = 0.5 * weight * corners
+    corner_error = tuple(abs(float(part)) for part in corners)
     # the quadrature's capacity, corrected by its own estimated change
-    capacity, error = weight * float(np.sum(psi)) + delta, abs(delta)
+    capacity, error = weight * float(np.sum(psi)) + delta, sum(corner_error)
     # a capacity <= 0 (or not finite) marks an under-resolved level
     converged = residual < tol and 0.0 < capacity < math.inf and error <= _CAPACITY_RTOL * capacity
     return SolveReport(
@@ -635,18 +699,20 @@ def _solve_once(b: BoundarySet, per_side: int, tol: float) -> SolveReport:
         n_collocation=d.n_collocation,
         converged=converged,
         symmetry=b.symmetry,
+        corner_error=corner_error,
     )
 
 
 def _ladder(p: SolverParams) -> list[int]:
-    """The nodes per side of the levels solve_capacity may solve a plate
-    at: p.max_refine + 2 rungs from one sqrt 2 step below the start, those
-    below 8 per side dropped.  With n0 = p.nodes_per_side, rung k has
-    2 round(n0 2^((k-1)/2) / 2) nodes per side: even, so that every side
-    keeps a node on its midpoint, and at every odd k exactly n0 2^((k-1)/2)
-    (90, 128, 182, 256, 362, ...).  Each step costs about 2x in the kernel
-    and 2.8x in the least squares, against 4x and 8x for a doubling, so a
-    plate that converges between two doublings stops there."""
+    """The nodes per side of the rungs each sector corner may climb in
+    solve_capacity: p.max_refine + 2 rungs from one sqrt 2 step below the
+    start, those below 8 per side dropped.  With n0 = p.nodes_per_side,
+    rung k has 2 round(n0 2^((k-1)/2) / 2) nodes per side: even, so that
+    every side keeps a node on its midpoint, and at every odd k exactly
+    n0 2^((k-1)/2) (90, 128, 182, 256, 362, ...).  Each step costs about
+    2x in the kernel and 2.8x in the least squares, against 4x and 8x for
+    a doubling, so a plate that converges between two doublings stops
+    there."""
     rungs = (2 * round(p.nodes_per_side * 2 ** ((k - 1) / 2) / 2) for k in range(p.max_refine + 2))
     return [per_side for per_side in rungs if per_side >= 8]
 
@@ -656,8 +722,8 @@ def _ladder(p: SolverParams) -> list[int]:
 # seq_area_c3_m3 meets 2e-3 at 256 per side while its quadrature is
 # 1.1e-4 of its capacity off (7.9e-6 corrected).  It stays in the rule
 # because the capacity error estimate can cross zero: triangle_2 T at 128
-# per side reads 0.32 of the quadrature's change, and its residual fails
-# there
+# per side on the two sides at its needle corner reads 0.32 of the
+# quadrature's change, and its residual fails there
 DEFAULT_TOL_POLYGON = 2e-3
 DEFAULT_TOL_SMOOTH = 1e-6
 # a level converges only when its capacity error is also at most this
@@ -671,12 +737,29 @@ def solve_capacity(
 ) -> SolveReport:
     """Capacity of (unit disk, E) with automatic refinement.
 
-    Solves at the levels of _ladder, each about sqrt 2 finer per side
-    than the last, until one converges (its residual below tol and its
-    capacity error at most 1e-6 of its capacity), and returns the first
-    converged report, else the last (converged=False).  SolverError is
-    raised at once for a non-finite Nystrom matrix, and after the last
-    level if its capacity is still not positive and finite.
+    Each sector corner climbs the rungs of _ladder on its own; a level
+    gives side k the finer rung of its end corners k and k + 1 (mod the
+    corners).  Every corner starts on the first rung.  After a refused
+    level, each corner whose |Delta_v| is at least half the largest, or
+    above its equal share 1e-6 capacity / q of the capacity tolerance (q
+    corners), is marked, and climbs to one rung above the coarser of its
+    two sides: one rung, unless a neighbour has already lifted both of
+    them.  A mirror-image corner has the same |Delta_v| and climbs with
+    its image.  The share keeps two sharp corners climbing together,
+    because the two sides at a sharp corner must keep near counts: on
+    triangle_6 T, with corners of 0.071 and 0.044 rad, half the largest
+    alone lifts only the sharper corner's sides to 182 per side, which
+    leaves the other between 182 and 90 per side and the level's
+    capacity 1.5% off.  With one corner (a folded regular plate, a
+    circle) this is the plain ladder, each level about sqrt 2 finer per
+    side than the last.  The first level that converges (its residual
+    below tol and its capacity error at most 1e-6 of its capacity) is
+    returned, else the last one solved (converged=False), where every
+    side is on the last rung: when no marked corner can climb, every
+    corner climbs one rung, so a solve never gives up below the plain
+    ladder's last level.  SolverError is raised at once for a
+    non-finite Nystrom matrix, and after the last level if its capacity
+    is still not positive and finite.
 
     The default tol is the polygon residual tolerance, DEFAULT_TOL_POLYGON,
     for every plate: solve_capacity does not look at the plate to choose
@@ -686,10 +769,32 @@ def solve_capacity(
     """
     if not _is_real(tol) or not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be a positive and finite real, got {tol!r}")
-    for per_side in _ladder(p or SolverParams()):
-        report = _solve_once(b, per_side, tol)
+    ladder = _ladder(p or SolverParams())
+    top = len(ladder) - 1
+    rungs = [0] * (len(b.pieces) // b.symmetry)  # each sector corner's rung
+    level = None
+    while True:
+        # side k's rung is the finer of its end corners k and k + 1
+        sides = [max(pair) for pair in zip(rungs, rungs[1:] + rungs[:1])]
+        finer = tuple(ladder[k] for k in sides)
+        if finer == level:
+            if min(sides) == top:
+                break  # every side on the last rung
+            # no marked corner could climb: every corner climbs one rung
+            rungs = [min(rung + 1, top) for rung in rungs]
+            continue
+        level = finer
+        report = _solve_once(b, level, tol)
         if report.converged:
             break
+        # marked: at least half the largest error, or above an equal share of
+        # the capacity tolerance; a NaN or a capacity <= 0 marks every corner
+        error = report.corner_error
+        bound = np.minimum(0.5 * max(error), _CAPACITY_RTOL * report.capacity / len(error))
+        for v, part in enumerate(error):
+            if not part < bound:
+                # one rung above the coarser of its sides, v - 1 and v
+                rungs[v] = min(sides[v - 1] + 1, sides[v] + 1, top)
     if not 0.0 < report.capacity < math.inf:
         raise SolverError(f"solver produced nonpositive capacity {report.capacity}")
     return report

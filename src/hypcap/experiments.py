@@ -138,10 +138,13 @@ class ExperimentRow:
 def _slack(*reports: SolveReport) -> float:
     """Verdict slack: twice the sum of the solves' capacity errors, plus
     1e-10 of the sum of their capacities for rounding.  Each capacity
-    error is the size of the correction that estimates the quadrature's
-    change to the doubled level; twice it covers the corrected capacity's
-    distance to a level four times finer on every published plate (worst
-    0.26 of the slack, triangle_10 T; 0.57 before the correction)."""
+    error is the sum over the sector's corners of |Delta_v|, Delta_v the
+    corner's share of the correction that estimates the quadrature's
+    change to the doubled level (|Delta| itself on a one-corner sector);
+    twice it covers the corrected capacity's distance to a level four
+    times finer on every side, widened by that level's own capacity
+    error, on every published plate (worst 0.285 of the slack,
+    triangle_6 T at 362, 512 and 512 per side)."""
     return sum(2.0 * r.capacity_error + 1e-10 * r.capacity for r in reports)
 
 

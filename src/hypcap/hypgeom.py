@@ -107,12 +107,15 @@ def hyp_dist(x: complex, y: complex) -> float:
 def mobius(a: complex, z):
     """Disk automorphism T_a(z) = (z - a) / (1 - conj(a) z).
 
-    Sends a to 0 and preserves hyperbolic distance; z may be a complex
-    scalar or a numpy array of points in the disk.
+    Sends a to 0 and preserves hyperbolic distance; z may be a point of
+    the disk (_check_in_disk) or a numeric numpy array, not of bools,
+    with every |z| < 1; anything else is a GeometryError.
     """
     a = _check_in_disk(a, "a")
-    if not np.all(np.abs(z) < 1.0):
-        raise GeometryError(f"z {z} is not inside the unit disk")
+    if not isinstance(z, np.ndarray):
+        z = _check_in_disk(z, "z")
+    elif z.dtype.kind not in "iufc" or not np.all(np.abs(z) < 1.0):
+        raise GeometryError(f"z {z!r} is not inside the unit disk")
     return (z - a) / (1.0 - a.conjugate() * z)
 
 
@@ -120,7 +123,7 @@ def hyp_midpoint(x: complex, y: complex) -> complex:
     """Hyperbolic midpoint of the geodesic segment from x to y: mobius(x, .)
     sends y to w, and its inverse mobius(-x, .) sends back the point
     th(artanh|w| / 2) w / |w| halfway from 0 to w."""
-    w = mobius(x, _check_in_disk(y, "y"))  # mobius checks only the modulus of its z
+    w = mobius(x, _check_in_disk(y, "y"))
     if w == 0:
         return complex(x)
     t = math.tanh(0.5 * math.atanh(abs(w)))

@@ -6,6 +6,7 @@ boundary-integral values anchor the polygon path.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -128,18 +129,28 @@ def _symmetric_star(n, k, gaps, radii, mirrored):
     ]
 
 
-def _levels_solved(b, monkeypatch, p=None):
-    """The nodes per side of each level that solve_capacity(b, p) solves."""
+def _solves(b, p=None, refuse=()):
+    """The (nodes per side, report) of each level that solve_capacity(b, p)
+    solves, with the levels in refuse reported unconverged, so that the
+    solve climbs on past them."""
     levels, solve = [], capsolve._solve_once
 
     def recorded(b, per_side, tol):
-        levels.append(per_side)
-        return solve(b, per_side, tol)
+        report = solve(b, per_side, tol)
+        if per_side in refuse:
+            report = replace(report, converged=False)
+        levels.append((per_side, report))
+        return report
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(capsolve, "_solve_once", recorded)
         solve_capacity(b, p)
     return levels
+
+
+def _levels_solved(b, p=None):
+    """The nodes per side of each level that solve_capacity(b, p) solves."""
+    return [per_side for per_side, _ in _solves(b, p)]
 
 
 def _quadrature_capacity(b, per_side):
@@ -150,6 +161,18 @@ def _quadrature_capacity(b, per_side):
     d = discretize(b, per_side)
     psi = scipy.linalg.lstsq(_kernel(d), np.ones(d.n_collocation), lapack_driver="gelsy")[0]
     return -2.0 * math.pi * b.symmetry * len(d.images) * d.grid.h * float(np.sum(psi))
+
+
+def _delta(b, per_side):
+    """Delta of plate b at per_side nodes per side, signed and unsplit:
+    the level's density and check as _solve_once computes them."""
+    d = discretize(b, per_side)
+    psi = scipy.linalg.lstsq(
+        _kernel(d).T, np.ones(d.n_collocation), check_finite=False, lapack_driver="gelsy"
+    )[0]
+    u, density = _check_potential(d, psi)
+    weight = -2.0 * math.pi * (b.symmetry * len(d.images)) * d.grid.h
+    return 0.5 * weight * float(density @ (1.0 - u))
 
 
 def _random_points(rng, k):
@@ -436,18 +459,24 @@ class TestSymmetry:
         assert abs(turned - full) <= 1e-12 * abs(full)
         assert abs(folded - full) <= 1e-11 * abs(full)
 
-    def test_symmetric_and_generic_plates_share_one_ladder(self, monkeypatch):
-        # every plate's first rung sits one sqrt 2 step below the start,
-        # 90 per side below 128.  The 3-gon at r = 0.5 and the near-square
-        # stop there.  The 3-gon at r = 0.9 meets the residual from 128 per
+    def test_symmetric_and_generic_plates_share_one_ladder(self):
+        # every plate's first level puts every corner on the first rung,
+        # one sqrt 2 step below the start, 90 per side below 128.  The
+        # 3-gon at r = 0.5 and the near-square (four sides, mirrored) stop
+        # there.  The folded 3-gon at r = 0.9 has one corner per sector, so
+        # it climbs the plain ladder: it meets the residual from 128 per
         # side on, but its capacity error reads 2.4e-4, 7.0e-5, 1.7e-5,
         # 3.4e-6 and 5.3e-7 of its capacity on its first five rungs: it
         # stops at the fifth
         sym = BoundarySet.from_polygon(regular_polygon(3, 0.5))
         generic = BoundarySet.from_polygon(HypPolygon.from_vertices(NEAR_SQUARE))
         sharp = BoundarySet.from_polygon(regular_polygon(3, 0.9))
-        for b, levels in ((sym, [90]), (generic, [90]), (sharp, [90, 128, 182, 256, 362])):
-            assert _levels_solved(b, monkeypatch) == levels
+        for b, levels in (
+            (sym, [(90,)]),
+            (generic, [(90,) * 4]),
+            (sharp, [(90,), (128,), (182,), (256,), (362,)]),
+        ):
+            assert _levels_solved(b) == levels
             assert solve_capacity(b).n_collocation == discretize(b, levels[-1]).n_collocation
 
     @pytest.mark.parametrize(
@@ -790,27 +819,29 @@ class TestNystrom:
         assert doublings == [start * 2**k for k in range(len(doublings))]
 
     @pytest.mark.parametrize(
-        "row, unknowns",
-        [(2, 531), (5, 374), (6, 1497)],
+        "row, accepted, unknowns",
+        [(2, (90, 182, 182), 441), (5, (256, 182, 256), 338), (6, (362, 512, 512), 1351)],
         ids=["triangle_2", "triangle_5", "triangle_6"],
     )
-    def test_sqrt2_steps_within_residual(self, row, unknowns):
+    def test_sqrt2_steps_within_residual(self, row, accepted, unknowns):
         # the error model of test_level_change_within_residual on the
-        # sqrt 2 step: on the two needle rows that refine (triangle_2 T
-        # stops at 182 per side, triangle_6 T at 512) and the row with the
-        # largest ratio on a doubling before the correction (triangle_5 T,
-        # at 256), the capacity moves by less than a level's residual at
-        # every step from the first rung up to the one past the converged
-        # level; the largest ratio is 0.032 (triangle_6 T, 128 -> 182 per
-        # side; 0.105 uncorrected, triangle_5 T, 90 -> 128)
+        # corner ladder's sqrt 2 steps: on the two needle rows that refine
+        # (triangle_2 T, whose needle corner alone climbs, and triangle_6
+        # T, whose two sharp corners climb together) and the row with the
+        # largest ratio on a doubling before the correction (triangle_5 T),
+        # the capacity moves by less than a level's residual at every step
+        # from the first level up to the one the ladder climbs to past the
+        # converged level; the largest ratio is 0.032 (triangle_6 T, 128 ->
+        # 182 per side)
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row - 1]))
-        levels = []
-        for per_side in _ladder(SolverParams()):
-            levels.append(_solve_once(b, per_side, DEFAULT_TOL_POLYGON))
-            if len(levels) > 1 and levels[-2].converged:
-                break
-        assert levels[-2].converged and levels[-2] == solve_capacity(b)
-        assert levels[-2].n_collocation == unknowns
+        solved = _solves(b)
+        assert solved[-1][0] == accepted
+        rep = solve_capacity(b)
+        assert rep == solved[-1][1] and rep.converged and rep.n_collocation == unknowns
+        past = _solves(b, refuse={accepted})
+        assert past[:-1] == [(level, replace(r, converged=False) if level == accepted else r)
+                             for level, r in solved]
+        levels = [r for _, r in past]
         for coarse, fine in zip(levels, levels[1:]):
             assert abs(coarse.capacity - fine.capacity) <= coarse.boundary_residual
 
@@ -956,7 +987,7 @@ class TestNystrom:
         # the dual-weighted residual predicts the doubled level's change of
         # the quadrature capacity, the capacity before its correction: at
         # the first rung and the start, where the change is above 1e-9 of
-        # the capacity, capacity_error / |Q(2N) - Q(N)| is 0.8897
+        # the capacity, |Delta| / |Q(2N) - Q(N)| is 0.8897
         # (triangle_1 T at 90 per side) to 1.0135 (polygon_4 P at 90).
         # Nearer the rounding floor it drifts (triangle_1 T reads 0.82 at
         # 182 per side)
@@ -964,9 +995,10 @@ class TestNystrom:
         ratios = []
         for per_side in _ladder(SolverParams())[:2]:
             coarse = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
-            change = abs(_quadrature_capacity(b, 2 * per_side) - _quadrature_capacity(b, per_side))
+            quadrature = _quadrature_capacity(b, per_side)
+            change = abs(_quadrature_capacity(b, 2 * per_side) - quadrature)
             if change > 1e-9 * coarse.capacity:
-                ratios.append(coarse.capacity_error / change)
+                ratios.append(abs(coarse.capacity - quadrature) / change)
         assert ratios
         assert all(0.88 <= ratio <= 1.02 for ratio in ratios), ratios
 
@@ -1000,7 +1032,7 @@ class TestNystrom:
             quadrature = _quadrature_capacity(b, per_side)
             finer = _solve_once(b, 4 * per_side, DEFAULT_TOL_POLYGON).capacity
             change = abs(_quadrature_capacity(b, 2 * per_side) - quadrature)
-            ratio = level.capacity_error / change
+            ratio = abs(level.capacity - quadrature) / change
             tracks = change > 1e-9 * level.capacity and 0.88 <= ratio <= 1.02
             gain = abs(quadrature - finer) / abs(level.capacity - finer)
             assert gain >= (5.0 if tracks else 1.0), (per_side, gain)
@@ -1045,27 +1077,33 @@ class TestNystrom:
         assert cap - c * float(np.sum(prolonged)) - delta_full >= -1e-12 * cap
 
     def test_capacity_error_zero_crossing_never_gated(self):
-        # triangle_2 T's error changes sign between 90 and 182 per side, so
-        # at 128 the estimate reads 0.32 of the quadrature's change.  Its
-        # residual fails there and at the first rung, so neither level
-        # converges on its capacity error alone: the solve goes on to 182
-        # per side
+        # triangle_2 T's error changes sign between 90 and 182 per side at
+        # its needle corner, so on the ladder's second level, 128 per side
+        # on the two sides at that corner, Delta reads 0.32 of the
+        # quadrature's change.  Its residual fails there and on the first
+        # level, so neither level converges on its capacity error alone:
+        # the solve goes on to 182 per side at the needle
         b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1]))
-        first, start = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in (90, 128))
-        assert not first.converged and not start.converged
-        # the residual alone refuses 128 per side: its capacity error meets 1e-6
-        assert start.capacity_error <= 1e-6 * start.capacity
-        change = abs(_quadrature_capacity(b, 256) - _quadrature_capacity(b, 128))
-        assert 0.3 <= start.capacity_error / change <= 0.35
-        assert solve_capacity(b).n_collocation == discretize(b, 182).n_collocation
+        levels = [(90, 90, 90), (90, 128, 128), (90, 182, 182)]
+        assert _levels_solved(b) == levels
+        first, second = (_solve_once(b, n, DEFAULT_TOL_POLYGON) for n in levels[:2])
+        assert not first.converged and not second.converged
+        # the residual alone refuses the second level: its capacity error meets 1e-6
+        assert second.capacity_error <= 1e-6 * second.capacity
+        quadrature = _quadrature_capacity(b, levels[1])
+        change = abs(_quadrature_capacity(b, (180, 256, 256)) - quadrature)
+        assert 0.3 <= abs(second.capacity - quadrature) / change <= 0.35
+        assert solve_capacity(b).n_collocation == discretize(b, levels[2]).n_collocation
 
-    def test_capacity_error_gate(self, monkeypatch):
+    def test_capacity_error_gate(self):
         # a level converges only when its residual meets the tolerance and
         # its capacity error is at most 1e-6 of the capacity: polygon_4 P
-        # (522 unknowns, 2.9e-8) stops at its first rung, like the regular
+        # (522 unknowns, 2.9e-8) stops at its first level, like the regular
         # plates of test_symmetric_and_generic_plates_share_one_ladder;
         # triangle_4 T meets the residual there but is refused on its
-        # capacity error (1.086e-6) and stops at its start, 188 unknowns
+        # capacity error (1.086e-6), and its corner on the mirror axis
+        # climbs: it stops at 128 per side on the two sides at that corner
+        # and 90 on the side facing it, 169 unknowns
         assert capsolve._CAPACITY_RTOL == 1e-6
         triangle_4 = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]))
         polygon_4 = BoundarySet.from_polygon(HypPolygon.from_vertices(DEFAULT_POLYGON_ROWS[3]))
@@ -1073,10 +1111,10 @@ class TestNystrom:
         assert first.boundary_residual < DEFAULT_TOL_POLYGON and not first.converged
         assert 1e-6 < first.capacity_error / first.capacity < 1.2e-6
         for b, levels, unknowns in (
-            (polygon_4, [90], 522),
-            (triangle_4, [90, 128], 188),
+            (polygon_4, [(90,) * 6], 522),
+            (triangle_4, [(90,) * 3, (128, 90, 128)], 169),
         ):
-            assert _levels_solved(b, monkeypatch) == levels
+            assert _levels_solved(b) == levels
             rep = solve_capacity(b)
             assert rep.converged and rep.n_collocation == unknowns
             assert rep.capacity_error <= 1e-6 * rep.capacity
@@ -1084,7 +1122,7 @@ class TestNystrom:
         # it: the solve starts at 8, whose capacity error (2.8e-6 of the
         # capacity) refuses it, and converges one sqrt 2 step up
         disk = BoundarySet.from_euclid_disk(0.0, 0.5)
-        assert _levels_solved(disk, monkeypatch, SolverParams(nodes_per_side=8)) == [8, 12]
+        assert _levels_solved(disk, SolverParams(nodes_per_side=8)) == [(8,), (12,)]
 
     @pytest.mark.parametrize(
         "poly",
@@ -1097,16 +1135,18 @@ class TestNystrom:
         ],
         ids=["triangle_5-T", "triangle_8-T", "polygon_m3_1-P", "polygon_m4_2-P", "seq_area_c3_m3"],
     )
-    def test_verdict_slack_covers_finer_reference(self, poly, monkeypatch):
+    def test_verdict_slack_covers_finer_reference(self, poly):
         # the verdict slack of a default solve covers the level four times
         # finer, widened by that level's own capacity error (its sign is
-        # not reported); on the corrected capacities the measured worst
-        # over the 100 published solves is 0.26 of the slack (triangle_10
-        # T), and these plates read 0.005-0.034 (0.50-0.53 uncorrected)
+        # not reported); with capacity_error the sum of the corners'
+        # |Delta_v|, the measured worst over the 100 published solves is
+        # 0.285 of the slack (triangle_6 T at 362, 512 and 512 per side),
+        # and these plates read 0.008-0.159 (triangle_5 T at 256, 182 and
+        # 256 per side)
         b = BoundarySet.from_polygon(poly)
         rep = solve_capacity(b)
-        per_side = _levels_solved(b, monkeypatch)[-1]
-        fine = _solve_once(b, 4 * per_side, DEFAULT_TOL_POLYGON)
+        per_side = _levels_solved(b)[-1]
+        fine = _solve_once(b, tuple(4 * n for n in per_side), DEFAULT_TOL_POLYGON)
         assert abs(rep.capacity - fine.capacity) + fine.capacity_error <= _slack(rep)
 
     @settings(max_examples=10)
@@ -1153,6 +1193,126 @@ class TestNystrom:
         assert outer.capacity >= inner.capacity - slack
 
 
+class TestCornerLadder:
+    @KERNEL_PLATES
+    def test_uniform_tuple_is_the_uniform_level(self, b):
+        # one count for every side and a tuple of it are one level, on one
+        # cached grid; on it side k's speed is q dtau/ds, q the sector's sides
+        q = len(b.pieces) // b.symmetry
+        plain, tupled = discretize(b, 128), discretize(b, (128,) * q)
+        assert plain.grid is tupled.grid and plain.grid.shares == (128,) * q
+        for name in ("diagonal", "check"):
+            assert getattr(plain, name).tobytes() == getattr(tupled, name).tobytes()
+        assert [(z.tobytes(), at.tobytes()) for z, at in plain.images] == [
+            (z.tobytes(), at.tobytes()) for z, at in tupled.images
+        ]
+        if not b.is_smooth:
+            dtau = capsolve._kress_grading(math.pi * np.arange(256) / 128, 6)[2]
+            assert all(speed.tobytes() == (q * dtau).tobytes() for speed in plain.grid.speed)
+
+    def test_counts_per_side_guarded(self):
+        # a tuple needs one count per sector side, each an even int of at
+        # least 8, and with a mirror the same count on mirror-image sides
+        generic = BoundarySet.from_polygon(HypPolygon.from_vertices([0.6, 0.1 - 0.8j, -0.5 + 0.6j]))
+        mirrored = BoundarySet.from_polygon(HypPolygon.from_vertices(ISOSCELES))
+        assert generic.mirror is None and mirrored.mirror is not None
+        for b, bad in (
+            (generic, (90, 90)),
+            (generic, (90, 90, 90, 90)),
+            (generic, (90, 91, 90)),
+            (generic, (90, 90.0, 90)),
+            (generic, [90, 90, 90]),
+            (mirrored, (90, 128, 128)),
+        ):
+            with pytest.raises(ConfigurationError):
+                discretize(b, bad)
+        assert discretize(generic, (90, 128, 182)).grid.n_grid == 400
+        assert discretize(mirrored, (128, 90, 128)).grid.shares == (128, 90, 128)
+
+    @pytest.mark.parametrize(
+        "b, corners",
+        [
+            (BoundarySet.from_polygon(regular_polygon(3, 0.9)), 1),
+            (BoundarySet.from_polygon(regular_polygon(6, 0.5)), 1),
+            (BoundarySet.from_euclid_disk(0.2 + 0.1j, 0.3), 1),
+            (BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[1])), 3),
+            (BoundarySet.from_polygon(HypPolygon.from_vertices(KITE)), 4),
+            (BoundarySet.from_polygon(HypPolygon.from_vertices(STAR3)), 2),
+        ],
+        ids=["3-0.9", "6-0.5", "disk", "triangle_2-T", "kite", "star-3"],
+    )
+    def test_capacity_error_sums_corner_errors(self, b, corners):
+        # capacity_error is the sum of |Delta_v| over the sector corners:
+        # exactly |Delta| with one corner (a folded regular plate, a
+        # circle), never below it with more (to rounding of the split),
+        # and equal at mirror-image corners
+        for per_side in (90, 128):
+            rep = _solve_once(b, per_side, DEFAULT_TOL_POLYGON)
+            delta = _delta(b, per_side)
+            assert len(rep.corner_error) == corners
+            assert rep.capacity_error == sum(rep.corner_error)
+            if corners == 1:
+                assert rep.corner_error == (abs(delta),) and rep.capacity_error == abs(delta)
+            else:
+                assert rep.capacity_error >= abs(delta) - 1e-12 * rep.capacity
+            if b.mirror is not None:
+                assert rep.corner_error == rep.corner_error[:1] + rep.corner_error[:0:-1]
+
+    def test_corner_errors_cover_cancellation(self):
+        # with uneven counts the corners' Deltas cancel: triangle_5 T at
+        # 182, 128 and 182 per side reads |Delta| 2.6e-7 of its capacity,
+        # but lies 1.4e-6 off its level at 1024 per side; the sum of the
+        # corners' |Delta_v|, 4.6e-6, covers that distance
+        b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[4]))
+        rep = _solve_once(b, (182, 128, 182), DEFAULT_TOL_POLYGON)
+        fine = _solve_once(b, 1024, DEFAULT_TOL_POLYGON)
+        distance = abs(rep.capacity - fine.capacity)
+        assert abs(_delta(b, (182, 128, 182))) + fine.capacity_error < distance
+        assert distance + fine.capacity_error <= rep.capacity_error
+
+    def test_refused_solve_ends_on_last_rung(self):
+        # with every level refused, triangle_4 T's needle corner alone is
+        # marked and reaches the last rung at (182, 90, 182), where it cannot
+        # climb; then every corner climbs one rung, so the solve gives up
+        # only on the plain ladder's last level, as a one-corner plate does
+        b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]))
+        p = SolverParams(max_refine=1)
+        every = set(itertools.product(_ladder(p), repeat=3))
+        solved = _solves(b, p, refuse=every)
+        assert [level for level, _ in solved] == [
+            (90, 90, 90), (128, 90, 128), (182, 90, 182), (182, 128, 182), (182, 182, 182),
+        ]
+        assert not solved[-1][1].converged
+
+    @settings(max_examples=10)
+    @given(
+        kite=st.booleans(),
+        radii=st.lists(st.floats(0.2, 0.85), min_size=3, max_size=3),
+        half=st.floats(0.15, 0.45),
+        axis=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_mirror_levels_symmetric(self, kite, radii, half, axis):
+        # on mirrored plates, an isosceles triangle or a kite with its apex
+        # at angle axis, every level's counts and corner errors map onto
+        # themselves under the mirror: side k onto side q - 1 - k, corner k
+        # onto corner -k.  Half is the base vertices' angle from the axis
+        # in turns (a triangle's is above a quarter, so that 0 is inside)
+        if not kite:
+            half = 0.25 + 0.5 * half
+        turns = [0.0, half, 0.5, -half] if kite else [0.0, half, -half]
+        rho = [radii[0], radii[1], radii[2], radii[1]] if kite else [radii[0], radii[1], radii[1]]
+        poly = HypPolygon.from_vertices(
+            [r * cmath.exp(1j * (axis + 2.0 * math.pi * t)) for r, t in zip(rho, turns)]
+        )
+        b = BoundarySet.from_polygon(poly)
+        assert b.mirror is not None
+        solved = _solves(b, SolverParams(nodes_per_side=32))
+        assert solved
+        for per_side, rep in solved:
+            assert per_side == per_side[::-1]
+            assert rep.corner_error == rep.corner_error[:1] + rep.corner_error[:0:-1]
+
+
 class TestDiscretize:
     def test_grid_shared_read_only(self):
         # the 3-gon and the 6-gon both fit one mirrored side per sector,
@@ -1160,9 +1320,13 @@ class TestDiscretize:
         per_side = 2 * SolverParams().nodes_per_side
         b3, b6 = (BoundarySet.from_polygon(regular_polygon(m, 0.5)) for m in (3, 6))
         d3, d6 = discretize(b3, per_side), discretize(b6, per_side)
-        grid = capsolve._grid(1, per_side, False, True)
+        grid = capsolve._grid((per_side,), False, True)
         assert d3.grid is d6.grid is grid
-        for array in (v for v in vars(grid).values() if isinstance(v, np.ndarray)):
+        # every array: tau and speed hold one per side
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert len(grid.tau) == len(grid.speed) == 1 and len(arrays) == 5
+        for array in [*grid.tau, *grid.speed, *arrays]:
+            assert isinstance(array, np.ndarray)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -1266,14 +1430,16 @@ REAL_INPUTS = {
 } | {"mu_rc": (lambda x: mu(0.5, x), "mu requires a real rc")}
 NOT_REAL = {"true": True, "numpy-true": np.True_, "complex": 0.5 + 0j, "string": "0.5"}
 
-# the guards of a point of the disk (mobius's array z keeps its own
-# check): each takes a number, Python or numpy, and nothing else.
-# complex() would parse the string and take the bools as 0 or 1, and a
-# list or None would fail later as a bare TypeError
+# the guards of a point of the disk: each takes a number, Python or
+# numpy, and nothing else (mobius's z takes a numeric array too, see
+# test_mobius_array_guard).  complex() would parse the string and take
+# the bools as 0 or 1, and a list or None would fail later as a bare
+# TypeError
 POINT_INPUTS = {
     name: NAN_INPUTS[name]
     for name in ("disk_center", "hyp_dist", "mobius", "hyp_midpoint", "euclid_center")
 } | {
+    "mobius_z": (lambda x: mobius(0.1, x), "unit disk"),
     "vertex": (lambda x: HypPolygon.from_vertices([x, 0.5j, -0.5, -0.5j]), "unit disk"),
     "geodesic_arc": (lambda x: geodesic_arc(0.1, x), "unit disk"),
     "recenter_triangle": (lambda x: recenter_triangle(0.1, 0.2j, x), "unit disk"),
@@ -1333,6 +1499,22 @@ class TestValidation:
             call(good)
         except GeometryError as exc:
             assert name == "vertex" and good == 0 and "radial side" in str(exc), exc
+
+    def test_mobius_array_guard(self):
+        # an array z must be numeric, not of bools, strings or objects,
+        # with every |z| < 1; a numeric array maps point by point
+        for bad in (
+            np.array([0.2, 1.0j]),
+            np.array([True, False]),
+            np.array(["0.5"]),
+            np.array([0.5, None], dtype=object),
+            np.array([0.5], dtype=object),
+        ):
+            with pytest.raises(GeometryError, match="unit disk"):
+                mobius(0.1, bad)
+        good = np.zeros(2, dtype=np.int64), np.array([0.25, -0.5]), np.array([0.3j, 0.1 - 0.2j])
+        for z in good:
+            np.testing.assert_allclose(mobius(0.1, z), [mobius(0.1, complex(w)) for w in z])
 
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):
