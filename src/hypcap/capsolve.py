@@ -71,9 +71,10 @@ half-step offsets.  The rungs of the refinement ladder multiply the
 nodes per side by about sqrt 2, so that two steps double them (see
 _ladder); the ladder starts one such step below
 SolverParams.nodes_per_side per side (90 below 128), for every plate.
-Each corner of the fitted sector climbs it on its own, and side k takes
-the finer rung of its end corners k and k + 1, so a needle corner
-refines its own two sides and not the mild ones (see solve_capacity).
+Each side of the fitted sector has its own rung.  After a refused
+level, a corner whose |Delta_v| is at least its share of the capacity
+tolerance lifts its own two sides, so a needle corner refines its sides
+and not the mild ones (see solve_capacity).
 The Kress weights, the offset table, the FFT check and Delta's check
 points all live on the one uniform u grid, so uneven counts change only
 each side's speed.
@@ -300,11 +301,12 @@ class SolverParams:
     nodes_per_side is the number of grid nodes per polygon side (or on
     a circle plate) at the start rung, for every plate; it must be an
     even int, so that every side has a node on its midpoint.  _ladder
-    turns these into the rungs each sector corner climbs: the first one
+    turns these into the rungs each sector side climbs: the first one
     sqrt 2 step below the start, then the start, then max_refine steps
     of about sqrt 2 above it (the default 6 ends at 8 times the start).
-    A plate whose sector has one corner runs at most max_refine + 2
-    levels; with q corners, at most q (max_refine + 1) + 1.
+    Each level after the first lifts at least one side a rung, so a
+    plate whose sector has one side runs at most max_refine + 2 levels;
+    with q sides, at most q (max_refine + 1) + 1.
     """
 
     nodes_per_side: int = 128
@@ -704,7 +706,7 @@ def _solve_once(b: BoundarySet, per_side, tol: float) -> SolveReport:
 
 
 def _ladder(p: SolverParams) -> list[int]:
-    """The nodes per side of the rungs each sector corner may climb in
+    """The nodes per side of the rungs each sector side may climb in
     solve_capacity: p.max_refine + 2 rungs from one sqrt 2 step below the
     start, those below 8 per side dropped.  With n0 = p.nodes_per_side,
     rung k has 2 round(n0 2^((k-1)/2) / 2) nodes per side: even, so that
@@ -737,29 +739,25 @@ def solve_capacity(
 ) -> SolveReport:
     """Capacity of (unit disk, E) with automatic refinement.
 
-    Each sector corner climbs the rungs of _ladder on its own; a level
-    gives side k the finer rung of its end corners k and k + 1 (mod the
-    corners).  Every corner starts on the first rung.  After a refused
-    level, each corner whose |Delta_v| is at least half the largest, or
-    above its equal share 1e-6 capacity / q of the capacity tolerance (q
-    corners), is marked, and climbs to one rung above the coarser of its
-    two sides: one rung, unless a neighbour has already lifted both of
-    them.  A mirror-image corner has the same |Delta_v| and climbs with
-    its image.  The share keeps two sharp corners climbing together,
-    because the two sides at a sharp corner must keep near counts: on
-    triangle_6 T, with corners of 0.071 and 0.044 rad, half the largest
-    alone lifts only the sharper corner's sides to 182 per side, which
-    leaves the other between 182 and 90 per side and the level's
-    capacity 1.5% off.  With one corner (a folded regular plate, a
+    One rule refines: each sector side k, between corners k and k + 1
+    (mod the q corners), has its own rung of _ladder, and a level gives
+    every side its rung's nodes.  Every side starts on the first rung.
+    After a refused level, a corner v is marked when |Delta_v| is at least
+    its share 1e-6 capacity / q of the capacity tolerance (a NaN or a
+    capacity <= 0 marks every corner), and lifts its two sides, v - 1 and
+    v, to one rung above the coarser of them.  A mirror-image corner has
+    the same |Delta_v|, so it lifts the mirror images of those sides.  If
+    that lifts no side, every side climbs one rung: no corner marked, so
+    the residual alone refused the level, or every marked corner's sides
+    already on the last rung.  With one corner (a folded regular plate, a
     circle) this is the plain ladder, each level about sqrt 2 finer per
     side than the last.  The first level that converges (its residual
     below tol and its capacity error at most 1e-6 of its capacity) is
-    returned, else the last one solved (converged=False), where every
-    side is on the last rung: when no marked corner can climb, every
-    corner climbs one rung, so a solve never gives up below the plain
-    ladder's last level.  SolverError is raised at once for a
-    non-finite Nystrom matrix, and after the last level if its capacity
-    is still not positive and finite.
+    returned, else the one with every side on the last rung
+    (converged=False).  SolverError is raised at once for a non-finite
+    Nystrom matrix, and after the last level if its capacity is still
+    not positive and finite.  p is a SolverParams or None (the
+    defaults), else ConfigurationError.
 
     The default tol is the polygon residual tolerance, DEFAULT_TOL_POLYGON,
     for every plate: solve_capacity does not look at the plate to choose
@@ -769,32 +767,26 @@ def solve_capacity(
     """
     if not _is_real(tol) or not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tolerance must be a positive and finite real, got {tol!r}")
+    if p is not None and not isinstance(p, SolverParams):
+        raise ConfigurationError(f"solver parameters must be a SolverParams or None, got {p!r}")
     ladder = _ladder(p or SolverParams())
     top = len(ladder) - 1
-    rungs = [0] * (len(b.pieces) // b.symmetry)  # each sector corner's rung
-    level = None
+    sides = [0] * (len(b.pieces) // b.symmetry)  # each sector side's rung
     while True:
-        # side k's rung is the finer of its end corners k and k + 1
-        sides = [max(pair) for pair in zip(rungs, rungs[1:] + rungs[:1])]
-        finer = tuple(ladder[k] for k in sides)
-        if finer == level:
-            if min(sides) == top:
-                break  # every side on the last rung
-            # no marked corner could climb: every corner climbs one rung
-            rungs = [min(rung + 1, top) for rung in rungs]
-            continue
-        level = finer
-        report = _solve_once(b, level, tol)
-        if report.converged:
+        report = _solve_once(b, tuple(ladder[k] for k in sides), tol)
+        if report.converged or min(sides) == top:
             break
-        # marked: at least half the largest error, or above an equal share of
-        # the capacity tolerance; a NaN or a capacity <= 0 marks every corner
-        error = report.corner_error
-        bound = np.minimum(0.5 * max(error), _CAPACITY_RTOL * report.capacity / len(error))
-        for v, part in enumerate(error):
-            if not part < bound:
-                # one rung above the coarser of its sides, v - 1 and v
-                rungs[v] = min(sides[v - 1] + 1, sides[v] + 1, top)
+        # marked: at or above its share of the capacity tolerance; a NaN or
+        # a capacity <= 0 marks every corner
+        share = _CAPACITY_RTOL * report.capacity / len(sides)
+        lifted = list(sides)
+        for v, part in enumerate(report.corner_error):
+            if not part < share:
+                # its sides v - 1 and v: one rung above the coarser of them
+                rung = min(sides[v - 1], sides[v], top - 1) + 1
+                lifted[v - 1], lifted[v] = max(lifted[v - 1], rung), max(lifted[v], rung)
+        # nothing lifted: every side climbs one rung
+        sides = lifted if lifted != sides else [min(k + 1, top) for k in sides]
     if not 0.0 < report.capacity < math.inf:
         raise SolverError(f"solver produced nonpositive capacity {report.capacity}")
     return report

@@ -18,9 +18,10 @@ Every verdict on a solved capacity follows one rule, _at_least(larger,
 smaller).  Each side is a solve or a closed form, and the verdict is
 True or False when the two values differ by more than the slack, and
 "inconclusive-within-error" otherwise.  The slack is the error model of
-the solves compared: twice the sum of their capacity errors (each |Delta|,
-the size of the correction capsolve adds to a level's quadrature), plus
-1e-10 of the sum of their capacities for rounding.  A closed form (a
+the solves compared: twice the sum of their capacity errors (each the
+sum over the sector's corners of |Delta_v|, the corner's share of the
+correction capsolve adds to a level's quadrature), plus 1e-10 of the
+sum of their capacities for rounding.  A closed form (a
 disk bound, a bounds row's lower and upper bound) is exact and adds
 nothing to it.  Where a row compares polygons of one shared measure, a
 conjecture's plate with the regular m-gon of its area or perimeter, or
@@ -242,14 +243,20 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, key):
     equal_<measure> checks the competitor's c0 against c to 1e-12
     relative.  rid formats the row id from i (1-based) and m.  A vertex
     that is not a point of the disk makes a row error that names it
-    (HypPolygon.from_vertices and recenter_triangle check every vertex).
-    A solved row's inputs hold each vertex as [re, im], a row error's the
-    vertices as given."""
+    (HypPolygon.from_vertices and recenter_triangle check every vertex),
+    and so does a row that is not a vertex list (None, a number), whose
+    id gives its vertex count as "?".  A solved row's inputs hold each
+    vertex as [re, im], a row error's the vertices as given."""
     out = []
     for i, vs in enumerate(vertex_lists):
-        m = len(vs)
+        try:
+            m, given = len(vs), list(vs)
+        except TypeError:  # no length: no vertex list
+            m, given = "?", vs
         rid_i = rid.format(i=i + 1, m=m)
         try:
+            if m == "?":
+                raise GeometryError(f"row {vs!r} is not a vertex list")
             keys = (f"cap_{x}", f"residual_{x}", f"error_{x}")
             rep, values, verdicts, pm = _solve(build(vs), keys)
             c = getattr(pm, measure)
@@ -257,7 +264,7 @@ def _run_conjecture(vertex_lists, build, rid, x, measure, key):
             competitor = regular_polygon(m, r0)
             rep_0, c0 = cap_polygon(competitor), getattr(polygon_measures(competitor), measure)
         except _ROW_ERRORS as exc:  # degenerate input rows keep the run going
-            out.append(ExperimentRow(id=rid_i, inputs={"vertices": list(vs)}, error=str(exc)))
+            out.append(ExperimentRow(id=rid_i, inputs={"vertices": given}, error=str(exc)))
             continue
         inputs = {"vertices": [[complex(v).real, complex(v).imag] for v in vs]}
         values |= {

@@ -460,7 +460,7 @@ class TestSymmetry:
         assert abs(folded - full) <= 1e-11 * abs(full)
 
     def test_symmetric_and_generic_plates_share_one_ladder(self):
-        # every plate's first level puts every corner on the first rung,
+        # every plate's first level puts every side on the first rung,
         # one sqrt 2 step below the start, 90 per side below 128.  The
         # 3-gon at r = 0.5 and the near-square (four sides, mirrored) stop
         # there.  The folded 3-gon at r = 0.9 has one corner per sector, so
@@ -1271,18 +1271,71 @@ class TestCornerLadder:
         assert distance + fine.capacity_error <= rep.capacity_error
 
     def test_refused_solve_ends_on_last_rung(self):
-        # with every level refused, triangle_4 T's needle corner alone is
-        # marked and reaches the last rung at (182, 90, 182), where it cannot
-        # climb; then every corner climbs one rung, so the solve gives up
-        # only on the plain ladder's last level, as a one-corner plate does
-        b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3]))
+        # with every level refused, the solve gives up only on the plain
+        # ladder's last level, as a one-corner plate does
         p = SolverParams(max_refine=1)
         every = set(itertools.product(_ladder(p), repeat=3))
-        solved = _solves(b, p, refuse=every)
-        assert [level for level, _ in solved] == [
-            (90, 90, 90), (128, 90, 128), (182, 90, 182), (182, 128, 182), (182, 182, 182),
+        for row, levels, marked in (
+            # triangle_4 T: after its first level no corner is at its share
+            # of the tolerance, so every side climbs one rung
+            (3, [(90, 90, 90), (128, 90, 128), (182, 128, 182), (182, 182, 182)], [[0], [], []]),
+            # triangle_2 T: its needle corner stays marked on the last rung,
+            # where it lifts nothing, so every side climbs one rung
+            (
+                1,
+                [(90, 90, 90), (90, 128, 128), (90, 182, 182), (128, 182, 182), (182, 182, 182)],
+                [[2]] * 4,
+            ),
+        ):
+            b = BoundarySet.from_polygon(recenter_triangle(*DEFAULT_TRIANGLE_ROWS[row]))
+            solved = _solves(b, p, refuse=every)
+            assert [level for level, _ in solved] == levels
+            assert not solved[-1][1].converged
+            # the corners at or above their share 1e-6 capacity / 3
+            assert [
+                [v for v, part in enumerate(rep.corner_error) if part >= 1e-6 * rep.capacity / 3]
+                for _, rep in solved[:-1]
+            ] == marked
+
+    @settings(max_examples=10)
+    @given(
+        kite=st.booleans(),
+        radii=st.lists(st.floats(0.2, 0.85), min_size=3, max_size=3),
+        weights=st.lists(st.floats(1.0, 1.9), min_size=3, max_size=3),
+        half=st.floats(0.15, 0.45),
+        axis=st.floats(0.0, 2.0 * math.pi),
+        max_refine=st.integers(0, 2),
+    )
+    def test_refused_levels_climb(self, kite, radii, weights, half, axis, max_refine):
+        # every level refused, on a random triangle (its corners' turns in
+        # proportion to weights, each gap below a half turn, so that 0 is
+        # inside) or a kite (mirrored, its apex at angle axis and its side
+        # vertices at +-half turns from it, as in test_mirror_levels_symmetric):
+        # no side's rung falls and each level lifts one, so no level is
+        # solved twice; the solve ends with every side on the last rung,
+        # after at most q (max_refine + 1) + 1 levels; mirrored levels map
+        # onto themselves
+        if kite:
+            turns, rho = [0.0, half, 0.5, -half], [radii[0], radii[1], radii[2], radii[1]]
+        else:
+            turns, rho = np.cumsum([0.0, *weights[:2]]) / sum(weights), radii
+        poly = HypPolygon.from_vertices(
+            [r * cmath.exp(1j * (axis + 2.0 * math.pi * t)) for r, t in zip(rho, turns)]
+        )
+        b = BoundarySet.from_polygon(poly)
+        q = len(b.pieces) // b.symmetry
+        p = SolverParams(nodes_per_side=32, max_refine=max_refine)
+        ladder = _ladder(p)
+        levels = [
+            level for level, _ in _solves(b, p, refuse=set(itertools.product(ladder, repeat=q)))
         ]
-        assert not solved[-1][1].converged
+        for coarse, fine in zip(levels, levels[1:]):
+            assert coarse != fine and all(a <= c for a, c in zip(coarse, fine))
+        assert len(set(levels)) == len(levels) <= q * (max_refine + 1) + 1
+        assert levels[-1] == (ladder[-1],) * q
+        assert b.mirror is not None or not kite
+        if b.mirror is not None:
+            assert all(level == level[::-1] for level in levels)
 
     @settings(max_examples=10)
     @given(
@@ -1543,6 +1596,14 @@ class TestValidation:
             (key, n), = good.items()
             want = solve_capacity(b, SolverParams(**good), tol).capacity
             assert solve_capacity(b, SolverParams(**{key: np.int64(n)}), tol).capacity == want
+        # params are a SolverParams or None: 0 and {} would solve at the
+        # defaults, the rest would fail as a bare AttributeError
+        triangle = recenter_triangle(*DEFAULT_TRIANGLE_ROWS[3])
+        for bad in (0, {}, 5, "x", True, 0.5):
+            with pytest.raises(ConfigurationError, match="SolverParams"):
+                solve_capacity(b, bad, tol)
+            with pytest.raises(ConfigurationError, match="SolverParams"):
+                cap_polygon(triangle, params=bad)
         plain, numpy_int = discretize(b, 128), discretize(b, np.int64(128))
         assert numpy_int.n_collocation == plain.n_collocation == 128
         assert _solve_once(b, np.int64(128), tol).capacity == _solve_once(b, 128, tol).capacity

@@ -105,6 +105,7 @@ DEGENERATE_RUNS = {
             ((0.6, 0.2 - 0.5j, False), 2),
         ],
         DEFAULT_TRIANGLE_ROWS[3],
+        "triangle_{i}",
     ),
     "polygon_conjecture": (
         experiments.run_polygon_conjecture,
@@ -117,8 +118,11 @@ DEGENERATE_RUNS = {
             ([0.5, 0.5j, False, -0.5j], 2),
         ],
         DEFAULT_POLYGON_ROWS[0],
+        "polygon_m?_{i}",
     ),
 }
+# rows with no length, so no vertex list: each is a row error too
+UNLISTED_ROWS = (None, 5, 0.5j)
 
 
 @pytest.mark.parametrize("name", list(REDUCED_RUNS))
@@ -150,16 +154,23 @@ def test_area_sequence_beyond_pi():
 
 @pytest.mark.parametrize("name", list(DEGENERATE_RUNS))
 def test_degenerate_row_recorded_as_error(name):
-    run, degenerate_row, malformed_rows, good_row = DEGENERATE_RUNS[name]
-    rows = [degenerate_row, *(row for row, _ in malformed_rows), good_row]
-    degenerate, *malformed, good = run(rows)
-    for bad in (degenerate, *malformed):
+    run, degenerate_row, malformed_rows, good_row, unlisted_id = DEGENERATE_RUNS[name]
+    rows = [degenerate_row, *(row for row, _ in malformed_rows), *UNLISTED_ROWS, good_row]
+    degenerate, *bad_rows, good = run(rows)
+    malformed, unlisted = bad_rows[: len(malformed_rows)], bad_rows[len(malformed_rows) :]
+    for bad in (degenerate, *bad_rows):
         assert bad.error and not bad.passed()
     # a vertex that is not a point is named, as from_vertices names it,
     # and the row keeps its vertices as given
     for bad, (row, k) in zip(malformed, malformed_rows):
         assert bad.error == f"vertex {k} {row[k]!r} is not inside the unit disk"
         assert bad.inputs == {"vertices": list(row)}
+    # a row with no length is not a vertex list: its id has no vertex
+    # count, and it keeps the row as given
+    for i, (bad, row) in enumerate(zip(unlisted, UNLISTED_ROWS), start=len(malformed_rows) + 2):
+        assert bad.id == unlisted_id.format(i=i)
+        assert bad.error == f"row {row!r} is not a vertex list"
+        assert bad.inputs == {"vertices": row}
     # the good row solves, and keeps each vertex as [re, im]
     assert good.error is None and good.passed()
     assert good.inputs == {"vertices": [[z.real, z.imag] for z in map(complex, good_row)]}
